@@ -10,11 +10,12 @@ script files keyed by the candidate's content digest.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import subprocess
 import tempfile
 from dataclasses import dataclass
+
+from .jsonl import read_jsonl, write_jsonl
 
 
 class ToolchainError(RuntimeError):
@@ -122,23 +123,12 @@ class MockCompiler:
 
     @classmethod
     def load(cls, path) -> "MockCompiler":
-        script: dict[str, dict] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                script[record["digest"]] = {
-                    "status": record["status"],
-                    "diagnostics": record.get("diagnostics", ""),
-                }
-        return cls(script)
+        return cls(dict(read_jsonl(path, lambda r: (
+            r["digest"], {"status": r["status"], "diagnostics": r.get("diagnostics", "")}
+        ))))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for digest, entry in self.script.items():
-                record = {"digest": digest, **entry}
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        write_jsonl(path, ({"digest": digest, **entry} for digest, entry in self.script.items()))
 
     def add(self, source: str, ok: bool, diagnostics: str = "") -> str:
         digest = candidate_digest(source)
@@ -164,20 +154,13 @@ class MockRunner:
 
     @classmethod
     def load(cls, path) -> "MockRunner":
-        script: dict[tuple[str, str], str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                script[(record["digest"], record["input"])] = record["output"]
-        return cls(script)
+        return cls(dict(read_jsonl(path, lambda r: ((r["digest"], r["input"]), r["output"]))))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for (digest, stdin_text), output in self.script.items():
-                record = {"digest": digest, "input": stdin_text, "output": output}
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        write_jsonl(path, (
+            {"digest": digest, "input": stdin_text, "output": output}
+            for (digest, stdin_text), output in self.script.items()
+        ))
 
     def add(self, source: str, stdin_text: str, output: str) -> None:
         self.script[(candidate_digest(source), stdin_text)] = output

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import ast_summary, corpus, metrics
@@ -26,12 +25,12 @@ from .config import (
     save_recording,
 )
 from .javaparse import parse as parse_java
+from .jsonl import JsonlError, read_jsonl, write_jsonl
 from .llm import CompletionError
 from .repair_engine import (
     Branch,
     EngineDeps,
     IterationRecord,
-    RepairConfig,
     RepairEngineError,
     TestCase,
     TranslationUnit,
@@ -46,7 +45,6 @@ from .repair_repo import (
     ErrorQuery,
     RepairCase,
     Repository,
-    RepositoryFormatError,
     retrieve,
 )
 
@@ -113,8 +111,21 @@ def cmd_summarize_ast(args) -> int:
 
 # --- translate / repair --------------------------------------------------------
 
-def _load_tests(path: Path) -> list[TestCase]:
-    records = json.loads(path.read_text(encoding="utf-8"))
+def _read_json(path) -> object:
+    """A whole-file JSON document; bad JSON raises ValueError naming path:line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+
+
+def _load_tests(path) -> list[TestCase]:
+    records = _read_json(path)
+    if not isinstance(records, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("input"), str) and isinstance(r.get("expected_output"), str)
+        for r in records
+    ):
+        raise ValueError(f"{path}: expected a list of {{input, expected_output}} string objects")
     return [TestCase(r["input"], r["expected_output"]) for r in records]
 
 
@@ -128,24 +139,33 @@ def _discover_units(benchmark_dir: Path) -> list[dict]:
             {
                 "unit_id": stem,
                 "java": java_file.read_text(encoding="utf-8"),
-                "tests": _load_tests(tests_file) if tests_file.exists() else [],
+                "tests_file": tests_file if tests_file.exists() else None,
                 "reference": ref_file.read_text(encoding="utf-8") if ref_file.exists() else "",
             }
         )
     return units
 
 
-def _run_unit(spec: dict, cfg: RepairConfig, deps: EngineDeps, config: PipelineConfig):
+def _build_deps(config: PipelineConfig) -> EngineDeps:
+    """Adapters and the repair repository (when its file exists) for one run."""
+    llm, compiler, runner = build_llm(config), build_compiler(config), build_runner(config)
+    repo_path = config.path("repository")
+    repo = Repository.load(repo_path) if repo_path is not None and repo_path.exists() else None
+    return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo, decoding=config.decoding)
+
+
+def _run_unit(spec: dict, deps: EngineDeps, config: PipelineConfig):
+    tests = _load_tests(spec["tests_file"]) if spec["tests_file"] is not None else []
     record = translate(
         spec["java"], deps.llm, retained=config.retained_categories, decoding=deps.decoding
     )
     unit = TranslationUnit(
         java_source=spec["java"],
-        test_suite=spec["tests"],
+        test_suite=tests,
         candidates=[record],
         unit_id=spec["unit_id"],
     )
-    return run_repair_loop(unit, cfg, deps)
+    return run_repair_loop(unit, config.repair, deps)
 
 
 def cmd_translate(args) -> int:
@@ -155,21 +175,8 @@ def cmd_translate(args) -> int:
         return _fail(f"benchmark directory does not exist: {benchmark}")
     traces_dir = args.traces or config.path("traces")
     reports_dir = config.path("reports")
-
-    llm = build_llm(config)
-    compiler = build_compiler(config)
-    runner = build_runner(config)
-    repo = None
     repo_path = config.path("repository")
-    if repo_path is not None and Path(repo_path).exists():
-        repo = Repository.load(repo_path)
-
-    cfg = config.repair
-    if args.no_repair:
-        cfg = RepairConfig(
-            threshold=cfg.threshold, max_iterations=1, weights=cfg.weights, rag_top_k=cfg.rag_top_k
-        )
-    deps = EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo, decoding=config.decoding)
+    deps = _build_deps(config)
 
     units = _discover_units(Path(benchmark))
     if not units:
@@ -180,7 +187,7 @@ def cmd_translate(args) -> int:
 
     def work(spec):
         try:
-            return spec["unit_id"], _run_unit(spec, cfg, deps, config), None
+            return spec["unit_id"], _run_unit(spec, deps, config), None
         except (ToolchainError, RepairEngineError, CompletionError, ValueError) as exc:
             return spec["unit_id"], None, f"{type(exc).__name__}: {exc}"
 
@@ -195,7 +202,7 @@ def cmd_translate(args) -> int:
             errors[unit_id] = error
         else:
             results[unit_id] = unit
-    save_recording(llm, config)
+    save_recording(deps.llm, config)
 
     if traces_dir is not None:
         Path(traces_dir).mkdir(parents=True, exist_ok=True)
@@ -205,11 +212,12 @@ def cmd_translate(args) -> int:
     if reports_dir is not None:
         Path(reports_dir).mkdir(parents=True, exist_ok=True)
         references = {spec["unit_id"]: spec["reference"] for spec in units}
-        with open(Path(reports_dir) / "outcomes.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-            for unit_id in sorted(results):
-                unit = results[unit_id]
-                final = unit.candidates[-1]
-                record = {
+        records = []
+        for unit_id in sorted(results):
+            unit = results[unit_id]
+            final = unit.candidates[-1]
+            records.append(
+                {
                     "unit_id": unit_id,
                     "status": unit.status.value,
                     "compiled": final.compile_status is not None and final.compile_status.value == "success",
@@ -217,10 +225,11 @@ def cmd_translate(args) -> int:
                     "candidate": final.candidate,
                     "reference": references.get(unit_id, ""),
                 }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            )
+        write_jsonl(Path(reports_dir) / "outcomes.jsonl", records)
 
     if args.harvest and repo_path is not None:
-        repo = Repository.load(repo_path) if Path(repo_path).exists() else Repository()
+        repo = deps.repo if deps.repo is not None else Repository()
         harvested = 0
         for unit_id in sorted(results):
             unit = results[unit_id]
@@ -248,10 +257,8 @@ def cmd_translate(args) -> int:
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
-def _translate_overrides(args) -> dict:
+def _repair_overrides(args) -> dict:
     overrides = {}
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.threshold is not None:
         overrides["repair.threshold"] = args.threshold
     if args.max_iterations is not None:
@@ -259,11 +266,23 @@ def _translate_overrides(args) -> dict:
     return overrides
 
 
+def _translate_overrides(args) -> dict:
+    overrides = _repair_overrides(args)
+    if args.jobs is not None:
+        overrides["jobs"] = args.jobs
+    if args.no_repair:
+        overrides["repair.max_iterations"] = 1
+    return overrides
+
+
 def cmd_repair(args) -> int:
-    config = load_config(args.config, _translate_overrides(args))
+    config = load_config(args.config, _repair_overrides(args))
     java = Path(args.java).read_text(encoding="utf-8")
     candidate = Path(args.candidate).read_text(encoding="utf-8")
-    tests = _load_tests(Path(args.tests)) if args.tests else []
+    try:
+        tests = _load_tests(args.tests) if args.tests else []
+    except ValueError as exc:
+        return _fail(str(exc))
 
     unit = TranslationUnit(
         java_source=java,
@@ -271,17 +290,7 @@ def cmd_repair(args) -> int:
         candidates=[IterationRecord(k=0, candidate=candidate, branch=Branch.INITIAL)],
         unit_id=Path(args.candidate).stem,
     )
-    repo = None
-    repo_path = config.path("repository")
-    if repo_path is not None and Path(repo_path).exists():
-        repo = Repository.load(repo_path)
-    deps = EngineDeps(
-        llm=build_llm(config),
-        compiler=build_compiler(config),
-        runner=build_runner(config),
-        repo=repo,
-        decoding=config.decoding,
-    )
+    deps = _build_deps(config)
     try:
         unit = run_repair_loop(unit, config.repair, deps)
     except (ToolchainError, RepairEngineError, CompletionError) as exc:
@@ -300,12 +309,11 @@ def cmd_repair(args) -> int:
 def cmd_repo_add(args) -> int:
     repo_path = Path(args.repo)
     repo = Repository.load(repo_path) if repo_path.exists() else Repository()
-    payload = json.loads(Path(args.file).read_text(encoding="utf-8"))
-    records = payload if isinstance(payload, list) else [payload]
     try:
-        for record in records:
+        payload = _read_json(args.file)
+        for record in payload if isinstance(payload, list) else [payload]:
             repo.add_case(RepairCase.from_record(record))
-    except (DuplicateCaseError, RepositoryFormatError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         return _fail(str(exc))
     repo.save(repo_path)
     print(f"repository now holds {len(repo)} case(s)")
@@ -341,28 +349,24 @@ def cmd_evaluate(args) -> int:
     if not outcomes_path.exists():
         return _fail(f"outcomes file does not exist: {outcomes_path}")
     refs_dir = Path(args.refs) if args.refs else None
-    outcomes = []
-    with open(outcomes_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            reference = record.get("reference", "")
-            if not reference and refs_dir is not None:
-                ref_file = refs_dir / f"{record['unit_id']}.cj"
-                if ref_file.exists():
-                    reference = ref_file.read_text(encoding="utf-8")
-            if not reference:
-                return _fail(f"no reference for unit {record['unit_id']!r}")
-            outcomes.append(
-                metrics.UnitOutcome(
-                    unit_id=record["unit_id"],
-                    compiled=bool(record["compiled"]),
-                    all_tests_passed=bool(record["all_tests_passed"]),
-                    candidate=record.get("candidate", ""),
-                    reference=reference,
-                )
-            )
+
+    def outcome(record: dict) -> metrics.UnitOutcome:
+        reference = record.get("reference", "")
+        if not reference and refs_dir is not None:
+            ref_file = refs_dir / f"{record['unit_id']}.cj"
+            if ref_file.exists():
+                reference = ref_file.read_text(encoding="utf-8")
+        if not reference:
+            raise ValueError(f"no reference for unit {record['unit_id']!r}")
+        return metrics.UnitOutcome(
+            unit_id=record["unit_id"],
+            compiled=bool(record["compiled"]),
+            all_tests_passed=bool(record["all_tests_passed"]),
+            candidate=record.get("candidate", ""),
+            reference=reference,
+        )
+
+    outcomes = read_jsonl(outcomes_path, outcome)
     if not outcomes:
         return _fail("outcomes file is empty")
     try:
@@ -376,27 +380,17 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    aggregate = None
-    with open(args.report, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                record = json.loads(line)
-                if record.get("type") == "aggregate":
-                    aggregate = record
-    if aggregate is None:
+    def aggregate(record: dict) -> metrics.EvalReport | None:
+        if record.get("type") != "aggregate":
+            return None
+        return metrics.EvalReport.from_counts(
+            record["n_total"], record["n_compiled"], record["n_cf"], record["bleu"]["value"]
+        )
+
+    reports = [r for r in read_jsonl(args.report, aggregate) if r is not None]
+    if not reports:
         return _fail(f"no aggregate record in {args.report}")
-    n_total, n_compiled, n_cf = aggregate["n_total"], aggregate["n_compiled"], aggregate["n_cf"]
-    report = metrics.EvalReport(
-        n_total=n_total,
-        n_compiled=n_compiled,
-        n_cf=n_cf,
-        fe=Fraction(n_cf, n_total),
-        csr=Fraction(n_compiled, n_total),
-        cfe=Fraction(n_cf, n_compiled) if n_compiled else Fraction(0),
-        cfe_defined=n_compiled > 0,
-        bleu=aggregate["bleu"]["value"],
-    )
-    print(metrics.render_table(report))
+    print(metrics.render_table(reports[-1]))
     return EXIT_OK
 
 
@@ -440,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tests")
     p.add_argument("--out")
     p.add_argument("--redact", action="store_true")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--max-iterations", type=int, default=None)
     p.set_defaults(func=cmd_repair)
@@ -478,9 +471,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(str(exc))
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError, JsonlError) as exc:
         return _fail(str(exc))
 
 

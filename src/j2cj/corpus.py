@@ -33,6 +33,7 @@ from .llm import (
     DecodingConfig,
     extract_code_block,
 )
+from .jsonl import read_jsonl, write_jsonl
 
 CPT_BOUNDARY = "<<<PARA>>>"
 
@@ -307,50 +308,35 @@ def build_parallel_sample(
 
 # --- dataset persistence ---------------------------------------------------------
 
-def _write_jsonl(path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-
-def _read_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
 def write_cpt_dataset(records: list[str], path) -> None:
-    _write_jsonl(path, [{"text": r} for r in records])
+    write_jsonl(path, [{"text": r} for r in records])
 
 
 def read_cpt_dataset(path) -> list[str]:
-    return [r["text"] for r in _read_jsonl(path)]
+    return read_jsonl(path, lambda r: r["text"])
 
 
 def write_syntax_entries(entries: list[SyntaxEntry], path) -> None:
-    _write_jsonl(path, [e.to_record() for e in entries])
+    write_jsonl(path, [e.to_record() for e in entries])
 
 
 def read_syntax_entries(path) -> list[SyntaxEntry]:
-    return [SyntaxEntry.from_record(r) for r in _read_jsonl(path)]
+    return read_jsonl(path, SyntaxEntry.from_record)
 
 
 def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         [{"instruction": s.instruction, "input": s.input, "output": s.output} for s in samples],
     )
 
 
 def read_monolingual_dataset(path) -> list[MonolingualSample]:
-    return [MonolingualSample(r["instruction"], r["input"], r["output"]) for r in _read_jsonl(path)]
+    return read_jsonl(path, lambda r: MonolingualSample(r["instruction"], r["input"], r["output"]))
 
 
 def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
-    _write_jsonl(
+    write_jsonl(
         path,
         [
             {
@@ -365,12 +351,9 @@ def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
 
 
 def read_parallel_dataset(path) -> list[ParallelSample]:
-    return [
-        ParallelSample(
-            r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
-        )
-        for r in _read_jsonl(path)
-    ]
+    return read_jsonl(path, lambda r: ParallelSample(
+        r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
+    ))
 
 
 # --- directory-level orchestration ------------------------------------------------

@@ -1,0 +1,69 @@
+"""Line-delimited JSON files: one strict reader and one atomic writer.
+
+Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
+repositories, datasets, outcomes, reports) goes through these two
+functions, so all of them report malformed input the same way
+(``path:line: reason``) and are replaced whole, never left half-written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import threading
+from typing import Callable, Iterable
+
+
+class JsonlError(ValueError):
+    """A malformed JSONL file; the message starts with ``path:line:``."""
+
+
+def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
+    """Records of ``path`` in file order, skipping blank lines.
+
+    ``convert`` maps each record to the caller's value. A line that is not
+    a JSON object, a ``KeyError`` (missing field) and a ``ValueError`` or
+    ``TypeError`` (invalid field) raised by ``convert`` all become a
+    ``JsonlError`` naming the line.
+    """
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise JsonlError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise JsonlError(f"{where}: expected an object")
+            if convert is None:
+                values.append(record)
+                continue
+            try:
+                values.append(convert(record))
+            except KeyError as exc:
+                raise JsonlError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise JsonlError(f"{where}: {exc}") from exc
+    return values
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one ``json.dumps(record, ensure_ascii=False)`` line per record.
+
+    The lines go to a sibling temp file that then replaces ``path``, so a
+    reader never sees a partial file and a record that fails to serialize
+    leaves the old file untouched.
+    """
+    tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
+            for record in records:
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise

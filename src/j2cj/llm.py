@@ -9,13 +9,14 @@ the mock backend, every pipeline run is byte-reproducible.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import threading
 import time
 from dataclasses import dataclass, field
 
 import requests
+
+from .jsonl import read_jsonl, write_jsonl
 
 
 class TemplateError(ValueError):
@@ -313,27 +314,19 @@ class Transcript:
         return self.entries[digest]
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for digest, reply in self.entries.items():
-                record = {
-                    "digest": digest,
-                    "prompt": self.prompts.get(digest, ""),
-                    "reply": reply,
-                }
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        write_jsonl(path, (
+            {"digest": digest, "prompt": self.prompts.get(digest, ""), "reply": reply}
+            for digest, reply in self.entries.items()
+        ))
 
     @classmethod
     def load(cls, path) -> "Transcript":
         transcript = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if "digest" not in record or "reply" not in record:
-                    raise ValueError(f"{path}:{lineno}: transcript record needs digest and reply")
-                transcript.entries[record["digest"]] = record["reply"]
-                transcript.prompts[record["digest"]] = record.get("prompt", "")
+        for digest, reply, prompt in read_jsonl(
+            path, lambda r: (r["digest"], r["reply"], r.get("prompt", ""))
+        ):
+            transcript.entries[digest] = reply
+            transcript.prompts[digest] = prompt
         return transcript
 
     @classmethod

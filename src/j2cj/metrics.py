@@ -8,12 +8,13 @@ code-aware tokenization; values are stored in [0, 1] and displayed on the
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .jsonl import write_jsonl
 
 BLEU_MAX_ORDER = 4
 BLEU_EPSILON = 1e-9
@@ -44,6 +45,22 @@ class EvalReport:
     cfe: Fraction
     cfe_defined: bool
     bleu: float
+
+    @classmethod
+    def from_counts(cls, n_total: int, n_compiled: int, n_cf: int, bleu: float) -> "EvalReport":
+        """The report for unit counts; raises ValueError unless
+        0 <= n_cf <= n_compiled <= n_total and n_total > 0."""
+        return cls(
+            n_total=n_total,
+            n_compiled=n_compiled,
+            n_cf=n_cf,
+            # csr and cfe check the counts before fe divides by n_total
+            csr=csr(n_compiled, n_total),
+            cfe=cfe(n_cf, n_compiled),
+            fe=Fraction(n_cf, n_total),
+            cfe_defined=n_compiled > 0,
+            bleu=bleu,
+        )
 
 
 def csr(n_compiled: int, n_total: int) -> Fraction:
@@ -169,24 +186,14 @@ def corpus_bleu(pairs: list[tuple[str, list[str]]], max_order: int = BLEU_MAX_OR
 
 # --- reports ------------------------------------------------------------------
 
-def evaluate(outcomes: list[UnitOutcome], with_bleu: bool = True) -> EvalReport:
+def evaluate(outcomes: list[UnitOutcome]) -> EvalReport:
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
-    n_total = len(outcomes)
-    n_compiled = sum(1 for o in outcomes if o.compiled)
-    n_cf = sum(1 for o in outcomes if o.all_tests_passed)
-    score = 0.0
-    if with_bleu:
-        score = corpus_bleu([(o.candidate, [o.reference]) for o in outcomes])
-    return EvalReport(
-        n_total=n_total,
-        n_compiled=n_compiled,
-        n_cf=n_cf,
-        fe=fe(outcomes),
-        csr=csr(n_compiled, n_total),
-        cfe=cfe(n_cf, n_compiled),
-        cfe_defined=n_compiled > 0,
-        bleu=score,
+    return EvalReport.from_counts(
+        n_total=len(outcomes),
+        n_compiled=sum(1 for o in outcomes if o.compiled),
+        n_cf=sum(1 for o in outcomes if o.all_tests_passed),
+        bleu=corpus_bleu([(o.candidate, [o.reference]) for o in outcomes]),
     )
 
 
@@ -228,14 +235,14 @@ def render_table(report: EvalReport) -> str:
 
 def write_report(path, outcomes: list[UnitOutcome], report: EvalReport) -> None:
     """Line-delimited report: one record per unit, aggregate record last."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for o in outcomes:
-            record = {
-                "type": "unit",
-                "unit_id": o.unit_id,
-                "compiled": o.compiled,
-                "all_tests_passed": o.all_tests_passed,
-                "bleu": bleu(o.candidate, [o.reference]) if o.candidate and o.reference else None,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-        fh.write(json.dumps({"type": "aggregate", **report_record(report)}, ensure_ascii=False) + "\n")
+    units = [
+        {
+            "type": "unit",
+            "unit_id": o.unit_id,
+            "compiled": o.compiled,
+            "all_tests_passed": o.all_tests_passed,
+            "bleu": bleu(o.candidate, [o.reference]) if o.candidate and o.reference else None,
+        }
+        for o in outcomes
+    ]
+    write_jsonl(path, units + [{"type": "aggregate", **report_record(report)}])

@@ -15,7 +15,6 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .adapters import ToolchainError  # noqa: F401  (re-exported for callers)
 from .ast_summary import (
     DEFAULT_RETAINED_CATEGORIES,
     StructuralTokenVocab,
@@ -354,22 +353,23 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
         else:
             rec.test_result = TestResult.NOT_RUN
 
-        if rec.compile_status is CompileStatus.SUCCESS and rec.test_result is TestResult.PASS:
-            unit.status = UnitStatus.ACCEPTED
-            return unit
+        # A failed candidate ends the loop on a repeated error signature or
+        # a spent budget before any retrieval is paid for.
+        if rec.test_result is not TestResult.PASS:
+            rec.error_signature = _record_signature(rec)
+            if rec.error_signature == prev_signature:
+                unit.status = UnitStatus.STAGNATED
+                return unit
+            prev_signature = rec.error_signature
+            if k + 1 >= cfg.max_iterations:
+                unit.status = UnitStatus.BUDGET_EXHAUSTED
+                return unit
 
-        rec.error_signature = _record_signature(rec)
-        if prev_signature is not None and rec.error_signature == prev_signature:
-            unit.status = UnitStatus.STAGNATED
-            return unit
-        prev_signature = rec.error_signature
-
-        if k + 1 >= cfg.max_iterations:
-            unit.status = UnitStatus.BUDGET_EXHAUSTED
-            return unit
-
+        diagnostics = rec.diagnostics if rec.diagnostics.strip() else "<no diagnostics>"
+        ranked: list[tuple[RepairCase, SimilarityBreakdown]] = []
+        top_score = None
         if rec.compile_status is CompileStatus.FAIL:
-            diagnostics = rec.diagnostics if rec.diagnostics.strip() else "<no diagnostics>"
+            top_score = 0.0
             if deps.repo is not None and len(deps.repo) > 0:
                 ranked = retrieve(
                     ErrorQuery(diagnostics, rec.candidate, extract_error_tags(diagnostics)),
@@ -378,24 +378,19 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
                     cfg.weights,
                 )
                 top_score = ranked[0][1].total
-            else:
-                ranked = []
-                top_score = 0.0
-            action = select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, top_score, cfg.threshold)
-            if action is NextAction.RAG_REPAIR:
-                candidate, exchanges = rag_repair(
-                    rec.candidate, diagnostics, ranked, deps.llm, deps.decoding
-                )
-                guidance = None
-                branch = Branch.RAG_REPAIR
-            else:
-                guidance, candidate, exchanges = self_analysis_repair(
-                    unit.java_source, rec.candidate, diagnostics, deps.llm, deps.decoding, "compile"
-                )
-                branch = Branch.SELF_ANALYSIS
+
+        action = select_branch(rec.compile_status, rec.test_result, top_score, cfg.threshold)
+        guidance = None
+        if action is NextAction.ACCEPT:
+            unit.status = UnitStatus.ACCEPTED
+            return unit
+        if action is NextAction.RAG_REPAIR:
+            candidate, exchanges = rag_repair(rec.candidate, diagnostics, ranked, deps.llm, deps.decoding)
+        elif action is NextAction.SELF_ANALYSIS:
+            guidance, candidate, exchanges = self_analysis_repair(
+                unit.java_source, rec.candidate, diagnostics, deps.llm, deps.decoding, "compile"
+            )
         else:
-            action = select_branch(CompileStatus.SUCCESS, TestResult.FAIL, None, cfg.threshold)
-            assert action is NextAction.TEST_REPAIR
             guidance, candidate, exchanges = self_analysis_repair(
                 unit.java_source,
                 rec.candidate,
@@ -404,13 +399,12 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
                 deps.decoding,
                 "test",
             )
-            branch = Branch.TEST_REPAIR
 
         unit.candidates.append(
             IterationRecord(
                 k=k + 1,
                 candidate=candidate,
-                branch=branch,
+                branch=Branch(action.value),
                 guidance=guidance,
                 exchanges=exchanges,
             )

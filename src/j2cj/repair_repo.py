@@ -11,21 +11,18 @@ for a query built from the case's own fields, so self-similarity is exactly
 from __future__ import annotations
 
 import difflib
-import json
-import os
 import re
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
+from .jsonl import JsonlError, read_jsonl, write_jsonl
 
 
 class DuplicateCaseError(ValueError):
     pass
 
 
-class RepositoryFormatError(ValueError):
-    pass
+# A malformed repository file or case record: the JSONL reader's error.
+RepositoryFormatError = JsonlError
 
 
 @dataclass(frozen=True)
@@ -249,32 +246,36 @@ def _longest_common_substring(a: str, b: str) -> int:
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Exact edit distance; vectorized row DP for longer inputs."""
+    """Exact edit distance by the bit-parallel algorithm of Myers (JACM 1999)
+    in Hyyrö's formulation: one column of vertical deltas of the DP matrix,
+    held in Python ints with one bit per character of the longer string, is
+    advanced once per character of the shorter string."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
+    if len(a) < len(b):
+        a, b = b, a
     if not b:
         return len(a)
-    if len(a) * len(b) <= 1024:
-        prev = list(range(len(b) + 1))
-        for i, ca in enumerate(a, 1):
-            cur = [i]
-            for j, cb in enumerate(b, 1):
-                cur.append(min(prev[j] + 1, cur[-1] + 1, prev[j - 1] + (ca != cb)))
-            prev = cur
-        return prev[-1]
-    codes_b = np.array([ord(c) for c in b], dtype=np.int64)
-    idx = np.arange(len(b) + 1, dtype=np.int64)
-    prev = idx.copy()
-    row = np.empty(len(b) + 1, dtype=np.int64)
-    for i, ca in enumerate(a, 1):
-        row[0] = i
-        np.minimum(prev[:-1] + (codes_b != ord(ca)), prev[1:] + 1, out=row[1:])
-        # close over insertions: row[j] = min(row[j], row[j-1] + 1)
-        np.minimum(row, np.minimum.accumulate(row - idx) + idx, out=row)
-        prev, row = row, prev
-    return int(prev[-1])
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = full, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)  # negative ints stand for infinitely many high ones
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        pv = ((mh << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def _effective_tags(error_info: str, tags: tuple[str, ...]) -> set[str]:
@@ -359,36 +360,13 @@ class Repository:
         return isinstance(other, Repository) and self._cases == other._cases
 
     def save(self, path) -> None:
-        """Whole-file atomic replace so readers never see a partial file."""
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                for case in self._cases.values():
-                    fh.write(json.dumps(case.to_record(), ensure_ascii=False) + "\n")
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        write_jsonl(path, (case.to_record() for case in self._cases.values()))
 
     @classmethod
     def load(cls, path) -> "Repository":
         repo = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RepositoryFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                if not isinstance(record, dict):
-                    raise RepositoryFormatError(f"{path}:{lineno}: expected an object")
-                try:
-                    repo.add_case(RepairCase.from_record(record))
-                except (ValueError, TypeError) as exc:
-                    raise RepositoryFormatError(f"{path}:{lineno}: {exc}") from exc
+        # Adding while reading makes a duplicate id name its line too.
+        read_jsonl(path, lambda record: repo.add_case(RepairCase.from_record(record)))
         return repo
 
 

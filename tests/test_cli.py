@@ -294,3 +294,69 @@ def test_repair_command_runs_loop_on_existing_candidate(pipeline, capsys, tmp_pa
     assert code == 0
     assert "accepted" in out
     assert C1 in out
+
+
+def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
+    tmp_path, config_path = pipeline
+    (tmp_path / "bench" / "unit0.java").write_text(JAVA, encoding="utf-8")
+    (tmp_path / "bench" / "unit0.tests.json").write_text('{"input": "1\\n"}', encoding="utf-8")
+    code = main(["translate", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("unit0: error: ValueError: ")
+    assert "unit1: accepted" in captured.out
+    assert (tmp_path / "traces" / "unit1.trace.json").exists()
+    outcomes = (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["unit_id"] for line in outcomes] == ["unit1"]
+
+
+_AGGREGATE = {"type": "aggregate", "n_total": 3, "n_compiled": 2, "n_cf": 1, "bleu": {"value": 0.5}}
+
+# name -> (file written under the fixture root, its text, the bad line, argv)
+_MALFORMED_INPUTS = {
+    "transcript-line": ("transcript.jsonl", "\nnot json\n", 2, ["translate", "--config", "{config}"]),
+    "compiler-record-without-status": (
+        "compiler.jsonl", '{"digest": "d", "diagnostics": ""}\n', 1, ["translate", "--config", "{config}"],
+    ),
+    "outcomes-line": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": "u", "compiled": True, "all_tests_passed": True, "reference": "a"}) + "\n{\n",
+        2,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
+    "outcome-without-compiled": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": "u", "all_tests_passed": False, "reference": "a"}) + "\n",
+        1,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
+    "report-line": ("report.jsonl", "[1, 2]\n", 1, ["report", "--report", "{file}"]),
+    "report-zero-units": (
+        "report.jsonl",
+        json.dumps({**_AGGREGATE, "n_total": 0, "n_compiled": 0, "n_cf": 0}) + "\n",
+        1,
+        ["report", "--report", "{file}"],
+    ),
+    "report-missing-counts": (
+        "report.jsonl",
+        json.dumps({"type": "unit"}) + "\n" + json.dumps({"type": "aggregate", "n_total": 3}) + "\n",
+        2,
+        ["report", "--report", "{file}"],
+    ),
+    "repo-add-invalid-json": (
+        "case.json", "{not json}\n", 1, ["repo", "add", "--repo", "{root}/repo.jsonl", "--file", "{file}"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_INPUTS))
+def test_malformed_input_exits_1_with_one_line(pipeline, capsys, name):
+    root, config_path = pipeline
+    file_name, text, line, argv = _MALFORMED_INPUTS[name]
+    bad = root / file_name
+    bad.write_text(text, encoding="utf-8")
+    code = main([a.format(config=config_path, file=bad, root=root) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err

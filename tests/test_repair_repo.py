@@ -195,6 +195,15 @@ def test_levenshtein_matches_brute_force_small_and_vectorized():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
         assert levenshtein(a, b) == lev_brute(a, b)
+    for _ in range(8):
+        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 400)))
+        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 400)))
+        assert levenshtein(a, b) == lev_brute(a, b)
+    wide = "漢字中文ab😀🎉𝄞 "  # CJK, astral-plane emoji and a musical symbol
+    for _ in range(100):
+        a = "".join(rng.choice(wide) for _ in range(rng.randint(0, 70)))
+        b = "".join(rng.choice(wide) for _ in range(rng.randint(0, 70)))
+        assert levenshtein(a, b) == lev_brute(a, b)
 
 
 def test_semantic_adapter_overrides_only_the_third_dimension():
