@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import tempfile
+import weakref
 from dataclasses import dataclass
 
 from .jsonl import read_jsonl, write_jsonl
@@ -53,20 +55,24 @@ class CommandCompiler:
 
     The template is a list of argv strings where ``{source}`` and
     ``{artifact}`` expand to the candidate path and the output path.
+    Each compile gets its own directory under one temporary root, because
+    the runner executes the artifact after ``compile`` returns; the root is
+    removed when the compiler is garbage-collected or the process exits.
     """
 
-    def __init__(self, command: list[str], source_suffix: str = ".cj", timeout: float = 60.0):
+    def __init__(self, command: list[str], timeout: float = 60.0):
         if not command:
             raise ToolchainError("compiler command must be non-empty")
         if not any("{source}" in part for part in command):
             raise ToolchainError("compiler command must reference {source}")
         self.command = list(command)
-        self.source_suffix = source_suffix
         self.timeout = timeout
+        self._root = tempfile.mkdtemp(prefix="j2cj-compile-")
+        weakref.finalize(self, shutil.rmtree, self._root, True)
 
     def compile(self, source: str) -> CompileOutcome:
-        workdir = tempfile.mkdtemp(prefix="j2cj-compile-")
-        src_path = os.path.join(workdir, f"candidate{self.source_suffix}")
+        workdir = tempfile.mkdtemp(dir=self._root)
+        src_path = os.path.join(workdir, "candidate.cj")
         artifact = os.path.join(workdir, "candidate.bin")
         with open(src_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(source)

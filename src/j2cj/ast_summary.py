@@ -9,7 +9,6 @@ boundary markers.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .javaparse import SyntaxNode, parse
@@ -56,16 +55,11 @@ class VocabError(ValueError):
     """Raised for non-injective or malformed structural-token vocabularies."""
 
 
-def source_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class StructuralSummary:
     """DFS pre-order sequence of retained internal node categories."""
 
     categories: tuple[str, ...]
-    source_digest: str = ""
 
     def __len__(self) -> int:
         return len(self.categories)
@@ -130,8 +124,9 @@ def summarize(
     """Collect retained internal node categories in DFS pre-order.
 
     Terminal nodes never contribute; ERROR nodes are not retained, so
-    partially broken sources still summarize. ``source``, when given,
-    feeds the summary's content digest.
+    partially broken sources still summarize. ``source`` is accepted and
+    unused: the benchmark's input generator (bench/make_synthetic.py)
+    still passes it.
     """
     if not retained:
         raise ValueError("retained category set must be non-empty")
@@ -140,15 +135,14 @@ def summarize(
         for node in tree.walk()
         if not node.is_terminal and node.category in retained
     ]
-    digest = source_digest(source) if source is not None else ""
-    return StructuralSummary(tuple(categories), digest)
+    return StructuralSummary(tuple(categories))
 
 
 def summarize_source(
     source: str,
     retained: frozenset[str] | set[str] = DEFAULT_RETAINED_CATEGORIES,
 ) -> StructuralSummary:
-    return summarize(parse(source), retained, source=source)
+    return summarize(parse(source), retained)
 
 
 def tokenize_structure(summary: StructuralSummary, vocab: StructuralTokenVocab) -> list[str]:

@@ -77,7 +77,7 @@ def cmd_build_corpus(args) -> int:
     try:
         stats = corpus.build_corpus(
             chapters, snippets, pairs, out_dir, llm,
-            decoding=config.decoding, allowlist=config.allowlist,
+            decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
         )
     except (ValueError, CompletionError) as exc:
         return _fail(str(exc))
@@ -95,7 +95,7 @@ def cmd_build_corpus(args) -> int:
 def cmd_summarize_ast(args) -> int:
     config = load_config(args.config)
     source = Path(args.file).read_text(encoding="utf-8")
-    summary = ast_summary.summarize(parse_java(source), config.retained_categories, source=source)
+    summary = ast_summary.summarize(parse_java(source), config.retained_categories)
     if args.tokens:
         vocab = (
             ast_summary.load_vocab(args.vocab)

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .ast_summary import (
     DEFAULT_RETAINED_CATEGORIES,
-    StructuralTokenVocab,
     default_vocab,
     ensure_no_markers,
     summarize,
@@ -287,7 +286,6 @@ def build_monolingual_sample(code: str, description: str) -> MonolingualSample:
 def build_parallel_sample(
     java: str,
     cangjie: str,
-    vocab: StructuralTokenVocab | None = None,
     retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
 ) -> ParallelSample:
     """Structure-annotated translation pair; the structure block is computed
@@ -301,8 +299,7 @@ def build_parallel_sample(
         raise ValueError("java source does not parse cleanly")
     ensure_no_markers(java, "java source")
     ensure_no_markers(cangjie, "cangjie target")
-    summary = summarize(tree, retained, source=java)
-    tokens = tokenize_structure(summary, vocab or default_vocab(retained))
+    tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
     return ParallelSample(TRANSLATE_INSTRUCTION, tuple(tokens), java, cangjie)
 
 
@@ -366,7 +363,7 @@ def build_corpus(
     llm,
     decoding: DecodingConfig = DecodingConfig(),
     allowlist: tuple[str, ...] = DEFAULT_IMPORT_ALLOWLIST,
-    vocab: StructuralTokenVocab | None = None,
+    retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
 ) -> dict:
     """Build all configured datasets from input directories.
 
@@ -436,7 +433,7 @@ def build_corpus(
                     build_parallel_sample(
                         java_file.read_text(encoding="utf-8"),
                         target_file.read_text(encoding="utf-8"),
-                        vocab,
+                        retained,
                     )
                 )
             except ValueError as exc:

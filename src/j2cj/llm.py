@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import re
+import string
 import threading
 import time
 from dataclasses import dataclass, field
-
-import requests
+from typing import TYPE_CHECKING
 
 from .jsonl import read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import requests
 
 
 class TemplateError(ValueError):
@@ -50,51 +53,17 @@ class DecodingConfig:
             raise ValueError("max_tokens must be positive")
 
 
-_PLACEHOLDER_RE = re.compile(r"\{([a-z][a-z0-9_]*)\}")
-
-
-def _split_template(body: str) -> list[tuple[str, str]]:
-    """Split body into ('lit', text) / ('slot', name) parts.
-
-    ``{{`` and ``}}`` escape literal braces in the template body; escapes
-    are resolved here so slot values are never re-scanned on render.
-    """
-    parts: list[tuple[str, str]] = []
-    i, n = 0, len(body)
-    lit: list[str] = []
-    while i < n:
-        ch = body[i]
-        if ch == "{" and i + 1 < n and body[i + 1] == "{":
-            lit.append("{")
-            i += 2
-            continue
-        if ch == "}" and i + 1 < n and body[i + 1] == "}":
-            lit.append("}")
-            i += 2
-            continue
-        if ch == "{":
-            m = _PLACEHOLDER_RE.match(body, i)
-            if not m:
-                raise TemplateError(f"stray '{{' at offset {i}; use '{{{{' for a literal brace")
-            parts.append(("lit", "".join(lit)))
-            lit = []
-            parts.append(("slot", m.group(1)))
-            i = m.end()
-            continue
-        if ch == "}":
-            raise TemplateError(f"stray '}}' at offset {i}; use '}}}}' for a literal brace")
-        lit.append(ch)
-        i += 1
-    parts.append(("lit", "".join(lit)))
-    return parts
+_SLOT_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """Named template with `{slot}` placeholders.
+    """Named template with `{slot}` placeholders in ``str.format`` syntax.
 
-    Every required slot must appear in the body exactly once, and the body
-    must not contain placeholders outside the required set.
+    Slot names are lowercase identifiers with no conversion, format spec,
+    attribute or index; ``{{`` and ``}}`` escape literal braces. Every
+    required slot must appear in the body exactly once, and the body must
+    not contain placeholders outside the required set.
     """
 
     name: str
@@ -102,10 +71,24 @@ class PromptTemplate:
     required_slots: frozenset[str]
 
     def __post_init__(self):
+        try:
+            fields = [
+                (slot, conversion, spec)
+                for _, slot, spec, conversion in string.Formatter().parse(self.body)
+                if slot is not None
+            ]
+        except ValueError as exc:
+            raise TemplateError(
+                f"template {self.name!r}: {exc}; use '{{{{' or '}}}}' for a literal brace"
+            ) from None
         counts: dict[str, int] = {}
-        for kind, value in _split_template(self.body):
-            if kind == "slot":
-                counts[value] = counts.get(value, 0) + 1
+        for slot, conversion, spec in fields:
+            if conversion is not None or spec or not _SLOT_NAME_RE.fullmatch(slot):
+                raise TemplateError(
+                    f"template {self.name!r}: malformed placeholder {slot!r}; a slot is a "
+                    "lowercase name with no conversion, format spec, attribute or index"
+                )
+            counts[slot] = counts.get(slot, 0) + 1
         for slot in self.required_slots:
             if counts.get(slot, 0) != 1:
                 raise TemplateError(
@@ -123,10 +106,7 @@ class PromptTemplate:
         extra = set(slots) - self.required_slots
         if extra:
             raise TemplateError(f"template {self.name!r}: unknown slots {sorted(extra)}")
-        out: list[str] = []
-        for kind, value in _split_template(self.body):
-            out.append(value if kind == "lit" else slots[value])
-        return "".join(out)
+        return self.body.format_map(slots)
 
 
 # --- template registry ----------------------------------------------------
@@ -351,12 +331,20 @@ class MockBackend:
         return self.transcript.lookup(prompt)
 
 
+HTTP_MAX_ATTEMPTS = 3
+HTTP_BACKOFF_BASE_S = 0.5  # doubled after each further failed attempt
+HTTP_TIMEOUT_S = 120.0
+# Per-endpoint request budget: bounds in-flight calls under --jobs.
+HTTP_MAX_CONCURRENCY = 4
+
+
 class HttpBackend:
     """Chat-completion HTTP client with bounded retry on transient failures.
 
     Retries transport errors and 5xx responses with exponential backoff;
     4xx responses fail immediately. An optional recorder transcript captures
-    (prompt, reply) pairs for later replay.
+    (prompt, reply) pairs for later replay. ``requests`` is imported only
+    here, so the replay backend never pays for it.
     """
 
     def __init__(
@@ -364,23 +352,19 @@ class HttpBackend:
         endpoint: str,
         model: str,
         api_key: str | None = None,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        timeout: float = 120.0,
         recorder: Transcript | None = None,
         session: requests.Session | None = None,
-        max_concurrency: int = 4,
     ):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.timeout = timeout
         self.recorder = recorder
-        self.session = session or requests.Session()
-        # Per-endpoint request budget: bounds in-flight calls under --jobs.
-        self._slots = threading.BoundedSemaphore(max_concurrency)
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
+        self._slots = threading.BoundedSemaphore(HTTP_MAX_CONCURRENCY)
 
     def complete(self, prompt: str, cfg: DecodingConfig = DecodingConfig()) -> str:
         if not prompt:
@@ -389,6 +373,8 @@ class HttpBackend:
             return self._complete_locked(prompt, cfg)
 
     def _complete_locked(self, prompt: str, cfg: DecodingConfig) -> str:
+        import requests
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -401,12 +387,12 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(HTTP_MAX_ATTEMPTS):
             if attempt:
-                time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                time.sleep(HTTP_BACKOFF_BASE_S * (2 ** (attempt - 1)))
             try:
                 resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -421,7 +407,7 @@ class HttpBackend:
                 self.recorder.add(prompt, reply)
             return reply
         raise CompletionError(
-            f"endpoint unreachable after {self.max_attempts} attempts: {last_error}"
+            f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     @staticmethod

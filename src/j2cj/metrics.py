@@ -146,28 +146,20 @@ def _bleu_from_stats(matches: list[int], totals: list[int], cand_len: int, ref_l
     return min(1.0, brevity * geo_mean)
 
 
-def bleu(candidate: str, references: list[str], max_order: int = BLEU_MAX_ORDER) -> float:
-    """Sentence-level BLEU of a candidate against one or more references."""
+def bleu(candidate: str, references: list[str]) -> float:
+    """Sentence-level BLEU of a candidate against one or more references:
+    corpus BLEU over the single pair."""
     if not references:
         raise ValueError("at least one reference required")
-    cand_tokens = tokenize_code(candidate)
-    ref_tokens = [tokenize_code(r) for r in references]
-    if not cand_tokens or all(not r for r in ref_tokens):
-        raise ValueError("candidate and references must tokenize to at least one token")
-    matches, totals = [], []
-    for order in range(1, max_order + 1):
-        m, t = _clipped_matches(cand_tokens, ref_tokens, order)
-        matches.append(m)
-        totals.append(t)
-    return _bleu_from_stats(matches, totals, len(cand_tokens), _closest_ref_length(len(cand_tokens), ref_tokens))
+    return corpus_bleu([(candidate, references)])
 
 
-def corpus_bleu(pairs: list[tuple[str, list[str]]], max_order: int = BLEU_MAX_ORDER) -> float:
+def corpus_bleu(pairs: list[tuple[str, list[str]]]) -> float:
     """Corpus BLEU: n-gram statistics pooled over all (candidate, refs) pairs."""
     if not pairs:
         raise ValueError("at least one pair required")
-    matches = [0] * max_order
-    totals = [0] * max_order
+    matches = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
     cand_len = 0
     ref_len = 0
     for candidate, references in pairs:
@@ -175,7 +167,7 @@ def corpus_bleu(pairs: list[tuple[str, list[str]]], max_order: int = BLEU_MAX_OR
         ref_tokens = [tokenize_code(r) for r in references]
         if not cand_tokens or all(not r for r in ref_tokens):
             raise ValueError("candidate and references must tokenize to at least one token")
-        for order in range(1, max_order + 1):
+        for order in range(1, BLEU_MAX_ORDER + 1):
             m, t = _clipped_matches(cand_tokens, ref_tokens, order)
             matches[order - 1] += m
             totals[order - 1] += t

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .ast_summary import (
     DEFAULT_RETAINED_CATEGORIES,
-    StructuralTokenVocab,
     default_vocab,
     render_structured_prompt,
     summarize,
@@ -183,18 +182,15 @@ def _record_signature(rec: IterationRecord) -> str:
 def translate(
     java_source: str,
     llm,
-    vocab: StructuralTokenVocab | None = None,
     retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
     decoding: DecodingConfig = DecodingConfig(),
-    instruction: str = TRANSLATE_INSTRUCTION,
 ) -> IterationRecord:
     """Produce the initial candidate via the structure-conditioned prompt."""
     tree = parse(java_source)
     if tree_has_errors(tree):
         raise ValueError("java source does not parse cleanly")
-    summary = summarize(tree, retained, source=java_source)
-    tokens = tokenize_structure(summary, vocab or default_vocab(retained))
-    prompt = render_structured_prompt(tokens, java_source, instruction)
+    tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
+    prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
     reply = llm.complete(prompt, decoding)
     candidate = extract_code_block(reply).strip()
     if not candidate:

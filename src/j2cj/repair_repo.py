@@ -282,28 +282,15 @@ def _effective_tags(error_info: str, tags: tuple[str, ...]) -> set[str]:
     return set(tags) if tags else set(extract_error_tags(error_info))
 
 
-def similarity(
-    q: ErrorQuery,
-    c: RepairCase,
-    w: SimilarityWeights,
-    semantic_sim=None,
-) -> SimilarityBreakdown:
-    """Weighted six-dimension similarity between a query and a stored case.
-
-    ``semantic_sim(text_a, text_b) -> float`` replaces the deterministic
-    term-frequency cosine for the semantic dimension when supplied (e.g. an
-    embedding backend); the default stays dependency-free and reproducible.
-    """
+def similarity(q: ErrorQuery, c: RepairCase, w: SimilarityWeights) -> SimilarityBreakdown:
+    """Weighted six-dimension similarity between a query and a stored case."""
     qa, cb = q.faulty_fragment, c.faulty_fragment
 
     s1 = _jaccard(_effective_tags(q.error_info, q.error_tags), _effective_tags(c.error_info, c.error_tags))
     q_tokens = message_tokens(q.error_info)
     c_tokens = message_tokens(c.error_info)
     s2 = _jaccard(set(q_tokens), set(c_tokens))
-    if semantic_sim is not None:
-        s3 = float(semantic_sim(q.error_info, c.error_info))
-    else:
-        s3 = _cosine(q_tokens, c_tokens)
+    s3 = _cosine(q_tokens, c_tokens)
 
     skel_q, skel_c = fragment_skeleton(qa), fragment_skeleton(cb)
     if not skel_q and not skel_c:
@@ -372,18 +359,17 @@ class Repository:
 
 def retrieve(
     q: ErrorQuery,
-    repo: Repository | list[RepairCase],
+    repo: Repository,
     k: int,
     w: SimilarityWeights | None = None,
-    semantic_sim=None,
 ) -> list[tuple[RepairCase, SimilarityBreakdown]]:
     """Top-k cases by weighted similarity, ties broken by case id."""
-    cases = repo.cases() if isinstance(repo, Repository) else list(repo)
+    cases = repo.cases()
     if not cases:
         raise ValueError("repository is empty")
     if k <= 0:
         raise ValueError("k must be positive")
     weights = w or SimilarityWeights.uniform()
-    scored = [(case, similarity(q, case, weights, semantic_sim)) for case in cases]
+    scored = [(case, similarity(q, case, weights)) for case in cases]
     scored.sort(key=lambda pair: (-pair[1].total, pair[0].id))
     return scored[:k]

@@ -228,7 +228,7 @@ def test_criterion_5_ast_summaries():
         for _ in range(1000):
             source = gen_snippet(rng)
             tree = parse(source)
-            summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES, source=source)
+            summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES)
             terminal_categories = {n.category for n in tree.walk() if n.is_terminal}
             assert not terminal_categories & set(summary.categories)
 

@@ -1,5 +1,9 @@
 """Subprocess toolchain adapters and digest-keyed replay mocks."""
 
+import gc
+import os
+import tempfile
+
 import pytest
 
 from j2cj.adapters import (
@@ -33,6 +37,16 @@ def test_command_compiler_missing_executable_is_toolchain_error():
     compiler = CommandCompiler(["definitely-not-a-compiler-xyz", "{source}"])
     with pytest.raises(ToolchainError):
         compiler.compile("x")
+
+
+def test_command_compiler_keeps_artifacts_until_collected(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    compiler = CommandCompiler(["cp", "{source}", "{artifact}"])
+    artifacts = [compiler.compile(f"let x = {i}\n").artifact for i in range(2)]
+    assert all(os.path.isfile(a) for a in artifacts)  # the runner still needs them
+    del compiler
+    gc.collect()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_command_runner_pipes_stdin_and_captures_stdout():

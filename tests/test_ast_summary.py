@@ -19,7 +19,6 @@ from j2cj.ast_summary import (
     load_vocab,
     render_structured_prompt,
     save_vocab,
-    source_digest,
     summarize,
     summarize_source,
     tokenize_structure,
@@ -130,12 +129,6 @@ def test_golden_summaries(source, expected):
     assert list(summarize_source(source).categories) == expected
 
 
-def test_summary_carries_source_digest():
-    source = "class A {}"
-    summary = summarize_source(source)
-    assert summary.source_digest == source_digest(source)
-
-
 def test_empty_retained_set_is_rejected():
     with pytest.raises(ValueError):
         summarize(parse("class A {}"), frozenset())
@@ -198,7 +191,7 @@ def test_fuzz_no_terminal_categories_and_length_bound():
     for _ in range(1000):
         source = gen_snippet(rng)
         tree = parse(source)
-        summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES, source=source)
+        summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES)
         terminal_categories = {n.category for n in tree.walk() if n.is_terminal}
         assert not terminal_categories & set(summary.categories)
         assert len(summary) <= count_internal_nodes(tree)

@@ -8,6 +8,7 @@ import yaml
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize_source, tokenize_structure
 from j2cj.cli import main
+from j2cj.corpus import read_parallel_dataset
 from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
     REPAIR_APPLY_COMPILE_TEMPLATE,
@@ -266,6 +267,31 @@ def test_build_corpus_cli(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "cpt.jsonl").exists()
     assert "entries: 1" in capsys.readouterr().out
+
+
+def test_build_corpus_structure_block_follows_retained_categories(tmp_path, capsys):
+    pairs = tmp_path / "pairs"
+    pairs.mkdir()
+    java_file = pairs / "A.java"
+    java_file.write_text("class A { int f(int x) { if (x > 0) { return 1; } return 0; } }", encoding="utf-8")
+    (pairs / "A.cj").write_text(C1, encoding="utf-8")
+    transcript_path = tmp_path / "t.jsonl"
+    Transcript().save(transcript_path)
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(
+        yaml.safe_dump({
+            "llm": {"mode": "mock", "transcript": str(transcript_path)},
+            "retained_categories": ["if_statement"],
+        }),
+        encoding="utf-8",
+    )
+    assert main(["summarize-ast", str(java_file), "--config", str(config_path), "--tokens"]) == 0
+    tokens = capsys.readouterr().out.split()
+    assert tokens == ["<STRUCT:IF_STATEMENT>"]
+    out_dir = tmp_path / "datasets"
+    assert main(["build-corpus", "--config", str(config_path), "--pairs", str(pairs), "--out", str(out_dir)]) == 0
+    [sample] = read_parallel_dataset(out_dir / "parallel.jsonl")
+    assert list(sample.structure_block) == tokens
 
 
 def test_build_corpus_missing_dir_is_error(tmp_path):

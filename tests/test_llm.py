@@ -1,6 +1,10 @@
 """Template rendering, transcript replay, backend retry policy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -66,6 +70,15 @@ def test_template_requires_each_slot_exactly_once():
 def test_template_rejects_undeclared_placeholders():
     with pytest.raises(TemplateError):
         PromptTemplate("t", "has {rogue}", frozenset())
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["stray { brace", "stray } brace", "{Foo}", "{}", "{a.b}", "{a[0]}", "{a!r}", "{a:>3}"],
+)
+def test_template_rejects_malformed_placeholders(body):
+    with pytest.raises(TemplateError):
+        PromptTemplate("t", body, frozenset({"a"}))
 
 
 def test_brace_escaping_in_template_body():
@@ -158,9 +171,14 @@ def _ok_response(reply: str) -> _FakeResponse:
     return _FakeResponse(200, {"choices": [{"message": {"content": reply}}]})
 
 
+@pytest.fixture(autouse=True)
+def _no_backoff(monkeypatch):
+    monkeypatch.setattr("j2cj.llm.time.sleep", lambda seconds: None)
+
+
 def test_http_backend_sends_decoding_settings():
     session = _FakeSession([_ok_response("done")])
-    backend = HttpBackend("http://x/v1/chat", "model-a", session=session, backoff_base=0)
+    backend = HttpBackend("http://x/v1/chat", "model-a", session=session)
     assert backend.complete("p", DecodingConfig(max_tokens=7)) == "done"
     sent = session.requests[0]
     assert sent["temperature"] == 0.0
@@ -173,21 +191,21 @@ def test_http_backend_retries_transient_then_succeeds():
     session = _FakeSession(
         [requests.ConnectionError("down"), _FakeResponse(503), _ok_response("ok")]
     )
-    backend = HttpBackend("http://x", "m", session=session, max_attempts=3, backoff_base=0)
+    backend = HttpBackend("http://x", "m", session=session)
     assert backend.complete("p") == "ok"
     assert len(session.requests) == 3
 
 
 def test_http_backend_gives_up_after_budget():
     session = _FakeSession([_FakeResponse(500)] * 3)
-    backend = HttpBackend("http://x", "m", session=session, max_attempts=3, backoff_base=0)
+    backend = HttpBackend("http://x", "m", session=session)
     with pytest.raises(CompletionError, match="3 attempts"):
         backend.complete("p")
 
 
 def test_http_backend_client_errors_fail_fast():
     session = _FakeSession([_FakeResponse(401, {"error": "denied"})])
-    backend = HttpBackend("http://x", "m", session=session, max_attempts=3, backoff_base=0)
+    backend = HttpBackend("http://x", "m", session=session)
     with pytest.raises(CompletionError, match="401"):
         backend.complete("p")
     assert len(session.requests) == 1
@@ -196,7 +214,7 @@ def test_http_backend_client_errors_fail_fast():
 def test_http_backend_records_replies_for_replay():
     recorder = Transcript()
     session = _FakeSession([_ok_response("recorded")])
-    backend = HttpBackend("http://x", "m", session=session, recorder=recorder, backoff_base=0)
+    backend = HttpBackend("http://x", "m", session=session, recorder=recorder)
     backend.complete("prompt-a")
     assert recorder.lookup("prompt-a") == "recorded"
 
@@ -206,3 +224,11 @@ def test_extract_code_block_variants():
     assert extract_code_block("prose first\n```cangjie\nlet x = 1\n```\nmore prose") == "let x = 1"
     assert extract_code_block("  no fence at all  ") == "no fence at all"
     assert extract_code_block("```\nfirst\n```\n```\nsecond\n```") == "first"
+
+
+def test_replay_pipeline_does_not_import_requests():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, j2cj.cli; assert 'requests' not in sys.modules, 'requests imported'"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -206,16 +206,6 @@ def test_levenshtein_matches_brute_force_small_and_vectorized():
         assert levenshtein(a, b) == lev_brute(a, b)
 
 
-def test_semantic_adapter_overrides_only_the_third_dimension():
-    case = make_case()
-    query = ErrorQuery("completely different words", case.faulty_fragment, case.error_tags)
-    default = similarity(query, case, UNIFORM)
-    overridden = similarity(query, case, UNIFORM, semantic_sim=lambda a, b: 1.0)
-    assert overridden.scores[2] == 1.0
-    assert overridden.scores[:2] == default.scores[:2]
-    assert overridden.scores[3:] == default.scores[3:]
-
-
 def test_tag_extraction_table():
     assert "E1001" in extract_error_tags("error E1001: boom")
     assert "type_mismatch" in extract_error_tags("found incompatible types here")
