@@ -341,8 +341,10 @@ HTTP_MAX_CONCURRENCY = 4
 class HttpBackend:
     """Chat-completion HTTP client with bounded retry on transient failures.
 
-    Retries transport errors and 5xx responses with exponential backoff;
-    4xx responses fail immediately. An optional recorder transcript captures
+    Retries transport errors, 429 and 5xx responses with exponential
+    backoff; a 429 whose ``Retry-After`` is a whole number of seconds waits
+    that long instead, at most ``HTTP_TIMEOUT_S``. Other 4xx responses fail
+    immediately. An optional recorder transcript captures
     (prompt, reply) pairs for later replay. ``requests`` is imported only
     here, so the replay backend never pays for it.
     """
@@ -387,9 +389,12 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
         last_error: Exception | None = None
+        retry_after: float | None = None
         for attempt in range(HTTP_MAX_ATTEMPTS):
             if attempt:
-                time.sleep(HTTP_BACKOFF_BASE_S * (2 ** (attempt - 1)))
+                backoff = HTTP_BACKOFF_BASE_S * (2 ** (attempt - 1))
+                time.sleep(backoff if retry_after is None else retry_after)
+            retry_after = None
             try:
                 resp = self.session.post(
                     self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
@@ -397,8 +402,12 @@ class HttpBackend:
             except requests.RequestException as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
+            if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = CompletionError(f"endpoint returned {resp.status_code}")
+                if resp.status_code == 429:
+                    seconds = resp.headers.get("Retry-After", "").strip()
+                    if seconds.isdecimal():
+                        retry_after = min(float(seconds), HTTP_TIMEOUT_S)
                 continue
             if resp.status_code != 200:
                 raise CompletionError(f"endpoint returned {resp.status_code}: {resp.text[:500]}")

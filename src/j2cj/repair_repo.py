@@ -10,7 +10,7 @@ for a query built from the case's own fields, so self-similarity is exactly
 
 from __future__ import annotations
 
-import difflib
+import bisect
 import re
 from dataclasses import dataclass
 
@@ -197,6 +197,23 @@ def fragment_skeleton(code: str) -> list[str]:
 
 # --- similarity dimensions ----------------------------------------------------
 
+class _Features:
+    """What the six dimensions read from one side of a comparison, derived
+    once per query and once per stored case."""
+
+    __slots__ = ("tags", "token_counts", "token_norm", "tokens", "skeleton")
+
+    def __init__(self, error_info: str, tags: tuple[str, ...], fragment: str):
+        self.tags = set(tags) if tags else set(extract_error_tags(error_info))
+        counts: dict[str, int] = {}
+        for t in message_tokens(error_info):
+            counts[t] = counts.get(t, 0) + 1
+        self.token_counts = counts
+        self.token_norm = sum(v * v for v in counts.values()) ** 0.5
+        self.tokens = set(counts)
+        self.skeleton = fragment_skeleton(fragment)
+
+
 def _jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
@@ -204,45 +221,88 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union) if union else 1.0
 
 
-def _cosine(tokens_a: list[str], tokens_b: list[str]) -> float:
-    if not tokens_a and not tokens_b:
+def _cosine(a: _Features, b: _Features) -> float:
+    counts_a, counts_b = a.token_counts, b.token_counts
+    if not counts_a and not counts_b:
         return 1.0
-    if not tokens_a or not tokens_b:
+    if not counts_a or not counts_b:
         return 0.0
-    counts_a: dict[str, int] = {}
-    counts_b: dict[str, int] = {}
-    for t in tokens_a:
-        counts_a[t] = counts_a.get(t, 0) + 1
-    for t in tokens_b:
-        counts_b[t] = counts_b.get(t, 0) + 1
     if counts_a == counts_b:
         return 1.0
-    dot = sum(counts_a[t] * counts_b.get(t, 0) for t in counts_a)
-    norm_a = sum(v * v for v in counts_a.values()) ** 0.5
-    norm_b = sum(v * v for v in counts_b.values()) ** 0.5
-    return dot / (norm_a * norm_b)
+    dot = sum(n * counts_b.get(t, 0) for t, n in counts_a.items())
+    return dot / (a.token_norm * b.token_norm)
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
+    """Longest common subsequence length by the bit-parallel algorithm of
+    Allison and Dix (IPL 1986) in Hyyrö's form (2004): after each symbol of
+    ``b``, the zero bits of ``v`` at positions 0..i count the LCS of
+    ``a[:i + 1]`` with the part of ``b`` read so far."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for sym in a:
-        cur = [0] * (len(b) + 1)
-        for j, other in enumerate(b, 1):
-            if sym == other:
-                cur[j] = prev[j - 1] + 1
+    peq: dict[str, int] = {}
+    for i, sym in enumerate(a):
+        peq[sym] = peq.get(sym, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for sym in b:
+        u = v & peq.get(sym, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
+
+
+class _SuffixAutomaton:
+    """Suffix automaton of one string (Blumer et al., TCS 1985): every
+    substring of the text is a path from state 0, built in linear time."""
+
+    def __init__(self, text: str):
+        nxt: list[dict[str, int]] = [{}]
+        link, length = [-1], [0]
+        last = 0
+        for ch in text:
+            cur = len(length)
+            nxt.append({})
+            length.append(length[last] + 1)
+            link.append(0)
+            p = last
+            while p != -1 and ch not in nxt[p]:
+                nxt[p][ch] = cur
+                p = link[p]
+            if p != -1:
+                q = nxt[p][ch]
+                if length[p] + 1 == length[q]:
+                    link[cur] = q
+                else:
+                    clone = len(length)
+                    nxt.append(dict(nxt[q]))
+                    length.append(length[p] + 1)
+                    link.append(link[q])
+                    while p != -1 and nxt[p].get(ch) == q:
+                        nxt[p][ch] = clone
+                        p = link[p]
+                    link[q] = link[cur] = clone
+            last = cur
+        self._next, self._link, self._length = nxt, link, length
+
+    def longest_common_substring(self, other: str) -> int:
+        """Length of the longest substring shared with ``other``, in one
+        pass over it: follow transitions while they match, suffix links
+        when they do not."""
+        nxt, link, length = self._next, self._link, self._length
+        state = run = best = 0
+        for ch in other:
+            while state and ch not in nxt[state]:
+                state = link[state]
+                run = length[state]
+            target = nxt[state].get(ch)
+            if target is None:
+                run = 0
             else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
-
-
-def _longest_common_substring(a: str, b: str) -> int:
-    if not a or not b:
-        return 0
-    matcher = difflib.SequenceMatcher(None, a, b, autojunk=False)
-    return matcher.find_longest_match(0, len(a), 0, len(b)).size
+                state = target
+                run += 1
+                if run > best:
+                    best = run
+        return best
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -278,42 +338,64 @@ def levenshtein(a: str, b: str) -> int:
     return score
 
 
-def _effective_tags(error_info: str, tags: tuple[str, ...]) -> set[str]:
-    return set(tags) if tags else set(extract_error_tags(error_info))
+def _structure_scores(q: _Features, c: _Features) -> tuple[float, float, float, float]:
+    """Dimensions 1-4: tags, keywords, term-frequency cosine, skeleton LCS."""
+    if not q.skeleton and not c.skeleton:
+        s4 = 1.0
+    elif not q.skeleton or not c.skeleton:
+        s4 = 0.0
+    else:
+        s4 = _lcs_length(q.skeleton, c.skeleton) / max(len(q.skeleton), len(c.skeleton))
+    return _jaccard(q.tags, c.tags), _jaccard(q.tokens, c.tokens), _cosine(q, c), s4
+
+
+def _fragment_bounds(la: int, lb: int) -> tuple[float, float]:
+    """Upper bounds on dimensions 5-6 (longest common substring, edit
+    distance) from the fragment lengths alone, exact when either fragment
+    is empty. A common substring is no longer than the shorter fragment and
+    the edit distance is at least the length difference; each bound is the
+    same division as its score, so rounding keeps it an upper bound."""
+    if not la and not lb:
+        return 1.0, 1.0
+    if not la or not lb:
+        return 0.0, 0.0
+    longest = max(la, lb)
+    return min(la, lb) / longest, 1.0 - abs(la - lb) / longest
+
+
+def _substring_score(qa: str, cb: str, automaton: _SuffixAutomaton) -> float:
+    """Dimension 5 for non-empty fragments; the automaton is built over ``qa``."""
+    return automaton.longest_common_substring(cb) / max(len(qa), len(cb))
+
+
+def _edit_score(qa: str, cb: str) -> float:
+    """Dimension 6 for non-empty fragments."""
+    return 1.0 - levenshtein(qa, cb) / max(len(qa), len(cb))
+
+
+def _breakdown(raw: tuple[float, ...], w: SimilarityWeights) -> SimilarityBreakdown:
+    """Clamp the six scores and add their weighted sum left to right.
+    Rounding is monotone at every step, so scores that are upper bounds give
+    a total that is an upper bound; ``sum()`` on Python 3.12+ compensates
+    and carries no such guarantee."""
+    scores = tuple(min(1.0, max(0.0, s)) for s in raw)
+    total = 0.0
+    for wj, sj in zip(w.values, scores):
+        total += wj * sj
+    return SimilarityBreakdown(scores, min(1.0, max(0.0, total)))
 
 
 def similarity(q: ErrorQuery, c: RepairCase, w: SimilarityWeights) -> SimilarityBreakdown:
     """Weighted six-dimension similarity between a query and a stored case."""
+    head = _structure_scores(
+        _Features(q.error_info, q.error_tags, q.faulty_fragment),
+        _Features(c.error_info, c.error_tags, c.faulty_fragment),
+    )
     qa, cb = q.faulty_fragment, c.faulty_fragment
-
-    s1 = _jaccard(_effective_tags(q.error_info, q.error_tags), _effective_tags(c.error_info, c.error_tags))
-    q_tokens = message_tokens(q.error_info)
-    c_tokens = message_tokens(c.error_info)
-    s2 = _jaccard(set(q_tokens), set(c_tokens))
-    s3 = _cosine(q_tokens, c_tokens)
-
-    skel_q, skel_c = fragment_skeleton(qa), fragment_skeleton(cb)
-    if not skel_q and not skel_c:
-        s4 = 1.0
-    elif not skel_q or not skel_c:
-        s4 = 0.0
-    else:
-        s4 = _lcs_length(skel_q, skel_c) / max(len(skel_q), len(skel_c))
-
-    if not qa and not cb:
-        s5 = 1.0
-        s6 = 1.0
-    elif not qa or not cb:
-        s5 = 0.0
-        s6 = 0.0
-    else:
-        longest = max(len(qa), len(cb))
-        s5 = _longest_common_substring(qa, cb) / longest
-        s6 = 1.0 - levenshtein(qa, cb) / longest
-
-    scores = tuple(min(1.0, max(0.0, s)) for s in (s1, s2, s3, s4, s5, s6))
-    total = min(1.0, max(0.0, sum(wj * sj for wj, sj in zip(w.values, scores))))
-    return SimilarityBreakdown(scores, total)
+    s5, s6 = _fragment_bounds(len(qa), len(cb))
+    if qa and cb:
+        s5, s6 = _substring_score(qa, cb, _SuffixAutomaton(qa)), _edit_score(qa, cb)
+    return _breakdown(head + (s5, s6), w)
 
 
 # --- repository ----------------------------------------------------------------
@@ -323,6 +405,7 @@ class Repository:
 
     def __init__(self, cases: list[RepairCase] | None = None):
         self._cases: dict[str, RepairCase] = {}
+        self._features: dict[str, _Features] = {}
         for case in cases or []:
             self.add_case(case)
 
@@ -330,6 +413,17 @@ class Repository:
         if case.id in self._cases:
             raise DuplicateCaseError(f"duplicate case id {case.id!r}")
         self._cases[case.id] = case
+
+    def _features_of(self, case: RepairCase) -> _Features:
+        """The case's similarity features, derived on the first retrieval
+        that reads them. Ids are unique and cases frozen, so an entry never
+        goes stale; two threads filling one entry store equal values."""
+        features = self._features.get(case.id)
+        if features is None:
+            features = self._features[case.id] = _Features(
+                case.error_info, case.error_tags, case.faulty_fragment
+            )
+        return features
 
     def get(self, case_id: str) -> RepairCase | None:
         return self._cases.get(case_id)
@@ -363,13 +457,47 @@ def retrieve(
     k: int,
     w: SimilarityWeights | None = None,
 ) -> list[tuple[RepairCase, SimilarityBreakdown]]:
-    """Top-k cases by weighted similarity, ties broken by case id."""
+    """Top-k cases by weighted similarity, ties broken by case id.
+
+    Equal to scoring every case with ``similarity`` and sorting, but only
+    cases that can still enter the top k pay for dimensions 5-6. Each case
+    gets a bound total from its exact dimensions 1-4 and the length bounds
+    of 5-6. Cases are scored in descending bound order until a bound falls
+    below the k-th total or ties it with a larger id; a case whose exact
+    dimension 5 already rules it out skips the edit distance.
+    """
     cases = repo.cases()
     if not cases:
         raise ValueError("repository is empty")
     if k <= 0:
         raise ValueError("k must be positive")
     weights = w or SimilarityWeights.uniform()
-    scored = [(case, similarity(q, case, weights)) for case in cases]
-    scored.sort(key=lambda pair: (-pair[1].total, pair[0].id))
-    return scored[:k]
+    probe = _Features(q.error_info, q.error_tags, q.faulty_fragment)
+    qa = q.faulty_fragment
+
+    pending = []
+    for case in cases:
+        head = _structure_scores(probe, repo._features_of(case))
+        bounds = _fragment_bounds(len(qa), len(case.faulty_fragment))
+        pending.append((-_breakdown(head + bounds, weights).total, case.id, case, head, bounds))
+    pending.sort(key=lambda item: item[:2])
+
+    top: list[tuple[float, str, RepairCase, SimilarityBreakdown]] = []
+
+    def ruled_out(neg_total: float, case_id: str) -> bool:
+        return len(top) == k and (neg_total, case_id) > top[-1][:2]
+
+    automaton = _SuffixAutomaton(qa)
+    for neg_bound, case_id, case, head, (s5, s6) in pending:
+        if ruled_out(neg_bound, case_id):
+            break
+        cb = case.faulty_fragment
+        if qa and cb:
+            s5 = _substring_score(qa, cb, automaton)
+            if ruled_out(-_breakdown(head + (s5, s6), weights).total, case_id):
+                continue
+            s6 = _edit_score(qa, cb)
+        breakdown = _breakdown(head + (s5, s6), weights)
+        bisect.insort(top, (-breakdown.total, case_id, case, breakdown), key=lambda item: item[:2])
+        del top[k:]
+    return [(case, breakdown) for _, _, case, breakdown in top]

@@ -169,6 +169,19 @@ def test_translate_mock_miss_marks_unit_errored(pipeline, capsys):
     assert "errored=1" in capsys.readouterr().out
 
 
+def test_compiler_timeout_errors_the_unit_without_traceback(pipeline, capsys):
+    tmp_path, config_path = pipeline
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["compiler"] = {"mode": "command", "command": ["sh", "-c", "sleep 5", "{source}"], "timeout": 0.2}
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    code = main(["translate", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "unit1: error: ToolchainError: compiler timed out after 0.2s\n"
+    assert "errored=1" in captured.out
+    assert (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8") == ""
+
+
 def test_unknown_config_key_rejected(pipeline):
     _, config_path = pipeline
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))

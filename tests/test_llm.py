@@ -143,8 +143,9 @@ def test_transcript_file_round_trip(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code: int, payload: dict | None = None):
+    def __init__(self, status_code: int, payload: dict | None = None, headers: dict | None = None):
         self.status_code = status_code
+        self.headers = headers or {}
         self._payload = payload or {}
         self.text = json.dumps(self._payload)
 
@@ -201,6 +202,23 @@ def test_http_backend_gives_up_after_budget():
     backend = HttpBackend("http://x", "m", session=session)
     with pytest.raises(CompletionError, match="3 attempts"):
         backend.complete("p")
+
+
+def test_http_backend_waits_retry_after_on_429(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("j2cj.llm.time.sleep", sleeps.append)
+    session = _FakeSession([_FakeResponse(429, headers={"Retry-After": "2"}), _ok_response("ok")])
+    backend = HttpBackend("http://x", "m", session=session)
+    assert backend.complete("p") == "ok"
+    assert sleeps == [2.0]
+
+
+def test_http_backend_gives_up_on_persistent_429():
+    session = _FakeSession([_FakeResponse(429)] * 3)
+    backend = HttpBackend("http://x", "m", session=session)
+    with pytest.raises(CompletionError, match="429"):
+        backend.complete("p")
+    assert len(session.requests) == 3
 
 
 def test_http_backend_client_errors_fail_fast():

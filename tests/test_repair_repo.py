@@ -21,6 +21,8 @@ from j2cj.repair_repo import (
     query_from_case,
     retrieve,
     similarity,
+    _lcs_length,
+    _SuffixAutomaton,
 )
 
 UNIFORM = SimilarityWeights.uniform()
@@ -188,22 +190,39 @@ def test_similarity_bounded_for_arbitrary_inputs(error_q, error_c, frag_q, frag_
     assert all(0.0 <= s <= 1.0 for s in breakdown.scores)
 
 
+def string_pairs(seed: int, long_pairs: int):
+    """Short pairs over a small alphabet, a few 200-400-char pairs, and short
+    pairs of CJK, astral-plane emoji and a musical symbol."""
+    rng = random.Random(seed)
+    for alphabet, count, sizes in (
+        ("ab{};x ", 200, (0, 70)),
+        ("ab{};x ", long_pairs, (200, 400)),
+        ("漢字中文ab😀🎉𝄞 ", 100, (0, 70)),
+    ):
+        for _ in range(count):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(*sizes)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(*sizes)))
+            yield a, b
+
+
 def test_levenshtein_matches_brute_force_small_and_vectorized():
-    rng = random.Random(11)
-    alphabet = "ab{};x "
-    for _ in range(200):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 70)))
+    for a, b in string_pairs(11, long_pairs=8):
         assert levenshtein(a, b) == lev_brute(a, b)
-    for _ in range(8):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 400)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(200, 400)))
-        assert levenshtein(a, b) == lev_brute(a, b)
-    wide = "漢字中文ab😀🎉𝄞 "  # CJK, astral-plane emoji and a musical symbol
-    for _ in range(100):
-        a = "".join(rng.choice(wide) for _ in range(rng.randint(0, 70)))
-        b = "".join(rng.choice(wide) for _ in range(rng.randint(0, 70)))
-        assert levenshtein(a, b) == lev_brute(a, b)
+
+
+def test_suffix_automaton_matches_brute_force():
+    for a, b in string_pairs(12, long_pairs=3):
+        assert _SuffixAutomaton(a).longest_common_substring(b) == substring_brute(a, b)
+    assert _SuffixAutomaton("ab" * 150).longest_common_substring("ba" * 90 + "x") == 180
+
+
+def test_bit_parallel_lcs_matches_brute_force():
+    rng = random.Random(13)
+    symbols = ["if", "block", "for", "return", "while", "match"]
+    for size in [(0, 40)] * 300 + [(100, 300)] * 5:
+        a = [rng.choice(symbols) for _ in range(rng.randint(*size))]
+        b = [rng.choice(symbols[: rng.randint(1, 6)]) for _ in range(rng.randint(*size))]
+        assert _lcs_length(a, b) == lcs_brute(a, b)
 
 
 def test_tag_extraction_table():
@@ -262,6 +281,87 @@ def test_retrieve_head_matches_exhaustive_argmax():
         assert all(0.0 <= item[1].total <= 1.0 for item in ranked)
         totals = [item[1].total for item in ranked]
         assert totals == sorted(totals, reverse=True)
+
+
+def code_fragment(rng: random.Random, size: int) -> str:
+    """Code-like text of about ``size`` characters."""
+    parts = []
+    while sum(map(len, parts)) < size:
+        parts.append(rng.choice(_FRAGS).replace("x", rng.choice("xyzw")))
+    return "\n".join(parts)[:size]
+
+
+def exhaustive_top_k(query, repo, k, w):
+    scored = [(case, similarity(query, case, w)) for case in repo]
+    return sorted(scored, key=lambda pair: (-pair[1].total, pair[0].id))[:k]
+
+
+def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
+    """Cases whose fragments and messages repeat, so ties must break by id;
+    a few have empty fragments. Ids are not in insertion order. "nested"
+    fragments are prefixes of one text, where the length bounds of the
+    fragment dimensions are attained."""
+    base = code_fragment(rng, 1500)
+    cases = []
+    for i in rng.sample(range(100), 30 if kind == "small" else 10):
+        if cases and rng.random() < 0.3:
+            source = rng.choice(cases)
+            error, faulty = source.error_info, source.faulty_fragment
+        else:
+            error = " ".join(rng.choice(_WORDS[:4] if kind == "nested" else _WORDS) for _ in range(rng.randint(3, 6)))
+            if rng.random() < 0.15:
+                faulty = ""
+            elif kind == "small":
+                faulty = rng.choice(_FRAGS)
+            elif kind == "nested":
+                faulty = base[: rng.randint(200, 1500)]
+            else:
+                faulty = code_fragment(rng, rng.randint(200, 1500))
+        tags = tuple(rng.sample(["E1", "E2", "E3"], rng.randint(0, 2)))
+        cases.append(RepairCase(f"case-{i:02d}", tags, error, "fix", faulty, faulty + " // fixed"))
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["small", "kilobyte", "nested"])
+def test_retrieve_equals_exhaustive_sort(kind):
+    rng = random.Random(kind)
+    cases = equivalence_repository(rng, kind)
+    repo = Repository(cases)
+    source = max(cases, key=lambda case: len(case.faulty_fragment))
+    queries = [
+        query_from_case(rng.choice(cases)),
+        ErrorQuery(source.error_info, source.faulty_fragment[: len(source.faulty_fragment) // 2], source.error_tags),
+        ErrorQuery(rng.choice(cases).error_info, "", ()),
+        ErrorQuery("type mismatch here", rng.choice(_FRAGS) if kind == "small" else code_fragment(rng, 700), ("E2",)),
+    ]
+    for query in queries:
+        for w in (UNIFORM, SimilarityWeights((1, 1, 1, 1, 0, 0)), SimilarityWeights((0, 0, 0, 1, 1, 1))):
+            expected = exhaustive_top_k(query, repo, len(cases), w)
+            for k in range(1, len(cases) + 3):
+                assert retrieve(query, repo, k, w) == expected[:k]
+
+
+def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
+    rng = random.Random(217)
+    cases = [
+        RepairCase(
+            f"case-{i:04d}",
+            tuple(rng.sample(["E1", "E2", "E3", "E4"], rng.randint(0, 2))),
+            " ".join(rng.choice(_WORDS) for _ in range(rng.randint(3, 10))),
+            "fix",
+            code_fragment(rng, 1024),
+            "fixed",
+        )
+        for i in range(217)
+    ]
+    repo = Repository(cases)
+    target = cases[123]
+    calls = []
+    monkeypatch.setattr("j2cj.repair_repo.levenshtein", lambda a, b: calls.append(1) or levenshtein(a, b))
+    ranked = retrieve(query_from_case(target), repo, 1, UNIFORM)
+    assert ranked[0][0] is target
+    assert ranked[0][1].total == pytest.approx(1.0, abs=1e-12)
+    assert 0 < len(calls) < len(repo)
 
 
 def test_retrieve_orders_desc_with_stable_id_tiebreak():
