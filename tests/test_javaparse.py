@@ -1,5 +1,7 @@
 """Parser-level behavior: tree shape, spans, error tolerance."""
 
+import hashlib
+
 import pytest
 
 from j2cj.javaparse import SyntaxNode, count_internal_nodes, parse, tree_has_errors
@@ -193,3 +195,73 @@ def test_interface_enum_record_annotations():
         "constructor_declaration",
     ):
         assert expected in categories, expected
+
+
+# Pre-order (category, is_terminal, span) digests recorded before the parser
+# was restructured; a refactor of javaparse must leave every one unchanged.
+PINNED_TREES = [
+    ('package a.b; import java.util.*; import static java.lang.Math.max;',
+     "d19110eb9f51c43d0f255fa46f8e639c8158ed3deebc3842466b7d54489657d0"),
+    ('record Point(int x, int y) implements Shape { Point(int x) { this(x, 0); } int sum() { return x + y; } static Point of() { return new Point(0, 0); } }',
+     "69c88afbaf544dd89ee81a94c3956048234d3ccc52f303f5a11a24f7d7f5d4f8"),
+    ('record Empty();',
+     "83fdcd96879132d9e71bf403566399e3f79f6ba8c37b138a466c2d411772f9db"),
+    ('enum Op implements F { PLUS("+") { int apply(int a, int b) { return a + b; } }, MINUS("-"), TIMES; private final String s; Op(String s) { this.s = s; } Op() { this(""); } }',
+     "15fc1787c94c271f01ac61ba34e83b5f384b5d9a1f4c7d8ab4a87d2f7ed007b6"),
+    ('enum E { A, B, }',
+     "3f58b861ab6cb31d8bc61df6423df7407b3a7d10b1be19ebab96f13e2346b101"),
+    ('@interface Marker { int value() default 1; String[] names(); }',
+     "1455cab751e1179d7d90f3ac649cc839f2e2939d8ff22ff3a6e4c6404370a3ef"),
+    ('@Deprecated @SuppressWarnings("unchecked") public final class A<T extends Comparable<T>> extends B<T> implements C, D<List<T>> { }',
+     "46872f667ed22d95696078141190fe7cc19b331c71594ea98686a1ed07e0dae2"),
+    ('class G { static <T, R> List<R> map(List<? extends T> xs, Function<? super T, ? extends R> f) { return null; } public <K> K id(K k) { return k; } }',
+     "952c0317c360439d2ace839338f0bfa763eb432cfabd5a8c62495a41e07faf74"),
+    ('class L { Runnable r = () -> { run(); }; F f = x -> x * 2; G g = (int a, long b) -> a + b; H h = (p, q) -> { return p; }; I i = String::valueOf; }',
+     "1cb96604247cac41008e293ef36d09f55730b2ad521639bc1e368fe235028888"),
+    ('class S { int f(int d) { return switch (d) { case 1, 2 -> 10; case 3 -> { yield 30; } default -> throw new X(); }; } }',
+     "00345a03aca3539a4775bc562471d157c073aff0996ac133037c310d1c80d123"),
+    ('class S { void g(int d) { switch (d) { case 1: a(); case 2: { b(); break; } default: c(); } } }',
+     "82795d0c432697932319326dddae7f6650773857dc45cb01852faf16f8bcb889"),
+    ('class T { void t() throws IOException, E { try (var in = open(); Reader r = new Reader(in)) { read(in); } catch (IOException | RuntimeException e) { log(e); } finally { close(); } } }',
+     "3e4570ca656b8c7873655618ebfdf256bda8ba0d6ead487caad6bd8235aaed4f"),
+    ('class T { void t() { try { a(); } catch (E e) { } try { } finally { } } }',
+     "de007f4db75b03e8feb1040059e62612c3270e04d9cc8c5dab3306c3c3704cad"),
+    ('class Arr { int[] a = new int[]{1, 2, 3}; int[][] b = new int[3][4]; int[][] c = {{1}, {2, 3}, {}}; String[] s = new String[n + 1]; Object o = new int[2][]{}; }',
+     "a1f21d2ce3bda857542c89cf8831253b835e69528fd91b4d286ec9a1977d823b"),
+    ('class F { void f(int[] xs, List<String> ys) { for (int x : xs) sum += x; for (final String y : ys) { } for (int i = 0, j = 1; i < n; i++, j--) { } for (;;) { break; } } }',
+     "7cc97ade1db877249d2ca7c6dd817a42decbd9712c82782e65c5f23ac60052bb"),
+    ('class M { void m() { outer: for (;;) { inner: while (true) { continue outer; } } assert x > 0 : "bad"; assert y; synchronized (lock) { n++; } do { n--; } while (n > 0); } }',
+     "b7301605a4952e312686463cfe391f93ffa11fd2212cf569ae62dcd0baebbd9b"),
+    ('class D { int legacy()[] { return null; } int a[], b[][] = {{1}}; void f(String args[], int... rest) { } void r(D this, final int n) { int c[] = new int[1]; } }',
+     "cbe83b7a5e9e7fb2cf69840bd6db59f22eb8bb27b748a36ace789dd67d4f7f31"),
+    ('public interface Shape permits Circle, Square { default double area() { return 0; } static Shape unit() { return null; } } abstract class Base<T> extends Object implements Shape permits Leaf { }',
+     "b045671a073f051a19f9740172a2f345ae0878352fab48186f4782e8d97744b8"),
+    ('class Anon { Object o = new Runnable() { @Override public void run() { } }; static { init(); } { inst(); } Anon() { super(); } }',
+     "0535246ca2025e666c4bd5b9c8054444c65d1a32cf38e485125810633e21ebc5"),
+    ('class Lit { String t = """\n  text block\n  """; char c = \'\\\'\'; long h = 0xFF_FFL; double d = 1.5e-3; float f = .5f; int b = 0b1010; String u = "héllo 世界"; }',
+     "8e4430609ef38db6b662e3fe83c1fe4282e719367a37578680a0e7f500517da8"),
+    ('class Ops { boolean f(Object o) { return o instanceof String s && s.length() >= 2 || !(a != b) ? x << 2 >> 1 : y >>> 3; } void g() { a += 1; b -= 2; c *= 3; d /= 4; e %= 5; f &= 6; g |= 7; h ^= 8; i++; --j; } }',
+     "9fe2064034bdde8630a2060d1ac00129e94689957170b290acb8110d2af60a92"),
+    ('class Loc { void f() { class Inner { } interface J { } enum K { X } final int z = 1, w; var v = List.of(1, 2); Map<String, List<Integer>> m = new HashMap<>(); } }',
+     "d1978d0739769b1296cf35f746ba2f4445de9c25f9029028c467aa16e6a0711c"),
+    ('class Gen { List<List<String>> a; Map.Entry<K, V> e; java.util.List<?> q; boolean lt = a < b && c > d; }',
+     "fff798538a4a4acb018bf996155e58bad06ee3a7d7901db4725c06f00a389e7c"),
+    ('class Bad { void f( { int x = ; } int ok() { return 1; } } public static ; int = 3;',
+     "6cd1019d61cf933dd6b7d7762744afca845503d41f62ba3b0bcb1e9c48144754"),
+    ('class Err { int f() { return g(1, , 2) + h[; } void k() { x = y ? : z; } } } } @ # “',
+     "babb1706ed6e1251d076932ff39e5866f24ce2bc8b46bab08e72b973f2681746"),
+    ('// comment only\n/* block */ class C { /* inner { */ void m() { } // trailing }\n }',
+     "a489f04094187355cf97bc871bcf322972583e369c9128d241f8d1f4acf542eb"),
+    ('int x = 1; foo(); if (a) b(); else if (c) { d(); } else e(); while (x) x--; return; throw e;',
+     "35df966194103f26bd9106c509aa7c821d254da5086198c67c1d104691f443c1"),
+]
+
+
+def tree_digest(root: SyntaxNode) -> str:
+    dump = "\n".join(f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]}" for n in root.walk())
+    return hashlib.sha256(dump.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("source,digest", PINNED_TREES)
+def test_tree_digests_are_pinned(source, digest):
+    assert tree_digest(parse(source)) == digest
