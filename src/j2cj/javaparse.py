@@ -9,7 +9,9 @@ malformed translation inputs still yield usable trees.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import partial
 
 
 @dataclass
@@ -61,29 +63,15 @@ MODIFIER_KEYWORDS = frozenset(
 
 # '<' and '>' are always lexed alone (except '<=' / '>=') so that nested
 # generics like List<List<String>> are not glued into shift operators.
-_MULTI_OPS = (
-    "...",
-    "->",
-    "::",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
+# Alternatives are tried in order, so multi-character operators win.
+_OP_RE = re.compile(
+    "|".join(
+        re.escape(op)
+        for op in ("...", "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+                   "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
+    )
+    + "|[" + re.escape("{}()[];,.@?:=+-*/%&|^!~<>") + "]"
 )
-
-_SINGLE_OPS = set("{}()[];,.@?:=+-*/%&|^!~<>")
 
 
 @dataclass
@@ -106,9 +94,7 @@ class _Lexer:
             self._skip_trivia()
             if self.pos >= self.n:
                 break
-            tok = self._next_token()
-            if tok is not None:
-                out.append(tok)
+            out.append(self._next_token())
         return out
 
     def _skip_trivia(self):
@@ -126,7 +112,7 @@ class _Lexer:
             else:
                 return
 
-    def _next_token(self) -> Token | None:
+    def _next_token(self) -> Token:
         src, start = self.src, self.pos
         ch = src[start]
 
@@ -148,13 +134,10 @@ class _Lexer:
         if ch == "'":
             return self._quoted(start, "'", "character_literal")
 
-        for op in _MULTI_OPS:
-            if src.startswith(op, start):
-                self.pos = start + len(op)
-                return Token(op, op, start, self.pos)
-        if ch in _SINGLE_OPS:
-            self.pos = start + 1
-            return Token(ch, ch, start, self.pos)
+        op = _OP_RE.match(src, start)
+        if op is not None:
+            self.pos = op.end()
+            return Token(op.group(), op.group(), start, self.pos)
 
         # Unknown byte: emit as a one-char ERROR terminal so parsing continues.
         self.pos = start + 1
@@ -251,22 +234,35 @@ class _Parser:
         t = self.peek(offset)
         return t is not None and t.kind == kind
 
+    def at_any(self, kinds: set[str]) -> bool:
+        t = self.peek()
+        return t is not None and t.kind in kinds
+
     def eof(self) -> bool:
         return self.pos >= self.n
 
     def take(self) -> SyntaxNode:
         tok = self.toks[self.pos]
         self.pos += 1
-        return self._leaf(tok)
+        return SyntaxNode(tok.kind, [], True, (self.byte_of[tok.start], self.byte_of[tok.end]))
 
     def take_if(self, kind: str) -> SyntaxNode | None:
         return self.take() if self.at(kind) else None
 
-    def _leaf(self, tok: Token) -> SyntaxNode:
-        span = (self.byte_of[tok.start], self.byte_of[tok.end])
-        return SyntaxNode(tok.kind, [], True, span)
+    def take_until(self, children: list, stop: set[str]) -> list:
+        """Append raw tokens to ``children`` until a ``stop`` token or EOF."""
+        while not self.eof() and not self.at_any(stop):
+            children.append(self.take())
+        return children
 
-    def node(self, category: str, children: list[SyntaxNode]) -> SyntaxNode:
+    def dims(self) -> list[SyntaxNode]:
+        """Consume ``[]`` pairs and return their tokens."""
+        out = []
+        while self.at("[") and self.at("]", 1):
+            out += (self.take(), self.take())
+        return out
+
+    def node(self, category: str, children: list[SyntaxNode | None]) -> SyntaxNode:
         children = [c for c in children if c is not None]
         if children:
             span = (children[0].span[0], children[-1].span[1])
@@ -277,48 +273,42 @@ class _Parser:
 
     def error_until(self, sync: set[str], consume_sync: bool = True) -> SyntaxNode:
         """Consume tokens into an ERROR node until a sync token or EOF."""
-        children = []
-        while not self.eof() and not self.at_any(sync):
-            children.append(self.take())
+        children = self.take_until([], sync)
         if consume_sync and not self.eof():
             children.append(self.take())
         return self.node("ERROR", children)
 
-    def at_any(self, kinds: set[str]) -> bool:
-        t = self.peek()
-        return t is not None and t.kind in kinds
+    def sequence(self, children: list, stop: set[str], item, sep: str | None = None) -> list:
+        """Append ``item()`` results, each followed by an optional ``sep``,
+        until a ``stop`` token or EOF. A pass that consumes nothing appends
+        the next token as an ERROR node, so every sequence terminates."""
+        while not self.eof() and not self.at_any(stop):
+            before = self.pos
+            children.append(item())
+            if sep is not None and self.at(sep):
+                children.append(self.take())
+            if self.pos == before:
+                children.append(self.node("ERROR", [self.take()]))
+        return children
+
+    def _braced(self, category: str, item, sep: str | None = None) -> SyntaxNode:
+        """``{`` items ``}``; the closing brace is optional at EOF."""
+        children = self.sequence([self.take()], {"}"}, item, sep)
+        return self.node(category, children + [self.take_if("}")])
 
     # -- entry point -----------------------------------------------------
 
     def parse_program(self) -> SyntaxNode:
-        children = []
-        while not self.eof():
-            before = self.pos
-            children.append(self.parse_top_level())
-            if self.pos == before:  # safety: always make progress
-                children.append(self.node("ERROR", [self.take()]))
+        children = self.sequence([], set(), self.parse_top_level)
         span = (children[0].span[0], children[-1].span[1]) if children else (0, 0)
         return SyntaxNode("program", children, False, span)
 
     def parse_top_level(self) -> SyntaxNode:
-        if self.at("package"):
-            return self._semicolon_run("package_declaration")
-        if self.at("import"):
-            return self._semicolon_run("import_declaration")
-        if self.at(";"):
-            return self.take()
-        member = self.try_parse_member(in_class=False)
-        if member is not None:
-            return member
-        return self.parse_statement()
-
-    def _semicolon_run(self, category: str) -> SyntaxNode:
-        children = [self.take()]
-        while not self.eof() and not self.at(";"):
-            children.append(self.take())
-        if self.at(";"):
-            children.append(self.take())
-        return self.node(category, children)
+        kind = self.peek().kind
+        if kind in ("package", "import"):
+            clause = self.take_until([self.take()], {";"})
+            return self.node(f"{kind}_declaration", clause + [self.take_if(";")])
+        return self.try_parse_member(in_class=False) or self.parse_statement()
 
     # -- declarations ----------------------------------------------------
 
@@ -372,8 +362,7 @@ class _Parser:
         """Class member or top-level declaration; None if not a declaration."""
         start = self.pos
         if self.at("static") and self.at("{", 1):
-            kw = self.take()
-            return self.node("static_initializer", [kw, self.parse_block()])
+            return self.node("static_initializer", [self.take(), self.parse_block()])
         if in_class and self.at("{"):
             return self.parse_block()
 
@@ -383,17 +372,11 @@ class _Parser:
         if t is None:
             self.pos = start
             return None
-        if t.kind == "class":
-            return self.parse_class_like("class_declaration", mods)
-        if t.kind == "interface":
-            return self.parse_class_like("interface_declaration", mods)
-        if t.kind == "enum":
-            return self.parse_enum(mods)
+        decl = self._type_declaration(mods)
+        if decl is not None:
+            return decl
         if t.kind == "@" and self.at("interface", 1):
-            at, kw = self.take(), self.take()
-            children = ([mods] if mods else []) + [at, kw]
-            if self.at("identifier"):
-                children.append(self.take())
+            children = [mods, self.take(), self.take(), self.take_if("identifier")]
             if self.at("{"):
                 children.append(self._balanced("annotation_type_body", "{", "}"))
             return self.node("annotation_type_declaration", children)
@@ -433,104 +416,73 @@ class _Parser:
             return self.error_until({";", "}"})
         return None
 
+    def _type_declaration(self, mods: SyntaxNode | None) -> SyntaxNode | None:
+        """A class, interface or enum declaration at the cursor, else None."""
+        if self.at("class"):
+            return self.parse_class_like("class_declaration", mods)
+        if self.at("interface"):
+            return self.parse_class_like("interface_declaration", mods)
+        if self.at("enum"):
+            return self.parse_enum(mods)
+        return None
+
     def parse_class_like(self, category: str, mods: SyntaxNode | None) -> SyntaxNode:
-        children = [mods] if mods else []
-        children.append(self.take())  # 'class' / 'interface'
-        if self.at("identifier"):
-            children.append(self.take())
+        children = [mods, self.take(), self.take_if("identifier")]  # 'class' / 'interface'
         if self.at("<"):
             tp = self._angle_group("type_parameters")
-            children.append(tp if tp is not None else self.error_until({"{", ";"}, consume_sync=False))
-        while self.at("extends") or self.at("implements") or self.at("identifier"):
-            # 'extends'/'implements' clauses, plus contextual 'permits'.
-            if self.at("identifier") and self.peek().text != "permits":
-                break
+            children.append(tp or self.error_until({"{", ";"}, consume_sync=False))
+        # 'extends'/'implements' clauses, plus contextual 'permits'.
+        while self.at_any({"extends", "implements"}) or (self.at("identifier") and self.peek().text == "permits"):
             kw = self.take()
-            clause = [kw]
-            while not self.eof() and not self.at("{") and not self.at_any({"extends", "implements", ";"}):
-                clause.append(self.take())
+            clause = self.take_until([kw], {"{", "extends", "implements", ";"})
             children.append(self.node("superclass" if kw.category == "extends" else "super_interfaces", clause))
         if self.at("{"):
-            body_cat = "class_body" if category == "class_declaration" else "interface_body"
-            children.append(self.parse_class_body(body_cat))
+            children.append(self.parse_class_body("class_body" if category == "class_declaration" else "interface_body"))
         else:
             children.append(self.error_until({";", "}"}))
         return self.node(category, children)
 
     def parse_record(self, mods: SyntaxNode | None) -> SyntaxNode:
-        children = [mods] if mods else []
-        children.append(self.take())  # 'record'
-        children.append(self.take())  # name
-        children.append(self.parse_formal_parameters())
-        while not self.eof() and not self.at("{") and not self.at(";"):
-            children.append(self.take())
-        if self.at("{"):
-            children.append(self.parse_class_body("class_body"))
-        elif self.at(";"):
-            children.append(self.take())
+        children = [mods, self.take(), self.take(), self.parse_formal_parameters()]  # 'record' name (...)
+        self.take_until(children, {"{", ";"})  # 'implements' clause, kept flat
+        children.append(self.parse_class_body() if self.at("{") else self.take_if(";"))
         return self.node("record_declaration", children)
 
     def parse_enum(self, mods: SyntaxNode | None) -> SyntaxNode:
-        children = [mods] if mods else []
-        children.append(self.take())  # 'enum'
-        if self.at("identifier"):
-            children.append(self.take())
-        while not self.eof() and not self.at("{"):
-            children.append(self.take())
+        children = [mods, self.take(), self.take_if("identifier")]  # 'enum' name
+        self.take_until(children, {"{"})  # 'implements' clause, kept flat
         if self.at("{"):
             children.append(self.parse_enum_body())
         return self.node("enum_declaration", children)
 
     def parse_enum_body(self) -> SyntaxNode:
-        children = [self.take()]  # '{'
-        # Constant list runs until ';' or '}'.
-        while not self.eof() and not self.at("}") and not self.at(";"):
-            if self.at("identifier"):
-                const = [self.take()]
-                if self.at("("):
-                    const.append(self._argument_group())
-                if self.at("{"):
-                    const.append(self.parse_class_body("class_body"))
-                children.append(self.node("enum_constant", const))
-            elif self.at(","):
-                children.append(self.take())
-            else:
-                children.append(self.error_until({",", ";", "}"}, consume_sync=False))
-                if self.at(","):
-                    children.append(self.take())
+        # Constant list runs until ';' or '}', then optional members.
+        children = self.sequence([self.take()], {";", "}"}, self._enum_constant)
         if self.at(";"):
             children.append(self.take())
-            while not self.eof() and not self.at("}"):
-                before = self.pos
-                member = self.try_parse_member(in_class=True)
-                children.append(member if member is not None else self.parse_statement())
-                if self.pos == before:
-                    children.append(self.node("ERROR", [self.take()]))
-        if self.at("}"):
-            children.append(self.take())
-        return self.node("enum_body", children)
+            self.sequence(children, {"}"}, self._class_member)
+        return self.node("enum_body", children + [self.take_if("}")])
+
+    def _enum_constant(self) -> SyntaxNode:
+        if self.at(","):
+            return self.take()
+        if not self.at("identifier"):
+            return self.error_until({",", ";", "}"}, consume_sync=False)
+        const = [self.take()]
+        if self.at("("):
+            const.append(self._argument_group())
+        if self.at("{"):
+            const.append(self.parse_class_body())
+        return self.node("enum_constant", const)
 
     def parse_class_body(self, category: str = "class_body") -> SyntaxNode:
-        children = [self.take()]  # '{'
-        while not self.eof() and not self.at("}"):
-            before = self.pos
-            if self.at(";"):
-                children.append(self.take())
-                continue
-            member = self.try_parse_member(in_class=True)
-            children.append(member if member is not None else self.parse_statement())
-            if self.pos == before:
-                children.append(self.node("ERROR", [self.take()]))
-        if self.at("}"):
-            children.append(self.take())
-        return self.node(category, children)
+        return self._braced(category, self._class_member)
+
+    def _class_member(self) -> SyntaxNode:
+        return self.try_parse_member(in_class=True) or self.parse_statement()
 
     def parse_constructor(self, mods: SyntaxNode | None) -> SyntaxNode:
-        children = [mods] if mods else []
-        children.append(self.take())  # name
-        children.append(self.parse_formal_parameters())
-        if self.at("throws"):
-            children.append(self._throws_clause())
+        children = [mods, self.take(), self.parse_formal_parameters(), self._throws()]  # name (params)
         if self.at("{"):
             children.append(self.parse_block("constructor_body"))
         else:
@@ -544,26 +496,19 @@ class _Parser:
         return_type: SyntaxNode,
         name: SyntaxNode,
     ) -> SyntaxNode:
-        children = [c for c in (mods, type_params, return_type, name) if c is not None]
-        children.append(self.parse_formal_parameters())
-        while self.at("[") and self.at("]", 1):  # legacy array dims after params
-            children.append(self.take())
-            children.append(self.take())
-        if self.at("throws"):
-            children.append(self._throws_clause())
+        children = [mods, type_params, return_type, name, self.parse_formal_parameters()]
+        children += self.dims()  # legacy array dims after params
+        children.append(self._throws())
         if self.at("{"):
             children.append(self.parse_block())
-        elif self.at(";"):
-            children.append(self.take())
         else:
-            children.append(self.error_until({";", "}"}))
+            children.append(self.take_if(";") or self.error_until({";", "}"}))
         return self.node("method_declaration", children)
 
-    def _throws_clause(self) -> SyntaxNode:
-        children = [self.take()]
-        while not self.eof() and not self.at("{") and not self.at(";"):
-            children.append(self.take())
-        return self.node("throws", children)
+    def _throws(self) -> SyntaxNode | None:
+        if not self.at("throws"):
+            return None
+        return self.node("throws", self.take_until([self.take()], {"{", ";"}))
 
     def parse_variable_rest(
         self,
@@ -573,36 +518,23 @@ class _Parser:
         category: str,
     ) -> SyntaxNode | None:
         """Declarators after `type name`; None if this is not a declaration."""
-        t = self.peek()
-        if t is None or t.kind not in {"=", ";", ",", "["}:
+        if not self.at_any({"=", ";", ",", "["}):
             return None
-        children = [c for c in (mods, ty) if c is not None]
-        decl = [first_name]
-        while self.at("[") and self.at("]", 1):
-            decl.append(self.take())
-            decl.append(self.take())
-        if self.at("="):
-            decl.append(self.take())
-            decl.append(self.parse_expression({";", ","}, required=True))
-        children.append(self.node("variable_declarator", decl))
+        children = [mods, ty, self._declarator(first_name)]
         while self.at(","):
             children.append(self.take())
-            if not self.at("identifier"):
+            if self.at("identifier"):
+                children.append(self._declarator(self.take()))
+            else:
                 children.append(self.error_until({";", ","}, consume_sync=False))
-                continue
-            decl = [self.take()]
-            while self.at("[") and self.at("]", 1):
-                decl.append(self.take())
-                decl.append(self.take())
-            if self.at("="):
-                decl.append(self.take())
-                decl.append(self.parse_expression({";", ","}, required=True))
-            children.append(self.node("variable_declarator", decl))
-        if self.at(";"):
-            children.append(self.take())
-        else:
-            children.append(self.error_until({";"}, consume_sync=True))
+        children.append(self.take_if(";") or self.error_until({";"}))
         return self.node(category, children)
+
+    def _declarator(self, name: SyntaxNode) -> SyntaxNode:
+        decl = [name, *self.dims()]
+        if self.at("="):
+            decl += (self.take(), self.parse_expression({";", ","}, required=True))
+        return self.node("variable_declarator", decl)
 
     # -- types -----------------------------------------------------------
 
@@ -620,20 +552,14 @@ class _Parser:
                 return None
         else:
             return None
-        dims = []
-        while allow_dims and self.at("[") and self.at("]", 1):
-            dims.append(self.take())
-            dims.append(self.take())
+        dims = self.dims() if allow_dims else []
         if dims:
             base = self.node("array_type", [base, self.node("dimensions", dims)])
         return base
 
     def _named_type(self) -> SyntaxNode | None:
-        leaf = self.toks[self.pos]
-        self.pos += 1
-        node = SyntaxNode(
-            "type_identifier", [], True, (self.byte_of[leaf.start], self.byte_of[leaf.end])
-        )
+        node = self.take()
+        node.category = "type_identifier"
         while True:
             if self.at("<"):
                 args = self._angle_group("type_arguments")
@@ -674,79 +600,50 @@ class _Parser:
 
     def parse_formal_parameters(self) -> SyntaxNode:
         sync = {")", "{", "}", ";"}
-        children = [self.take()]  # '('
-        while not self.eof() and not self.at_any(sync):
-            param = self._formal_parameter()
-            children.append(
-                param
-                if param is not None
-                else self.error_until(sync | {","}, consume_sync=False)
-            )
-            if self.at(","):
-                children.append(self.take())
-        if self.at(")"):
-            children.append(self.take())
-        return self.node("formal_parameters", children)
+        children = self.sequence(
+            [self.take()],  # '('
+            sync,
+            lambda: self._formal_parameter() or self.error_until(sync | {","}, consume_sync=False),
+            sep=",",
+        )
+        return self.node("formal_parameters", children + [self.take_if(")")])
 
     def _formal_parameter(self) -> SyntaxNode | None:
         start = self.pos
         mods = self.parse_modifiers()
         ty = self.try_parse_type()
-        if ty is None:
-            self.pos = start
-            return None
-        spread = None
-        if self.at("..."):
-            spread = self.take()
-        if self.at("this"):  # receiver parameter
-            name = self.take()
-        elif self.at("identifier"):
-            name = self.take()
-        else:
-            self.pos = start
-            return None
-        dims = []
-        while self.at("[") and self.at("]", 1):
-            dims.append(self.take())
-            dims.append(self.take())
-        children = [c for c in (mods, ty, spread, name) if c is not None] + dims
-        return self.node("spread_parameter" if spread else "formal_parameter", children)
+        if ty is not None:
+            spread = self.take_if("...")
+            name = self.take_if("this") or self.take_if("identifier")  # 'this': receiver parameter
+            if name is not None:
+                children = [mods, ty, spread, name, *self.dims()]
+                return self.node("spread_parameter" if spread else "formal_parameter", children)
+        self.pos = start
+        return None
 
     def try_parse_strict_formal_parameters(self) -> SyntaxNode | None:
         """Strict variant for lambda parameter lists: every param is typed."""
         start = self.pos
         children = [self.take()]  # '('
-        if self.at(")"):
-            children.append(self.take())
-            return self.node("formal_parameters", children)
-        while True:
-            param = self._formal_parameter()
-            if param is None:
-                self.pos = start
-                return None
-            children.append(param)
-            if self.at(","):
+        if not self.at(")"):
+            while True:
+                param = self._formal_parameter()
+                if param is None:
+                    self.pos = start
+                    return None
+                children.append(param)
+                if not self.at(","):
+                    break
                 children.append(self.take())
-                continue
-            break
         if not self.at(")"):
             self.pos = start
             return None
-        children.append(self.take())
-        return self.node("formal_parameters", children)
+        return self.node("formal_parameters", children + [self.take()])
 
     # -- statements --------------------------------------------------------
 
     def parse_block(self, category: str = "block") -> SyntaxNode:
-        children = [self.take()]  # '{'
-        while not self.eof() and not self.at("}"):
-            before = self.pos
-            children.append(self.parse_statement())
-            if self.pos == before:
-                children.append(self.node("ERROR", [self.take()]))
-        if self.at("}"):
-            children.append(self.take())
-        return self.node(category, children)
+        return self._braced(category, self.parse_statement)
 
     def parse_statement(self) -> SyntaxNode:
         t = self.peek()
@@ -761,19 +658,12 @@ class _Parser:
         if kind == "if":
             return self.parse_if()
         if kind == "while":
-            kw = self.take()
-            cond = self.parse_parenthesized()
-            return self.node("while_statement", [kw, cond, self.parse_statement()])
+            return self.node("while_statement", [self.take(), self.parse_parenthesized(), self.parse_statement()])
         if kind == "do":
-            kw = self.take()
-            body = self.parse_statement()
-            children = [kw, body]
+            children = [self.take(), self.parse_statement()]
             if self.at("while"):
-                children.append(self.take())
-                children.append(self.parse_parenthesized())
-            if self.at(";"):
-                children.append(self.take())
-            return self.node("do_statement", children)
+                children += (self.take(), self.parse_parenthesized())
+            return self.node("do_statement", children + [self.take_if(";")])
         if kind == "for":
             return self.parse_for()
         if kind == "switch":
@@ -781,47 +671,26 @@ class _Parser:
         if kind == "try":
             return self.parse_try()
         if kind == "return":
-            kw = self.take()
-            children = [kw]
+            children = [self.take()]
             if not self.at(";"):
                 children.append(self.parse_expression({";"}, required=True))
-            if self.at(";"):
-                children.append(self.take())
-            return self.node("return_statement", children)
+            return self.node("return_statement", children + [self.take_if(";")])
         if kind == "throw":
-            kw = self.take()
-            children = [kw, self.parse_expression({";"}, required=True)]
-            if self.at(";"):
-                children.append(self.take())
+            children = [self.take(), self.parse_expression({";"}, required=True), self.take_if(";")]
             return self.node("throw_statement", children)
         if kind in ("break", "continue"):
-            kw = self.take()
-            children = [kw]
-            if self.at("identifier"):
-                children.append(self.take())
-            if self.at(";"):
-                children.append(self.take())
-            return self.node(f"{kind}_statement", children)
+            return self.node(f"{kind}_statement", [self.take(), self.take_if("identifier"), self.take_if(";")])
         if kind == "synchronized":
             kw = self.take()
-            children = [kw]
-            if self.at("("):
-                children.append(self.parse_parenthesized())
-            if self.at("{"):
-                children.append(self.parse_block())
-            return self.node("synchronized_statement", children)
+            lock = self.parse_parenthesized() if self.at("(") else None
+            return self.node("synchronized_statement", [kw, lock, self._optional_block()])
         if kind == "assert":
-            kw = self.take()
-            children = [kw, self.parse_expression({";", ":"}, required=True)]
+            children = [self.take(), self.parse_expression({";", ":"}, required=True)]
             if self.at(":"):
-                children.append(self.take())
-                children.append(self.parse_expression({";"}, required=True))
-            if self.at(";"):
-                children.append(self.take())
-            return self.node("assert_statement", children)
+                children += (self.take(), self.parse_expression({";"}, required=True))
+            return self.node("assert_statement", children + [self.take_if(";")])
         if kind == "identifier" and self.at(":", 1):
-            label, colon = self.take(), self.take()
-            return self.node("labeled_statement", [label, colon, self.parse_statement()])
+            return self.node("labeled_statement", [self.take(), self.take(), self.parse_statement()])
 
         # Local declarations inside class bodies / blocks.
         member = self.try_parse_local_declaration()
@@ -829,43 +698,31 @@ class _Parser:
             return member
 
         expr = self.parse_expression({";"}, required=True)
-        children = [expr]
-        if self.at(";"):
-            children.append(self.take())
-        return self.node("expression_statement", children)
+        return self.node("expression_statement", [expr, self.take_if(";")])
+
+    def _optional_block(self) -> SyntaxNode | None:
+        return self.parse_block() if self.at("{") else None
 
     def try_parse_local_declaration(self) -> SyntaxNode | None:
         start = self.pos
         mods = self.parse_modifiers()
+        after_mods = self.pos
         ty = self.try_parse_type()
         if ty is not None and self.at("identifier"):
-            name = self.take()
-            decl = self.parse_variable_rest(mods, ty, name, "local_variable_declaration")
+            decl = self.parse_variable_rest(mods, ty, self.take(), "local_variable_declaration")
             if decl is not None:
                 return decl
-        if ty is not None and self.at("{") and mods is None:
-            # Nested class-like tokens fall through elsewhere; not a declaration.
-            pass
-        self.pos = start
         # Local type declarations.
-        mods = self.parse_modifiers()
-        if self.at("class"):
-            return self.parse_class_like("class_declaration", mods)
-        if self.at("interface"):
-            return self.parse_class_like("interface_declaration", mods)
-        if self.at("enum"):
-            return self.parse_enum(mods)
-        self.pos = start
-        return None
+        self.pos = after_mods
+        decl = self._type_declaration(mods)
+        if decl is None:
+            self.pos = start
+        return decl
 
     def parse_if(self) -> SyntaxNode:
-        kw = self.take()
-        cond = self.parse_parenthesized()
-        consequence = self.parse_statement()
-        children = [kw, cond, consequence]
+        children = [self.take(), self.parse_parenthesized(), self.parse_statement()]
         if self.at("else"):
-            children.append(self.take())
-            children.append(self.parse_statement())
+            children += (self.take(), self.parse_statement())
         return self.node("if_statement", children)
 
     def parse_parenthesized(self) -> SyntaxNode:
@@ -874,57 +731,41 @@ class _Parser:
         children = [self.take()]
         if not self.at(")"):
             children.append(self.parse_expression({")"}, required=True))
-        if self.at(")"):
-            children.append(self.take())
-        return self.node("parenthesized_expression", children)
+        return self.node("parenthesized_expression", children + [self.take_if(")")])
 
     def parse_for(self) -> SyntaxNode:
-        kw = self.take()
-        children = [kw]
+        children = [self.take()]
         if not self.at("("):
             children.append(self.error_until({"{", ";"}, consume_sync=False))
             return self.node("for_statement", children)
         enhanced = self._for_is_enhanced()
         children.append(self.take())  # '('
         if enhanced:
-            mods = self.parse_modifiers()
-            if mods:
-                children.append(mods)
-            ty = self.try_parse_type()
-            if ty is not None:
-                children.append(ty)
-            if self.at("identifier"):
-                children.append(self.take())
-            if self.at(":"):
-                children.append(self.take())
-            children.append(self.parse_expression({")"}, required=True))
-            if self.at(")"):
-                children.append(self.take())
-            children.append(self.parse_statement())
+            children += (
+                self.parse_modifiers(),
+                self.try_parse_type(),
+                self.take_if("identifier"),
+                self.take_if(":"),
+                self.parse_expression({")"}, required=True),
+                self.take_if(")"),
+                self.parse_statement(),
+            )
             return self.node("enhanced_for_statement", children)
 
-        # init
-        if self.at(";"):
-            children.append(self.take())
+        # init: a local declaration consumes its own ';'
+        init = self.take_if(";") or self.try_parse_local_declaration()
+        if init is None:
+            children += (self.parse_expression({";"}, required=False), self.take_if(";"))
         else:
-            init = self.try_parse_local_declaration()
-            if init is not None:
-                children.append(init)  # consumes its ';'
-            else:
-                children.append(self.parse_expression({";"}, required=False))
-                if self.at(";"):
-                    children.append(self.take())
+            children.append(init)
         # condition
         if not self.at(";"):
             children.append(self.parse_expression({";"}, required=False))
-        if self.at(";"):
-            children.append(self.take())
+        children.append(self.take_if(";"))
         # update
         if not self.at(")"):
             children.append(self.parse_expression({")"}, required=False))
-        if self.at(")"):
-            children.append(self.take())
-        children.append(self.parse_statement())
+        children += (self.take_if(")"), self.parse_statement())
         return self.node("for_statement", children)
 
     def _for_is_enhanced(self) -> bool:
@@ -956,37 +797,24 @@ class _Parser:
         return False
 
     def parse_switch(self) -> SyntaxNode:
-        kw = self.take()
-        cond = self.parse_parenthesized()
-        children = [kw, cond]
+        children = [self.take(), self.parse_parenthesized()]
         if self.at("{"):
-            children.append(self.parse_switch_block())
+            children.append(self._braced("switch_block", self._switch_item))
         return self.node("switch_expression", children)
 
-    def parse_switch_block(self) -> SyntaxNode:
-        children = [self.take()]  # '{'
-        while not self.eof() and not self.at("}"):
-            if self.at("case") or self.at("default"):
-                children.append(self.parse_switch_group())
-            else:
-                before = self.pos
-                children.append(self.parse_statement())
-                if self.pos == before:
-                    children.append(self.node("ERROR", [self.take()]))
-        if self.at("}"):
-            children.append(self.take())
-        return self.node("switch_block", children)
+    def _switch_item(self) -> SyntaxNode:
+        if self.at_any({"case", "default"}):
+            return self.parse_switch_group()
+        return self.parse_statement()
 
     def parse_switch_group(self) -> SyntaxNode:
-        label_children = [self.take()]  # 'case' | 'default'
-        if label_children[0].category == "case":
-            label_children.append(self.parse_expression({":", "->"}, required=False))
-        label = self.node("switch_label", label_children)
+        label = [self.take()]  # 'case' | 'default'
+        if label[0].category == "case":
+            label.append(self.parse_expression({":", "->"}, required=False))
+        label = self.node("switch_label", label)
         if self.at("->"):
             arrow = self.take()
-            if self.at("{"):
-                body = self.parse_block()
-            elif self.at("throw"):
+            if self.at_any({"{", "throw"}):
                 body = self.parse_statement()
             else:
                 body = self.parse_expression({";"}, required=True)
@@ -994,43 +822,24 @@ class _Parser:
                 if semi is not None:
                     body = self.node("expression_statement", [body, semi])
             return self.node("switch_rule", [label, arrow, body])
-        children = [label]
-        if self.at(":"):
-            children.append(self.take())
-        while not self.eof() and not self.at_any({"case", "default", "}"}):
-            before = self.pos
-            children.append(self.parse_statement())
-            if self.pos == before:
-                children.append(self.node("ERROR", [self.take()]))
+        children = self.sequence([label, self.take_if(":")], {"case", "default", "}"}, self.parse_statement)
         return self.node("switch_block_statement_group", children)
 
     def parse_try(self) -> SyntaxNode:
-        kw = self.take()
-        children = [kw]
-        with_resources = False
-        if self.at("("):
-            with_resources = True
+        children = [self.take()]
+        with_resources = self.at("(")
+        if with_resources:
             children.append(self._balanced("resource_specification", "(", ")"))
-        if self.at("{"):
-            children.append(self.parse_block())
+        children.append(self._optional_block())
         while self.at("catch"):
-            children.append(self.parse_catch())
+            catch = [self.take()]
+            if self.at("("):
+                catch.append(self._balanced("catch_formal_parameter", "(", ")"))
+            children.append(self.node("catch_clause", catch + [self._optional_block()]))
         if self.at("finally"):
-            fin = [self.take()]
-            if self.at("{"):
-                fin.append(self.parse_block())
-            children.append(self.node("finally_clause", fin))
+            children.append(self.node("finally_clause", [self.take(), self._optional_block()]))
         category = "try_with_resources_statement" if with_resources else "try_statement"
         return self.node(category, children)
-
-    def parse_catch(self) -> SyntaxNode:
-        kw = self.take()
-        children = [kw]
-        if self.at("("):
-            children.append(self._balanced("catch_formal_parameter", "(", ")"))
-        if self.at("{"):
-            children.append(self.parse_block())
-        return self.node("catch_clause", children)
 
     # -- expressions -------------------------------------------------------
 
@@ -1045,40 +854,37 @@ class _Parser:
                 break
             if k == "identifier" and self.at("->", 1):
                 ident, arrow = self.take(), self.take()
-                body = self._lambda_body()
-                children.append(self.node("lambda_expression", [ident, arrow, body]))
-                continue
-            if k == "(":
+                children.append(self.node("lambda_expression", [ident, arrow, self._lambda_body()]))
+            elif k == "(":
                 if self._paren_starts_lambda():
                     children.append(self.parse_lambda_from_parens())
                 else:
-                    children.append(self._argument_group_or_parens(children))
-                continue
-            if k == "new":
+                    children.append(self._argument_group("argument_list" if children else "parenthesized_expression"))
+            elif k == "new":
                 children.append(self.parse_object_creation())
-                continue
-            if k == "switch":
+            elif k == "switch":
                 children.append(self.parse_switch())
-                continue
-            if k == "{":
+            elif k == "{":
                 children.append(self.parse_array_initializer())
-                continue
-            if k == "[":
+            elif k == "[":
+                children += self._index()
+            else:
                 children.append(self.take())
-                if not self.at("]"):
-                    children.append(self.parse_expression({"]"}, required=False))
-                if self.at("]"):
-                    children.append(self.take())
-                continue
-            children.append(self.take())
 
         if not children:
-            if required:
-                return self.node("ERROR", [])
-            return self.node("expression", [])
+            return self.node("ERROR" if required else "expression", [])
         if len(children) == 1:
             return children[0]
         return self.node("expression", children)
+
+    def _index(self) -> list[SyntaxNode]:
+        """``[`` expression ``]`` tokens; the expression is omitted when empty."""
+        children = [self.take()]
+        if not self.at("]"):
+            children.append(self.parse_expression({"]"}, required=False))
+        if self.at("]"):
+            children.append(self.take())
+        return children
 
     def _lambda_body(self) -> SyntaxNode:
         if self.at("{"):
@@ -1102,80 +908,54 @@ class _Parser:
         return False
 
     def parse_lambda_from_parens(self) -> SyntaxNode:
-        params = self.try_parse_strict_formal_parameters()
-        if params is None:
-            params = self._balanced("inferred_parameters", "(", ")")
-        arrow = self.take_if("->")
-        body = self._lambda_body()
-        children = [params] + ([arrow] if arrow else []) + [body]
-        return self.node("lambda_expression", children)
+        params = self.try_parse_strict_formal_parameters() or self._balanced("inferred_parameters", "(", ")")
+        return self.node("lambda_expression", [params, self.take_if("->"), self._lambda_body()])
 
-    def _argument_group_or_parens(self, prior: list[SyntaxNode]) -> SyntaxNode:
-        category = "argument_list" if prior else "parenthesized_expression"
-        children = [self.take()]  # '('
-        while not self.eof() and not self.at(")"):
-            children.append(self.parse_expression({",", ")"}, required=False))
-            if self.at(","):
-                children.append(self.take())
-        if self.at(")"):
-            children.append(self.take())
-        return self.node(category, children)
-
-    def _argument_group(self) -> SyntaxNode:
-        children = [self.take()]  # '('
-        while not self.eof() and not self.at(")"):
-            children.append(self.parse_expression({",", ")"}, required=False))
-            if self.at(","):
-                children.append(self.take())
-        if self.at(")"):
-            children.append(self.take())
-        return self.node("argument_list", children)
+    def _argument_group(self, category: str = "argument_list") -> SyntaxNode:
+        """``(`` comma-separated expressions ``)``."""
+        item = partial(self.parse_expression, {",", ")"}, False)
+        children = self.sequence([self.take()], {")"}, item, sep=",")
+        return self.node(category, children + [self.take_if(")")])
 
     def parse_object_creation(self) -> SyntaxNode:
-        kw = self.take()  # 'new'
-        children = [kw]
-        ty = self.try_parse_type(allow_dims=False)
-        if ty is not None:
-            children.append(ty)
+        children = [self.take(), self.try_parse_type(allow_dims=False)]  # 'new' type
         if self.at("["):
             while self.at("["):
-                children.append(self.take())
-                if not self.at("]"):
-                    children.append(self.parse_expression({"]"}, required=False))
-                if self.at("]"):
-                    children.append(self.take())
+                children += self._index()
             if self.at("{"):
                 children.append(self.parse_array_initializer())
             return self.node("array_creation_expression", children)
         if self.at("("):
             children.append(self._argument_group())
         if self.at("{"):
-            children.append(self.parse_class_body("class_body"))
+            children.append(self.parse_class_body())
         return self.node("object_creation_expression", children)
 
     def parse_array_initializer(self) -> SyntaxNode:
-        children = [self.take()]  # '{'
-        while not self.eof() and not self.at("}"):
-            if self.at("{"):
-                children.append(self.parse_array_initializer())
-            else:
-                children.append(self.parse_expression({",", "}"}, required=False))
-            if self.at(","):
-                children.append(self.take())
-        if self.at("}"):
-            children.append(self.take())
-        return self.node("array_initializer", children)
+        return self._braced("array_initializer", self._initializer_item, sep=",")
+
+    def _initializer_item(self) -> SyntaxNode:
+        if self.at("{"):
+            return self.parse_array_initializer()
+        return self.parse_expression({",", "}"}, required=False)
 
 
 def parse(source: str) -> SyntaxNode:
     """Parse Java source text into a concrete syntax tree.
 
-    Never raises on malformed input: broken stretches are wrapped in
-    ERROR nodes and parsing resumes at the next statement boundary.
+    Never raises or hangs on malformed input: broken stretches are wrapped
+    in ERROR nodes and parsing resumes at the next statement boundary. A
+    source nested too deeply to parse recursively becomes a program whose
+    only child is one ERROR node holding every token.
     """
     byte_of = _byte_offsets(source)
-    tokens = _Lexer(source).tokens()
-    return _Parser(tokens, byte_of).parse_program()
+    parser = _Parser(_Lexer(source).tokens(), byte_of)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        parser.pos = 0
+        error = parser.error_until(set())
+        return SyntaxNode("program", [error], False, error.span)
 
 
 def tree_has_errors(root: SyntaxNode) -> bool:

@@ -1,10 +1,13 @@
 """Parser-level behavior: tree shape, spans, error tolerance."""
 
 import hashlib
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from j2cj.javaparse import SyntaxNode, count_internal_nodes, parse, tree_has_errors
+from j2cj.javaparse import KEYWORDS, SyntaxNode, count_internal_nodes, parse, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -265,3 +268,63 @@ def tree_digest(root: SyntaxNode) -> str:
 @pytest.mark.parametrize("source,digest", PINNED_TREES)
 def test_tree_digests_are_pinned(source, digest):
     assert tree_digest(parse(source)) == digest
+
+
+HANGING_AT_PARENT = [
+    "f(1;);",
+    "x = f(a ] b);",
+    "new A(1};",
+    "enum E { A(1;) }",
+    "int[] a = { 1; };",
+    "x = (a ; b);",
+    "record P(int x) { P { if (x < 0) throw new E(); } }",
+]
+
+
+@pytest.mark.parametrize("source", HANGING_AT_PARENT)
+def test_stray_delimiter_terminates_with_error_tree(run_isolated, source):
+    code = "from j2cj.javaparse import parse, tree_has_errors\nprint(tree_has_errors(parse(sys.stdin.read())))\n"
+    result = run_isolated(code, stdin=source, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "True\n"
+
+
+def test_nesting_too_deep_becomes_one_error_node():
+    source = "class B { void f() " + "{" * 600 + "}" * 600 + " }"
+    root = parse(source)
+    [error] = root.children
+    assert error.category == "ERROR"
+    assert len(error.children) == 1208
+    assert all(leaf.is_terminal for leaf in error.children)
+    assert root.span == error.span == (0, len(source))
+    assert tree_has_errors(root)
+
+
+SOUP_LEXEMES = sorted(KEYWORDS) + [
+    "record", "permits", "var", "x", "Foo", "1", "0x1F", "2.5f", "'c'", '"s"',
+    "...", "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=",
+    *"{}()[];,.@?:=+-*/%&|^!~<>",
+]
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(st.sampled_from(SOUP_LEXEMES), max_size=60))
+def test_every_token_lands_in_the_tree_once(lexemes):
+    source, expected = "", []
+    for lexeme in lexemes:
+        expected.append((len(source), len(source) + len(lexeme)))
+        source += lexeme + " "
+    # The deadline only judges calls that return; the alarm ends one that
+    # never would before its memory grows far.
+    signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(2)
+    try:
+        root = parse(source)
+    finally:
+        signal.alarm(0)
+    spans = [n.span for n in root.walk() if n.is_terminal and n.span[0] < n.span[1]]
+    assert spans == expected
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("parse did not return")
