@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import weakref
@@ -34,6 +35,24 @@ def _expand(part: str, **values: str) -> str:
     for key, value in values.items():
         part = part.replace("{" + key + "}", value)
     return part
+
+
+def _run(argv: list[str], timeout: float, stdin_text: str | None = None, cwd: str | None = None):
+    """``subprocess.run`` in a new session; on timeout the whole process
+    group is killed, so children of a wrapper script do not outlive it."""
+    with subprocess.Popen(
+        argv, stdin=subprocess.PIPE if stdin_text is not None else None,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=cwd, start_new_session=True,
+    ) as proc:
+        try:
+            stdout, stderr = proc.communicate(stdin_text, timeout=timeout)
+        except BaseException:  # timeout or interrupt
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            raise
+    return proc.returncode, stdout, stderr
 
 
 @dataclass(frozen=True)
@@ -78,18 +97,12 @@ class CommandCompiler:
             fh.write(source)
         argv = [_expand(part, source=src_path, artifact=artifact) for part in self.command]
         try:
-            proc = subprocess.run(
-                argv,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-                cwd=workdir,
-            )
+            returncode, _, stderr = _run(argv, self.timeout, cwd=workdir)
         except FileNotFoundError as exc:
             raise ToolchainError(f"compiler executable not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired as exc:
             raise ToolchainError(f"compiler timed out after {self.timeout}s") from exc
-        return CompileOutcome(proc.returncode == 0, proc.stderr, artifact)
+        return CompileOutcome(returncode == 0, stderr, artifact)
 
 
 class CommandRunner:
@@ -102,18 +115,12 @@ class CommandRunner:
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
         argv = [_expand(part, artifact=artifact) for part in self.command]
         try:
-            proc = subprocess.run(
-                argv,
-                input=stdin_text,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            returncode, stdout, _ = _run(argv, self.timeout, stdin_text=stdin_text)
         except FileNotFoundError as exc:
             raise ToolchainError(f"program not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired:
             return RunOutcome("", -1, True)
-        return RunOutcome(proc.stdout, proc.returncode, False)
+        return RunOutcome(stdout, returncode, False)
 
 
 class MockCompiler:

@@ -3,6 +3,7 @@
 import gc
 import os
 import tempfile
+import time
 
 import pytest
 
@@ -61,6 +62,34 @@ def test_command_runner_timeout_counts_as_timed_out():
     runner = CommandRunner(["sh", "-c", "sleep 5"], timeout=0.2)
     outcome = runner.run("ignored", "")
     assert outcome.timed_out
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:  # a killed child waiting to be reaped by init counts as gone
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+@pytest.mark.parametrize("adapter", ["compiler", "runner"])
+def test_timeout_kills_the_whole_process_group(tmp_path, adapter):
+    pidfile = tmp_path / "grandchild.pid"
+    script = f"sleep 20 & echo $! > {pidfile}; wait"
+    if adapter == "compiler":
+        with pytest.raises(ToolchainError, match="timed out"):
+            CommandCompiler(["sh", "-c", script, "{source}"], timeout=0.5).compile("x")
+    else:
+        assert CommandRunner(["sh", "-c", script], timeout=0.5).run("ignored", "").timed_out
+    pid = int(pidfile.read_text(encoding="ascii"))
+    deadline = time.monotonic() + 5
+    while _alive(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not _alive(pid)
 
 
 def test_mock_compiler_replays_by_digest():
