@@ -401,6 +401,7 @@ def test_malformed_input_exits_1_with_one_line(pipeline, capsys, name):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+CLI_MAIN = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 UNPARSEABLE_JAVA = {
     "stray-semicolon": "class A { static int f(int x) { return g(1;); } }",
     "deep-nesting": "class B { void f() " + "{" * 600 + "}" * 600 + " }",
@@ -411,15 +412,14 @@ UNPARSEABLE_JAVA = {
 def test_unparseable_unit_errors_only_its_own_unit(pipeline, run_isolated, name):
     tmp_path, config_path = pipeline
     (tmp_path / "bench" / "unit0.java").write_text(UNPARSEABLE_JAVA[name], encoding="utf-8")
-    code = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    result = run_isolated(code, "translate", "--config", str(config_path), timeout=60)
+    result = run_isolated(CLI_MAIN, "translate", "--config", str(config_path), timeout=60)
     assert result.returncode == 2, result.stderr
     assert result.stderr == "unit0: error: ValueError: java source does not parse cleanly\n"
     assert "unit1: accepted" in result.stdout
 
 
 @pytest.mark.parametrize("name", sorted(UNPARSEABLE_JAVA))
-def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, capsys, name):
+def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_isolated, name):
     pairs = tmp_path / "pairs"
     pairs.mkdir()
     (pairs / "A.java").write_text(UNPARSEABLE_JAVA[name], encoding="utf-8")
@@ -431,8 +431,9 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, caps
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump({"llm": {"mode": "mock", "transcript": str(transcript_path)}}), encoding="utf-8")
     out_dir = tmp_path / "datasets"
-    code = main(["build-corpus", "--config", str(config_path), "--pairs", str(pairs), "--out", str(out_dir)])
-    assert code == 2
-    assert capsys.readouterr().err == "problem: A.java: java source does not parse cleanly\n"
+    argv = ["build-corpus", "--config", str(config_path), "--pairs", str(pairs), "--out", str(out_dir)]
+    result = run_isolated(CLI_MAIN, *argv, timeout=60)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "problem: A.java: java source does not parse cleanly\n"
     [sample] = read_parallel_dataset(out_dir / "parallel.jsonl")
     assert sample.java_source == JAVA

@@ -302,7 +302,8 @@ def test_nesting_too_deep_becomes_one_error_node():
 
 SOUP_LEXEMES = sorted(KEYWORDS) + [
     "record", "permits", "var", "x", "Foo", "1", "0x1F", "2.5f", "'c'", '"s"',
-    "...", "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--", "+=", "-=",
+    "...", "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
     *"{}()[];,.@?:=+-*/%&|^!~<>",
 ]
 
@@ -316,12 +317,13 @@ def test_every_token_lands_in_the_tree_once(lexemes):
         source += lexeme + " "
     # The deadline only judges calls that return; the alarm ends one that
     # never would before its memory grows far.
-    signal.signal(signal.SIGALRM, _timeout)
+    previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(2)
     try:
         root = parse(source)
     finally:
         signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     spans = [n.span for n in root.walk() if n.is_terminal and n.span[0] < n.span[1]]
     assert spans == expected
 
