@@ -1,7 +1,10 @@
 """Parser-level behavior: tree shape, spans, error tolerance."""
 
 import hashlib
+import importlib.util
 import signal
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -268,6 +271,39 @@ def tree_digest(root: SyntaxNode) -> str:
 @pytest.mark.parametrize("source,digest", PINNED_TREES)
 def test_tree_digests_are_pinned(source, digest):
     assert tree_digest(parse(source)) == digest
+
+
+def _load_make_synthetic():
+    path = Path(__file__).resolve().parents[1] / "bench" / "make_synthetic.py"
+    spec = importlib.util.spec_from_file_location("make_synthetic", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("make_synthetic", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+# sha256 over the pre-order (category, is_terminal, span, child count) dump of
+# every Java file the benchmark generator writes for translate-mix and
+# corpus-build at small size, seeds 1-10 (recorded before any parser change).
+GENERATED_CORPUS_DIGEST = "1291eb81f28e1e0e9b9cb940296bcfa3fe6a2344935b0639105482c2e1cdadec"
+
+
+def test_generated_corpus_trees_are_pinned(tmp_path):
+    make_synthetic = _load_make_synthetic()
+    digest = hashlib.sha256()
+    files = 0
+    for workload in ("translate-mix", "corpus-build"):
+        for seed in range(1, 11):
+            out = tmp_path / workload / str(seed)
+            make_synthetic.generate(workload, seed, out, small=True)
+            for path in sorted(out.rglob("*.java")):
+                digest.update(f"# {workload} {seed} {path.relative_to(out).as_posix()}\n".encode("utf-8"))
+                for n in parse(path.read_text(encoding="utf-8")).walk():
+                    line = f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]} {len(n.children)}\n"
+                    digest.update(line.encode("utf-8"))
+                files += 1
+    assert files == 180
+    assert digest.hexdigest() == GENERATED_CORPUS_DIGEST
 
 
 HANGING_AT_PARENT = [
