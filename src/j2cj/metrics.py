@@ -3,16 +3,19 @@
 Counts are kept as exact rationals so the identity FE = CSR * CFE holds
 without floating error. BLEU is a corpus-style 4-gram score over a
 code-aware tokenization; values are stored in [0, 1] and displayed on the
-0-100 scale used in reporting.
+0-100 scale used in reporting. A pair's n-gram statistics are counted once;
+they give its own score, and their sums give the corpus score.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .jsonl import write_jsonl
 
@@ -45,9 +48,10 @@ class EvalReport:
     cfe: Fraction
     cfe_defined: bool
     bleu: float
+    unit_bleu: tuple[float, ...] = ()  # each unit's own BLEU, in outcome order
 
     @classmethod
-    def from_counts(cls, n_total: int, n_compiled: int, n_cf: int, bleu: float) -> "EvalReport":
+    def from_counts(cls, n_total: int, n_compiled: int, n_cf: int, bleu: float, unit_bleu=()) -> "EvalReport":
         """The report for unit counts; raises ValueError unless
         0 <= n_cf <= n_compiled <= n_total and n_total > 0."""
         return cls(
@@ -60,6 +64,7 @@ class EvalReport:
             fe=Fraction(n_cf, n_total),
             cfe_defined=n_compiled > 0,
             bleu=bleu,
+            unit_bleu=unit_bleu,
         )
 
 
@@ -103,34 +108,30 @@ def tokenize_code(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def _ngram_counts(tokens: list[str], order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+def _ngrams(tokens: list[str], order: int) -> Counter:
+    return Counter(zip(*[tokens[i:] for i in range(order)]))
 
 
-def _clipped_matches(candidate: list[str], references: list[list[str]], order: int) -> tuple[int, int]:
-    total = max(0, len(candidate) - order + 1)
-    if total == 0:
-        return 0, 0
-    cand_counts = _ngram_counts(candidate, order)
-    max_ref: Counter = Counter()
-    for ref in references:
-        for ngram, count in _ngram_counts(ref, order).items():
-            if count > max_ref[ngram]:
-                max_ref[ngram] = count
-    matched = sum(min(count, max_ref[ngram]) for ngram, count in cand_counts.items())
-    return matched, total
-
-
-def _closest_ref_length(cand_len: int, references: list[list[str]]) -> int:
-    return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
+def _pair_stats(candidate: str, references: list[str]) -> tuple[list[int], list[int], int, int]:
+    """One pair's clipped n-gram matches and candidate n-gram counts for
+    orders 1-4, its candidate length and its closest reference length."""
+    cand = tokenize_code(candidate)
+    refs = [tokenize_code(r) for r in references]
+    if not cand or all(not r for r in refs):
+        raise ValueError("candidate and references must tokenize to at least one token")
+    matches = []
+    for order in range(1, BLEU_MAX_ORDER + 1):
+        max_ref = reduce(operator.or_, [_ngrams(r, order) for r in refs])
+        matches.append(sum((_ngrams(cand, order) & max_ref).values()))
+    totals = [max(0, len(cand) - order) for order in range(BLEU_MAX_ORDER)]
+    ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+    return matches, totals, len(cand), ref_len
 
 
 def _bleu_from_stats(matches: list[int], totals: list[int], cand_len: int, ref_len: int) -> float:
     # Unigram misses are decisive: no shared token means score 0, without
     # smoothing rescuing it. Higher orders with zero matches get epsilon;
     # orders with no candidate n-grams at all are excluded (short snippets).
-    if totals[0] == 0:
-        raise ValueError("candidate must tokenize to at least one token")
     if matches[0] == 0:
         return 0.0
     log_sum = 0.0
@@ -146,46 +147,44 @@ def _bleu_from_stats(matches: list[int], totals: list[int], cand_len: int, ref_l
     return min(1.0, brevity * geo_mean)
 
 
+def _pooled_bleu(stats: list[tuple[list[int], list[int], int, int]]) -> float:
+    matches, totals, cand_lens, ref_lens = zip(*stats)
+    return _bleu_from_stats([*map(sum, zip(*matches))], [*map(sum, zip(*totals))], sum(cand_lens), sum(ref_lens))
+
+
 def bleu(candidate: str, references: list[str]) -> float:
     """Sentence-level BLEU of a candidate against one or more references:
     corpus BLEU over the single pair."""
     if not references:
         raise ValueError("at least one reference required")
-    return corpus_bleu([(candidate, references)])
+    return _bleu_from_stats(*_pair_stats(candidate, references))
 
 
 def corpus_bleu(pairs: list[tuple[str, list[str]]]) -> float:
     """Corpus BLEU: n-gram statistics pooled over all (candidate, refs) pairs."""
     if not pairs:
         raise ValueError("at least one pair required")
-    matches = [0] * BLEU_MAX_ORDER
-    totals = [0] * BLEU_MAX_ORDER
-    cand_len = 0
-    ref_len = 0
-    for candidate, references in pairs:
-        cand_tokens = tokenize_code(candidate)
-        ref_tokens = [tokenize_code(r) for r in references]
-        if not cand_tokens or all(not r for r in ref_tokens):
-            raise ValueError("candidate and references must tokenize to at least one token")
-        for order in range(1, BLEU_MAX_ORDER + 1):
-            m, t = _clipped_matches(cand_tokens, ref_tokens, order)
-            matches[order - 1] += m
-            totals[order - 1] += t
-        cand_len += len(cand_tokens)
-        ref_len += _closest_ref_length(len(cand_tokens), ref_tokens)
-    return _bleu_from_stats(matches, totals, cand_len, ref_len)
+    return _pooled_bleu([_pair_stats(candidate, references) for candidate, references in pairs])
 
 
 # --- reports ------------------------------------------------------------------
 
 def evaluate(outcomes: list[UnitOutcome]) -> EvalReport:
+    """Counts, corpus BLEU and every unit's BLEU; an unscorable pair's ValueError names its unit."""
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
+    stats = []
+    for o in outcomes:
+        try:
+            stats.append(_pair_stats(o.candidate, [o.reference]))
+        except ValueError as exc:
+            raise ValueError(f"unit {o.unit_id!r}: {exc}") from None
     return EvalReport.from_counts(
         n_total=len(outcomes),
         n_compiled=sum(1 for o in outcomes if o.compiled),
         n_cf=sum(1 for o in outcomes if o.all_tests_passed),
-        bleu=corpus_bleu([(o.candidate, [o.reference]) for o in outcomes]),
+        bleu=_pooled_bleu(stats),
+        unit_bleu=tuple(_bleu_from_stats(*s) for s in stats),
     )
 
 
@@ -226,15 +225,13 @@ def render_table(report: EvalReport) -> str:
 
 
 def write_report(path, outcomes: list[UnitOutcome], report: EvalReport) -> None:
-    """Line-delimited report: one record per unit, aggregate record last."""
+    """Line-delimited report: one record per unit with its score from
+    ``report.unit_bleu``, aggregate record last."""
+    if len(report.unit_bleu) != len(outcomes):
+        raise ValueError(f"report scores {len(report.unit_bleu)} units but there are {len(outcomes)} outcomes")
     units = [
-        {
-            "type": "unit",
-            "unit_id": o.unit_id,
-            "compiled": o.compiled,
-            "all_tests_passed": o.all_tests_passed,
-            "bleu": bleu(o.candidate, [o.reference]) if o.candidate and o.reference else None,
-        }
-        for o in outcomes
+        {"type": "unit", "unit_id": o.unit_id, "compiled": o.compiled,
+         "all_tests_passed": o.all_tests_passed, "bleu": score}
+        for o, score in zip(outcomes, report.unit_bleu)
     ]
     write_jsonl(path, units + [{"type": "aggregate", **report_record(report)}])
