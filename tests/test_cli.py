@@ -249,6 +249,22 @@ def test_evaluate_missing_reference_names_unit(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,text", [("candidate", ""), ("candidate", "   "), ("reference", " \n\t ")])
+def test_evaluate_untokenizable_pair_names_unit(tmp_path, capsys, field, text):
+    records = [
+        {"unit_id": "a", "compiled": True, "all_tests_passed": True, "candidate": "x", "reference": "x"},
+        {"unit_id": "b", "compiled": True, "all_tests_passed": False, "candidate": "y", "reference": "y"},
+    ]
+    records[1][field] = text
+    outcomes_path = tmp_path / "outcomes.jsonl"
+    outcomes_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    report_path = tmp_path / "report.jsonl"
+    assert main(["evaluate", "--outcomes", str(outcomes_path), "--out", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unit 'b': candidate and references must tokenize to at least one token\n"
+    assert not report_path.exists()
+
+
 def test_build_corpus_cli(tmp_path, capsys):
     chapters = tmp_path / "chapters"
     chapters.mkdir()

@@ -3,12 +3,14 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from j2cj.metrics import (
+    BLEU_MAX_ORDER,
     EvalReport,
     UnitOutcome,
     bleu,
@@ -23,6 +25,7 @@ from j2cj.metrics import (
     tokenize_code,
     write_report,
 )
+from j2cj.metrics import _bleu_from_stats, _pair_stats
 
 # Hand evaluation of the BLEU formula for "a b c d e" vs "a b c d f":
 # modified precisions 4/5, 3/4, 2/3, 1/2; geometric mean; brevity penalty 1.
@@ -146,6 +149,126 @@ def test_bleu_values_always_in_unit_interval():
         assert 0.0 <= bleu(cand, [ref]) <= 1.0
 
 
+# Brute-force oracle: the corpus BLEU statistics as computed before each
+# pair's statistics were counted once, kept verbatim to check the fast path.
+
+def _oracle_ngram_counts(tokens: list[str], order: int) -> Counter:
+    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+
+
+def _oracle_clipped_matches(candidate: list[str], references: list[list[str]], order: int) -> tuple[int, int]:
+    total = max(0, len(candidate) - order + 1)
+    if total == 0:
+        return 0, 0
+    cand_counts = _oracle_ngram_counts(candidate, order)
+    max_ref: Counter = Counter()
+    for ref in references:
+        for ngram, count in _oracle_ngram_counts(ref, order).items():
+            if count > max_ref[ngram]:
+                max_ref[ngram] = count
+    matched = sum(min(count, max_ref[ngram]) for ngram, count in cand_counts.items())
+    return matched, total
+
+
+def _oracle_closest_ref_length(cand_len: int, references: list[list[str]]) -> int:
+    return min((abs(len(r) - cand_len), len(r)) for r in references)[1]
+
+
+def oracle_stats(pairs: list[tuple[str, list[str]]]) -> tuple[list[int], list[int], int, int]:
+    if not pairs:
+        raise ValueError("at least one pair required")
+    matches = [0] * BLEU_MAX_ORDER
+    totals = [0] * BLEU_MAX_ORDER
+    cand_len = 0
+    ref_len = 0
+    for candidate, references in pairs:
+        cand_tokens = tokenize_code(candidate)
+        ref_tokens = [tokenize_code(r) for r in references]
+        if not cand_tokens or all(not r for r in ref_tokens):
+            raise ValueError("candidate and references must tokenize to at least one token")
+        for order in range(1, BLEU_MAX_ORDER + 1):
+            m, t = _oracle_clipped_matches(cand_tokens, ref_tokens, order)
+            matches[order - 1] += m
+            totals[order - 1] += t
+        cand_len += len(cand_tokens)
+        ref_len += _oracle_closest_ref_length(len(cand_tokens), ref_tokens)
+    return matches, totals, cand_len, ref_len
+
+
+def oracle_corpus_bleu(pairs: list[tuple[str, list[str]]]) -> float:
+    return _bleu_from_stats(*oracle_stats(pairs))
+
+
+# Few distinct tokens, so n-grams repeat within and across texts; lists may
+# be empty or shorter than the highest order; whitespace-only texts included.
+_WORDS = ["a", "b", "c", "(", ")", "->", "x1", "=="]
+_texts = st.one_of(
+    st.lists(st.sampled_from(_WORDS), max_size=14).map(" ".join),
+    st.sampled_from(["", "   ", " \n\t "]),
+)
+_pairs = st.tuples(_texts, st.lists(_texts, min_size=1, max_size=3))
+
+
+@given(_pairs)
+def test_pair_stats_equal_the_oracle(pair):
+    candidate, references = pair
+    try:
+        expected = oracle_stats([pair])
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            _pair_stats(candidate, references)
+        with pytest.raises(ValueError):
+            bleu(candidate, references)
+        return
+    assert _pair_stats(candidate, references) == expected
+    assert bleu(candidate, references) == oracle_corpus_bleu([pair])
+
+
+@given(st.lists(_pairs, min_size=1, max_size=6))
+def test_corpus_bleu_equals_the_oracle(pairs):
+    try:
+        expected = oracle_corpus_bleu(pairs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            corpus_bleu(pairs)
+        return
+    assert corpus_bleu(pairs) == expected
+
+
+def _oracle_scorable(pair: tuple[str, list[str]]) -> bool:
+    try:
+        oracle_stats([pair])
+    except ValueError:
+        return False
+    return True
+
+
+@given(st.lists(st.tuples(_texts, _texts), min_size=1, max_size=6))
+def test_evaluate_scores_equal_the_oracle(texts):
+    outcomes = [UnitOutcome(f"u{i}", True, True, cand, ref) for i, (cand, ref) in enumerate(texts)]
+    pairs = [(cand, [ref]) for cand, ref in texts]
+    try:
+        expected = oracle_corpus_bleu(pairs)
+    except ValueError:
+        bad = next(o for o, p in zip(outcomes, pairs) if not _oracle_scorable(p))
+        with pytest.raises(ValueError, match=f"^unit '{bad.unit_id}': "):
+            evaluate(outcomes)
+        return
+    report = evaluate(outcomes)
+    assert report.bleu == expected
+    assert report.unit_bleu == tuple(oracle_corpus_bleu([p]) for p in pairs)
+
+
+def test_bleu_error_cases_match_the_oracle():
+    for pairs in ([], [("", ["a"])], [("a", [" "])], [("a", [])], [("a", ["b"]), (" ", ["a"])]):
+        with pytest.raises(ValueError):
+            oracle_corpus_bleu(pairs)
+        with pytest.raises(ValueError):
+            corpus_bleu(pairs)
+    with pytest.raises(ValueError, match="at least one reference"):
+        bleu("a", [])
+
+
 def test_tokenize_code_keeps_operators():
     assert tokenize_code("x->f(a,b)!=0") == ["x", "->", "f", "(", "a", ",", "b", ")", "!=", "0"]
 
@@ -192,6 +315,18 @@ def test_write_report_emits_unit_lines_then_aggregate(tmp_path):
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert [record["type"] for record in lines] == ["unit", "unit", "unit", "aggregate"]
     assert lines[-1]["n_total"] == 3
+
+
+def test_write_report_reads_the_unit_scores_of_the_report(tmp_path):
+    outcomes = [UnitOutcome("u0", True, True, "a b c d e", "a b c d f"), UnitOutcome("u1", False, False, "x", "y")]
+    report = evaluate(outcomes)
+    path = tmp_path / "report.jsonl"
+    write_report(path, outcomes, report)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [record["bleu"] for record in lines[:2]] == [bleu("a b c d e", ["a b c d f"]), 0.0]
+    with pytest.raises(ValueError, match="report scores 0 units"):
+        write_report(tmp_path / "other.jsonl", outcomes, EvalReport.from_counts(2, 1, 1, report.bleu))
+    assert not (tmp_path / "other.jsonl").exists()
 
 
 def test_eval_report_is_plain_data():
