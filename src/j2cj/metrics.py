@@ -3,8 +3,7 @@
 Counts are kept as exact rationals so the identity FE = CSR * CFE holds
 without floating error. BLEU is a corpus-style 4-gram score over a
 code-aware tokenization; values are stored in [0, 1] and displayed on the
-0-100 scale used in reporting. A pair's n-gram statistics are counted once;
-they give its own score, and their sums give the corpus score.
+0-100 scale used in reporting.
 """
 
 from __future__ import annotations
@@ -225,13 +224,17 @@ def render_table(report: EvalReport) -> str:
 
 
 def write_report(path, outcomes: list[UnitOutcome], report: EvalReport) -> None:
-    """Line-delimited report: one record per unit with its score from
-    ``report.unit_bleu``, aggregate record last."""
+    """Line-delimited report: one record per unit, aggregate record last."""
     if len(report.unit_bleu) != len(outcomes):
         raise ValueError(f"report scores {len(report.unit_bleu)} units but there are {len(outcomes)} outcomes")
     units = [
-        {"type": "unit", "unit_id": o.unit_id, "compiled": o.compiled,
-         "all_tests_passed": o.all_tests_passed, "bleu": score}
+        {
+            "type": "unit",
+            "unit_id": o.unit_id,
+            "compiled": o.compiled,
+            "all_tests_passed": o.all_tests_passed,
+            "bleu": score,
+        }
         for o, score in zip(outcomes, report.unit_bleu)
     ]
     write_jsonl(path, units + [{"type": "aggregate", **report_record(report)}])
