@@ -13,6 +13,8 @@ from j2cj.metrics import (
     BLEU_MAX_ORDER,
     EvalReport,
     UnitOutcome,
+    _bleu_from_stats,
+    _pair_stats,
     bleu,
     cfe,
     corpus_bleu,
@@ -25,7 +27,6 @@ from j2cj.metrics import (
     tokenize_code,
     write_report,
 )
-from j2cj.metrics import _bleu_from_stats, _pair_stats
 
 # Hand evaluation of the BLEU formula for "a b c d e" vs "a b c d f":
 # modified precisions 4/5, 3/4, 2/3, 1/2; geometric mean; brevity penalty 1.
