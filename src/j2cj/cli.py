@@ -58,6 +58,14 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
 # --- build-corpus ------------------------------------------------------------
 
 def cmd_build_corpus(args) -> int:
@@ -94,7 +102,10 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_summarize_ast(args) -> int:
     config = load_config(args.config)
-    source = Path(args.file).read_text(encoding="utf-8")
+    try:
+        source = _read_text(args.file)
+    except ValueError as exc:
+        return _fail(str(exc))
     summary = ast_summary.summarize(parse_java(source), config.retained_categories)
     if args.tokens:
         vocab = (
@@ -114,7 +125,7 @@ def cmd_summarize_ast(args) -> int:
 def _read_json(path) -> object:
     """A whole-file JSON document; bad JSON raises ValueError naming path:line."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
@@ -129,23 +140,6 @@ def _load_tests(path) -> list[TestCase]:
     return [TestCase(r["input"], r["expected_output"]) for r in records]
 
 
-def _discover_units(benchmark_dir: Path) -> list[dict]:
-    units = []
-    for java_file in sorted(benchmark_dir.glob("*.java")):
-        stem = java_file.stem
-        tests_file = benchmark_dir / f"{stem}.tests.json"
-        ref_file = benchmark_dir / f"{stem}.ref.cj"
-        units.append(
-            {
-                "unit_id": stem,
-                "java": java_file.read_text(encoding="utf-8"),
-                "tests_file": tests_file if tests_file.exists() else None,
-                "reference": ref_file.read_text(encoding="utf-8") if ref_file.exists() else "",
-            }
-        )
-    return units
-
-
 def _build_deps(config: PipelineConfig) -> EngineDeps:
     """Adapters and the repair repository (when its file exists) for one run."""
     llm, compiler, runner = build_llm(config), build_compiler(config), build_runner(config)
@@ -154,18 +148,16 @@ def _build_deps(config: PipelineConfig) -> EngineDeps:
     return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo, decoding=config.decoding)
 
 
-def _run_unit(spec: dict, deps: EngineDeps, config: PipelineConfig):
-    tests = _load_tests(spec["tests_file"]) if spec["tests_file"] is not None else []
-    record = translate(
-        spec["java"], deps.llm, retained=config.retained_categories, decoding=deps.decoding
-    )
-    unit = TranslationUnit(
-        java_source=spec["java"],
-        test_suite=tests,
-        candidates=[record],
-        unit_id=spec["unit_id"],
-    )
-    return run_repair_loop(unit, config.repair, deps)
+def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
+    """Read, translate and repair the unit of ``NAME.java``; return it and its reference."""
+    tests_file = java_file.with_name(f"{java_file.stem}.tests.json")
+    ref_file = java_file.with_name(f"{java_file.stem}.ref.cj")
+    java = _read_text(java_file)
+    tests = _load_tests(tests_file) if tests_file.exists() else []
+    reference = _read_text(ref_file) if ref_file.exists() else ""
+    record = translate(java, deps.llm, retained=config.retained_categories, decoding=deps.decoding)
+    unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[record], unit_id=java_file.stem)
+    return run_repair_loop(unit, config.repair, deps), reference
 
 
 def cmd_translate(args) -> int:
@@ -178,30 +170,31 @@ def cmd_translate(args) -> int:
     repo_path = config.path("repository")
     deps = _build_deps(config)
 
-    units = _discover_units(Path(benchmark))
-    if not units:
+    java_files = sorted(Path(benchmark).glob("*.java"))
+    if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
 
     results: dict[str, TranslationUnit] = {}
+    references: dict[str, str] = {}
     errors: dict[str, str] = {}
 
-    def work(spec):
+    def work(java_file):
         try:
-            return spec["unit_id"], _run_unit(spec, deps, config), None
+            return java_file.stem, _run_unit(java_file, deps, config), None
         except (ToolchainError, RepairEngineError, CompletionError, ValueError) as exc:
-            return spec["unit_id"], None, f"{type(exc).__name__}: {exc}"
+            return java_file.stem, None, f"{type(exc).__name__}: {exc}"
 
     if config.jobs > 1:
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(work, units))
+            outcomes = list(pool.map(work, java_files))
     else:
-        outcomes = [work(spec) for spec in units]
+        outcomes = [work(java_file) for java_file in java_files]
 
-    for unit_id, unit, error in outcomes:
+    for unit_id, result, error in outcomes:
         if error is not None:
             errors[unit_id] = error
         else:
-            results[unit_id] = unit
+            results[unit_id], references[unit_id] = result
     save_recording(deps.llm, config)
 
     if traces_dir is not None:
@@ -211,7 +204,6 @@ def cmd_translate(args) -> int:
 
     if reports_dir is not None:
         Path(reports_dir).mkdir(parents=True, exist_ok=True)
-        references = {spec["unit_id"]: spec["reference"] for spec in units}
         records = []
         for unit_id in sorted(results):
             unit = results[unit_id]
@@ -223,7 +215,7 @@ def cmd_translate(args) -> int:
                     "compiled": final.compile_status is not None and final.compile_status.value == "success",
                     "all_tests_passed": unit.status is UnitStatus.ACCEPTED,
                     "candidate": final.candidate,
-                    "reference": references.get(unit_id, ""),
+                    "reference": references[unit_id],
                 }
             )
         write_jsonl(Path(reports_dir) / "outcomes.jsonl", records)
@@ -277,9 +269,9 @@ def _translate_overrides(args) -> dict:
 
 def cmd_repair(args) -> int:
     config = load_config(args.config, _repair_overrides(args))
-    java = Path(args.java).read_text(encoding="utf-8")
-    candidate = Path(args.candidate).read_text(encoding="utf-8")
     try:
+        java = _read_text(args.java)
+        candidate = _read_text(args.candidate)
         tests = _load_tests(args.tests) if args.tests else []
     except ValueError as exc:
         return _fail(str(exc))
@@ -326,14 +318,13 @@ def cmd_repo_search(args) -> int:
     if repo_path is None or not repo_path.exists():
         return _fail(f"repository file does not exist: {repo_path}")
     repo = Repository.load(repo_path)
-    error_info = args.error or (Path(args.error_file).read_text(encoding="utf-8") if args.error_file else "")
-    if not error_info.strip():
-        return _fail("provide --error or --error-file")
-    fragment = Path(args.fragment_file).read_text(encoding="utf-8") if args.fragment_file else ""
-    tags = tuple(t for t in (args.tags or "").split(",") if t)
-    query = ErrorQuery(error_info, fragment, tags)
     try:
-        ranked = retrieve(query, repo, args.top_k, config.repair.weights)
+        error_info = args.error or (_read_text(args.error_file) if args.error_file else "")
+        if not error_info.strip():
+            return _fail("provide --error or --error-file")
+        fragment = _read_text(args.fragment_file) if args.fragment_file else ""
+        tags = tuple(t for t in (args.tags or "").split(",") if t)
+        ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, args.top_k, config.repair.weights)
     except ValueError as exc:
         return _fail(str(exc))
     for case, breakdown in ranked:
@@ -353,9 +344,12 @@ def cmd_evaluate(args) -> int:
     def outcome(record: dict) -> metrics.UnitOutcome:
         reference = record.get("reference", "")
         if not reference and refs_dir is not None:
-            ref_file = refs_dir / f"{record['unit_id']}.cj"
+            unit_id = str(record["unit_id"])
+            if "/" in unit_id or unit_id in ("", ".", ".."):
+                raise ValueError(f"unit id {unit_id!r} is not a file name in --refs")
+            ref_file = refs_dir / f"{unit_id}.cj"
             if ref_file.exists():
-                reference = ref_file.read_text(encoding="utf-8")
+                reference = _read_text(ref_file)
         if not reference:
             raise ValueError(f"no reference for unit {record['unit_id']!r}")
         return metrics.UnitOutcome(

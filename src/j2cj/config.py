@@ -73,6 +73,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
                 raw = yaml.safe_load(fh) or {}
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {path}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

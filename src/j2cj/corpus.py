@@ -403,8 +403,12 @@ def build_corpus(
         stats["entries_dropped"] = dropped
 
     if snippets_dir is not None:
-        snippet_files = sorted(Path(snippets_dir).glob("*.cj"))
-        snippets = [p.read_text(encoding="utf-8") for p in snippet_files]
+        snippets = []
+        for snippet_file in sorted(Path(snippets_dir).glob("*.cj")):
+            try:
+                snippets.append(snippet_file.read_text(encoding="utf-8"))
+            except UnicodeDecodeError as exc:
+                stats["errors"].append(f"{snippet_file.name}: {exc}")
         outcome = filter_snippets(snippets, allowlist)
         samples = []
         for code in outcome.retained:

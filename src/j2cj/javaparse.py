@@ -61,18 +61,6 @@ MODIFIER_KEYWORDS = frozenset(
     transient volatile strictfp default""".split()
 )
 
-# '<' and '>' are always lexed alone (except '<=' / '>=') so that nested
-# generics like List<List<String>> are not glued into shift operators.
-# Alternatives are tried in order, so multi-character operators win.
-_OP_RE = re.compile(
-    "|".join(
-        re.escape(op)
-        for op in ("...", "->", "::", "==", "!=", "<=", ">=", "&&", "||", "++", "--",
-                   "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=")
-    )
-    + "|[" + re.escape("{}()[];,.@?:=+-*/%&|^!~<>") + "]"
-)
-
 
 @dataclass
 class Token:
@@ -82,125 +70,55 @@ class Token:
     end: int
 
 
-class _Lexer:
-    def __init__(self, source: str):
-        self.src = source
-        self.pos = 0
-        self.n = len(source)
+# One master pattern; at each position the first alternative that matches
+# wins. \s, \w and \d are Python's Unicode classes (str.isspace, str.isalnum
+# or "_", str.isdecimal), so a word starts with any \w that is not a decimal
+# digit. '<' and '>' are always lexed alone (except '<=' / '>=') so that
+# nested generics like List<List<String>> are not glued into shift operators.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<trivia> \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )
+  | (?P<word> (?!\d)[\w$]+ )
+  | (?P<number> 0[xX][0-9a-fA-F_]*[lL]?
+      | 0[bB][01_]*[fFdDlL]?
+      | (?:\d[\d_]*(?:\.(?!\.\.)[\d_]*)? | \.\d[\d_]*) (?:[eE][+-]?\d+)? [fFdDlL]? )  # 1... is 1 ...
+  | (?P<text_block> \"\"\".*?(?:\"\"\"|\Z) )
+    # A literal ends at its quote, a newline or the end of input.
+  | (?P<string_literal> "(?:[^"\\\n]|\\.)*["\n\\]? )
+  | (?P<character_literal> '(?:[^'\\\n]|\\.)*['\n\\]? )
+  | (?P<operator> \.\.\. | -> | :: | [=!<>]= | && | \|\| | \+\+ | -- | [-+*/%&|^]=
+      | [{}()\[\];,.@?:=+\-*/%&|^!~<>] )
+  | (?P<ERROR> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
-    def tokens(self) -> list[Token]:
-        out = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= self.n:
-                break
-            out.append(self._next_token())
-        return out
 
-    def _skip_trivia(self):
-        src, n = self.src, self.n
-        while self.pos < n:
-            ch = src[self.pos]
-            if ch.isspace():
-                self.pos += 1
-            elif ch == "/" and self.pos + 1 < n and src[self.pos + 1] == "/":
-                nl = src.find("\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif ch == "/" and self.pos + 1 < n and src[self.pos + 1] == "*":
-                close = src.find("*/", self.pos + 2)
-                self.pos = n if close < 0 else close + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        src, start = self.src, self.pos
-        ch = src[start]
-
-        if ch.isalpha() or ch in "_$":
-            self.pos += 1
-            while self.pos < self.n and (src[self.pos].isalnum() or src[self.pos] in "_$"):
-                self.pos += 1
-            text = src[start : self.pos]
+def _tokenize(source: str) -> list[Token]:
+    """The tokens of ``source``; a character no rule takes is an ERROR token."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
+        kind, text = match.lastgroup, match.group()
+        if kind == "trivia":
+            continue
+        if kind == "word":
             kind = text if text in KEYWORDS else "identifier"
-            return Token(kind, text, start, self.pos)
+        elif kind == "number":
+            kind = _number_kind(text)
+        elif kind == "operator":
+            kind = text
+        tokens.append(Token(kind, text, match.start(), match.end()))
+    return tokens
 
-        if ch.isdigit() or (ch == "." and start + 1 < self.n and src[start + 1].isdigit()):
-            return self._number(start)
 
-        if src.startswith('"""', start):
-            return self._text_block(start)
-        if ch == '"':
-            return self._quoted(start, '"', "string_literal")
-        if ch == "'":
-            return self._quoted(start, "'", "character_literal")
-
-        op = _OP_RE.match(src, start)
-        if op is not None:
-            self.pos = op.end()
-            return Token(op.group(), op.group(), start, self.pos)
-
-        # Unknown byte: emit as a one-char ERROR terminal so parsing continues.
-        self.pos = start + 1
-        return Token("ERROR", ch, start, self.pos)
-
-    def _number(self, start: int) -> Token:
-        src, n = self.src, self.n
-        i = start
-        kind = "decimal_integer_literal"
-        if src.startswith(("0x", "0X"), i):
-            i += 2
-            while i < n and (src[i] in "0123456789abcdefABCDEF_"):
-                i += 1
-            kind = "hex_integer_literal"
-        elif src.startswith(("0b", "0B"), i):
-            i += 2
-            while i < n and src[i] in "01_":
-                i += 1
-            kind = "binary_integer_literal"
-        else:
-            while i < n and (src[i].isdigit() or src[i] == "_"):
-                i += 1
-            if i < n and src[i] == "." and not src.startswith("...", i):
-                kind = "decimal_floating_point_literal"
-                i += 1
-                while i < n and (src[i].isdigit() or src[i] == "_"):
-                    i += 1
-            if i < n and src[i] in "eE":
-                j = i + 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                if j < n and src[j].isdigit():
-                    kind = "decimal_floating_point_literal"
-                    i = j
-                    while i < n and src[i].isdigit():
-                        i += 1
-        if i < n and src[i] in "fFdD":
-            kind = "decimal_floating_point_literal"
-            i += 1
-        elif i < n and src[i] in "lL":
-            i += 1
-        self.pos = i
-        return Token(kind, src[start:i], start, i)
-
-    def _text_block(self, start: int) -> Token:
-        close = self.src.find('"""', start + 3)
-        end = self.n if close < 0 else close + 3
-        self.pos = end
-        return Token("text_block", self.src[start:end], start, end)
-
-    def _quoted(self, start: int, quote: str, kind: str) -> Token:
-        i = start + 1
-        src, n = self.src, self.n
-        while i < n:
-            if src[i] == "\\":
-                i += 2
-            elif src[i] == quote or src[i] == "\n":
-                i += 1
-                break
-            else:
-                i += 1
-        self.pos = min(i, n)
-        return Token(kind, src[start : self.pos], start, self.pos)
+def _number_kind(text: str) -> str:
+    if text[:2] in ("0x", "0X"):
+        return "hex_integer_literal"
+    if any(ch in ".eEfFdD" for ch in text):
+        return "decimal_floating_point_literal"
+    if text[:2] in ("0b", "0B"):
+        return "binary_integer_literal"
+    return "decimal_integer_literal"
 
 
 def _byte_offsets(source: str) -> list[int]:
@@ -949,7 +867,7 @@ def parse(source: str) -> SyntaxNode:
     only child is one ERROR node holding every token.
     """
     byte_of = _byte_offsets(source)
-    parser = _Parser(_Lexer(source).tokens(), byte_of)
+    parser = _Parser(_tokenize(source), byte_of)
     try:
         return parser.parse_program()
     except RecursionError:

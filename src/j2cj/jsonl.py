@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from typing import Callable, Iterable
 
@@ -18,20 +19,28 @@ class JsonlError(ValueError):
     """A malformed JSONL file; the message starts with ``path:line:``."""
 
 
+# Decoding with "surrogateescape" turns each byte that is not UTF-8 into one
+# of these code points, which strict UTF-8 text never contains.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
     """Records of ``path`` in file order, skipping blank lines.
 
     ``convert`` maps each record to the caller's value. A line that is not
     a JSON object, a ``KeyError`` (missing field) and a ``ValueError`` or
     ``TypeError`` (invalid field) raised by ``convert`` all become a
-    ``JsonlError`` naming the line.
+    ``JsonlError`` naming the line, and so does a byte that is not UTF-8.
     """
     values = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            where = f"{path}:{lineno}"
+            bad = None if line.isascii() else _ESCAPED_BYTE.search(line)
+            if bad is not None:
+                raise JsonlError(f"{where}: not UTF-8: byte {ord(bad.group()) - 0xDC00:#x}")
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -55,7 +64,8 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
     The lines go to a sibling temp file that then replaces ``path``, so a
     reader never sees a partial file and a record that fails to serialize
-    leaves the old file untouched.
+    leaves the old file untouched. An ``OSError`` names ``path``, not the
+    temp file.
     """
     tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
@@ -63,7 +73,8 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
             for record in records:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         os.replace(tmp_path, path)
-    except BaseException:
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
-        raise

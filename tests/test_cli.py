@@ -453,3 +453,75 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_
     assert result.stderr == "problem: A.java: java source does not parse cleanly\n"
     [sample] = read_parallel_dataset(out_dir / "parallel.jsonl")
     assert sample.java_source == JAVA
+
+
+@pytest.mark.parametrize("unit_id", ["../x", "a/b", "/abs/x"])
+def test_evaluate_refs_reads_only_file_names_inside_refs(tmp_path, capsys, unit_id):
+    refs = tmp_path / "refs"
+    (refs / "a").mkdir(parents=True)
+    for ref_file in (tmp_path / "x.cj", refs / "a" / "b.cj"):
+        ref_file.write_text("a b", encoding="utf-8")
+    outcomes = tmp_path / "outcomes.jsonl"
+    record = {"unit_id": unit_id, "compiled": True, "all_tests_passed": True, "candidate": "a b"}
+    outcomes.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["evaluate", "--outcomes", str(outcomes), "--refs", str(refs)]) == 1
+    assert capsys.readouterr().err == f"error: {outcomes}:1: unit id {unit_id!r} is not a file name in --refs\n"
+
+
+# name -> (file under the fixture root rewritten as Latin-1, argv, exit code, stderr, text in stdout)
+_NOT_UTF8 = {
+    "config": ("config.yaml", ["translate", "--config", "{file}"], 1, "error: config file is not UTF-8: {file}", ""),
+    "translate-java": (
+        "bench/unit0.java", ["translate", "--config", "{config}"], 2,
+        "unit0: error: ValueError: {file}: not UTF-8: invalid continuation byte at byte 6", "unit1: accepted",
+    ),
+    "translate-reference": (
+        "bench/unit1.ref.cj", ["translate", "--config", "{config}"], 2,
+        "unit1: error: ValueError: {file}: not UTF-8: invalid continuation byte at byte 6", "unit0: accepted",
+    ),
+    "evaluate-outcomes": (
+        "outcomes.jsonl", ["evaluate", "--outcomes", "{file}"], 1,
+        "error: {file}:1: not UTF-8: byte 0xc9", "",
+    ),
+    "evaluate-refs": (
+        "refs/u.cj", ["evaluate", "--outcomes", "{root}/outcomes.jsonl", "--refs", "{root}/refs"], 1,
+        "error: {root}/outcomes.jsonl:1: {file}: not UTF-8: invalid continuation byte at byte 6", "",
+    ),
+    "repo-search-error-file": (
+        "error.txt", ["repo", "search", "--repo", "{root}/repo.jsonl", "--error-file", "{file}"], 1,
+        "error: {file}: not UTF-8: invalid continuation byte at byte 6", "",
+    ),
+    "summarize-ast": (
+        "A.java", ["summarize-ast", "{file}"], 1, "error: {file}: not UTF-8: invalid continuation byte at byte 6", "",
+    ),
+    "repair-candidate": (
+        "cand.cj", ["repair", "--config", "{config}", "--java", "{root}/bench/unit1.java", "--candidate", "{file}"], 1,
+        "error: {file}: not UTF-8: invalid continuation byte at byte 6", "",
+    ),
+    "build-corpus-snippet": (
+        "snippets/bad.cj",
+        ["build-corpus", "--config", "{config}", "--snippets", "{root}/snippets", "--out", "{root}/datasets"], 2,
+        "problem: bad.cj: 'utf-8' codec can't decode byte 0xc9 in position 6: invalid continuation byte",
+        "snippets_seen: 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_UTF8))
+def test_file_that_is_not_utf8_gives_one_line_naming_it(pipeline, capsys, name):
+    root, config_path = pipeline
+    (root / "bench" / "unit0.java").write_text(JAVA, encoding="utf-8")
+    (root / "refs").mkdir()
+    (root / "refs" / "u.cj").write_text("a", encoding="utf-8")
+    record = {"unit_id": "u", "compiled": True, "all_tests_passed": True, "candidate": "a"}
+    (root / "outcomes.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (root / "snippets").mkdir()
+    (root / "snippets" / "short.cj").write_text("func f() {}\n", encoding="utf-8")
+    (root / "repo.jsonl").write_text("", encoding="utf-8")
+    file_name, argv, code, err, out_line = _NOT_UTF8[name]
+    bad = root / file_name
+    bad.write_bytes("class É {}\n".encode("latin-1"))
+    assert main([a.format(config=config_path, file=bad, root=root) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(file=bad, root=root) + "\n"
+    assert out_line in captured.out
