@@ -18,7 +18,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string_fields, write_jsonl
 
 
 class ToolchainError(RuntimeError):
@@ -136,9 +136,11 @@ class MockCompiler:
 
     @classmethod
     def load(cls, path) -> "MockCompiler":
-        return cls(dict(read_jsonl(path, lambda r: (
-            r["digest"], {"status": r["status"], "diagnostics": r.get("diagnostics", "")}
-        ))))
+        def entry(record: dict):
+            digest, status, diagnostics = string_fields({"diagnostics": "", **record}, "digest", "status", "diagnostics")
+            return digest, {"status": status, "diagnostics": diagnostics}
+
+        return cls(dict(read_jsonl(path, entry)))
 
     def save(self, path) -> None:
         write_jsonl(path, ({"digest": digest, **entry} for digest, entry in self.script.items()))
@@ -167,7 +169,10 @@ class MockRunner:
 
     @classmethod
     def load(cls, path) -> "MockRunner":
-        return cls(dict(read_jsonl(path, lambda r: ((r["digest"], r["input"]), r["output"]))))
+        return cls({
+            (digest, stdin_text): output
+            for digest, stdin_text, output in read_jsonl(path, lambda r: string_fields(r, "digest", "input", "output"))
+        })
 
     def save(self, path) -> None:
         write_jsonl(path, (

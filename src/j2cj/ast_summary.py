@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .javaparse import SyntaxNode, parse
+from .jsonl import read_text
 
 # Control-flow and semantic node kinds kept in summaries by default.
 # class_body is included so type skeletons survive for declaration-only
@@ -100,19 +101,17 @@ def save_vocab(vocab: StructuralTokenVocab, path) -> None:
 def load_vocab(path) -> StructuralTokenVocab:
     mapping: dict[str, str] = {}
     version = "v1"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "vocab-version:" in line:
-                    version = line.split("vocab-version:", 1)[1].strip()
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise VocabError(f"{path}:{lineno}: expected 'category<TAB>token'")
-            mapping[parts[0]] = parts[1]
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            if "vocab-version:" in line:
+                version = line.split("vocab-version:", 1)[1].strip()
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise VocabError(f"{path}:{lineno}: expected 'category<TAB>token'")
+        mapping[parts[0]] = parts[1]
     return StructuralTokenVocab(mapping, version)
 
 

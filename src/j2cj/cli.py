@@ -16,7 +16,6 @@ from pathlib import Path
 from . import ast_summary, corpus, metrics
 from .adapters import ToolchainError
 from .config import (
-    ConfigError,
     PipelineConfig,
     build_compiler,
     build_llm,
@@ -25,7 +24,7 @@ from .config import (
     save_recording,
 )
 from .javaparse import parse as parse_java
-from .jsonl import JsonlError, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, read_text, string_fields, write_jsonl
 from .llm import CompletionError
 from .repair_engine import (
     Branch,
@@ -58,14 +57,6 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
-def _read_text(path) -> str:
-    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ValueError naming it."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
-
-
 # --- build-corpus ------------------------------------------------------------
 
 def cmd_build_corpus(args) -> int:
@@ -82,13 +73,10 @@ def cmd_build_corpus(args) -> int:
         if directory is not None and not Path(directory).is_dir():
             return _fail(f"{name} directory does not exist: {directory}")
     llm = build_llm(config)
-    try:
-        stats = corpus.build_corpus(
-            chapters, snippets, pairs, out_dir, llm,
-            decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
-        )
-    except (ValueError, CompletionError) as exc:
-        return _fail(str(exc))
+    stats = corpus.build_corpus(
+        chapters, snippets, pairs, out_dir, llm,
+        decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
+    )
     save_recording(llm, config)
     for key in sorted(stats):
         if key != "errors":
@@ -102,11 +90,7 @@ def cmd_build_corpus(args) -> int:
 
 def cmd_summarize_ast(args) -> int:
     config = load_config(args.config)
-    try:
-        source = _read_text(args.file)
-    except ValueError as exc:
-        return _fail(str(exc))
-    summary = ast_summary.summarize(parse_java(source), config.retained_categories)
+    summary = ast_summary.summarize(parse_java(read_text(args.file)), config.retained_categories)
     if args.tokens:
         vocab = (
             ast_summary.load_vocab(args.vocab)
@@ -125,7 +109,7 @@ def cmd_summarize_ast(args) -> int:
 def _read_json(path) -> object:
     """A whole-file JSON document; bad JSON raises ValueError naming path:line."""
     try:
-        return json.loads(_read_text(path))
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
@@ -152,9 +136,9 @@ def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
     """Read, translate and repair the unit of ``NAME.java``; return it and its reference."""
     tests_file = java_file.with_name(f"{java_file.stem}.tests.json")
     ref_file = java_file.with_name(f"{java_file.stem}.ref.cj")
-    java = _read_text(java_file)
+    java = read_text(java_file)
     tests = _load_tests(tests_file) if tests_file.exists() else []
-    reference = _read_text(ref_file) if ref_file.exists() else ""
+    reference = read_text(ref_file) if ref_file.exists() else ""
     record = translate(java, deps.llm, retained=config.retained_categories, decoding=deps.decoding)
     unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[record], unit_id=java_file.stem)
     return run_repair_loop(unit, config.repair, deps), reference
@@ -181,7 +165,7 @@ def cmd_translate(args) -> int:
     def work(java_file):
         try:
             return java_file.stem, _run_unit(java_file, deps, config), None
-        except (ToolchainError, RepairEngineError, CompletionError, ValueError) as exc:
+        except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
             return java_file.stem, None, f"{type(exc).__name__}: {exc}"
 
     if config.jobs > 1:
@@ -269,17 +253,10 @@ def _translate_overrides(args) -> dict:
 
 def cmd_repair(args) -> int:
     config = load_config(args.config, _repair_overrides(args))
-    try:
-        java = _read_text(args.java)
-        candidate = _read_text(args.candidate)
-        tests = _load_tests(args.tests) if args.tests else []
-    except ValueError as exc:
-        return _fail(str(exc))
-
     unit = TranslationUnit(
-        java_source=java,
-        test_suite=tests,
-        candidates=[IterationRecord(k=0, candidate=candidate, branch=Branch.INITIAL)],
+        java_source=read_text(args.java),
+        test_suite=_load_tests(args.tests) if args.tests else [],
+        candidates=[IterationRecord(k=0, candidate=read_text(args.candidate), branch=Branch.INITIAL)],
         unit_id=Path(args.candidate).stem,
     )
     deps = _build_deps(config)
@@ -301,12 +278,9 @@ def cmd_repair(args) -> int:
 def cmd_repo_add(args) -> int:
     repo_path = Path(args.repo)
     repo = Repository.load(repo_path) if repo_path.exists() else Repository()
-    try:
-        payload = _read_json(args.file)
-        for record in payload if isinstance(payload, list) else [payload]:
-            repo.add_case(RepairCase.from_record(record))
-    except (TypeError, ValueError) as exc:
-        return _fail(str(exc))
+    payload = _read_json(args.file)
+    for record in payload if isinstance(payload, list) else [payload]:
+        repo.add_case(RepairCase.from_record(record))
     repo.save(repo_path)
     print(f"repository now holds {len(repo)} case(s)")
     return EXIT_OK
@@ -318,15 +292,12 @@ def cmd_repo_search(args) -> int:
     if repo_path is None or not repo_path.exists():
         return _fail(f"repository file does not exist: {repo_path}")
     repo = Repository.load(repo_path)
-    try:
-        error_info = args.error or (_read_text(args.error_file) if args.error_file else "")
-        if not error_info.strip():
-            return _fail("provide --error or --error-file")
-        fragment = _read_text(args.fragment_file) if args.fragment_file else ""
-        tags = tuple(t for t in (args.tags or "").split(",") if t)
-        ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, args.top_k, config.repair.weights)
-    except ValueError as exc:
-        return _fail(str(exc))
+    error_info = args.error or (read_text(args.error_file) if args.error_file else "")
+    if not error_info.strip():
+        return _fail("provide --error or --error-file")
+    fragment = read_text(args.fragment_file) if args.fragment_file else ""
+    tags = tuple(t for t in (args.tags or "").split(",") if t)
+    ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, args.top_k, config.repair.weights)
     for case, breakdown in ranked:
         scores = " ".join(f"s{j + 1}={s:.3f}" for j, s in enumerate(breakdown.scores))
         print(f"{case.id}\ttotal={breakdown.total:.4f}\t{scores}")
@@ -336,37 +307,29 @@ def cmd_repo_search(args) -> int:
 # --- evaluate / report -----------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
-    outcomes_path = Path(args.outcomes)
-    if not outcomes_path.exists():
-        return _fail(f"outcomes file does not exist: {outcomes_path}")
     refs_dir = Path(args.refs) if args.refs else None
 
     def outcome(record: dict) -> metrics.UnitOutcome:
-        reference = record.get("reference", "")
+        candidate, reference = string_fields({"candidate": "", "reference": "", **record}, "candidate", "reference")
         if not reference and refs_dir is not None:
             unit_id = str(record["unit_id"])
             if "/" in unit_id or unit_id in ("", ".", ".."):
                 raise ValueError(f"unit id {unit_id!r} is not a file name in --refs")
             ref_file = refs_dir / f"{unit_id}.cj"
             if ref_file.exists():
-                reference = _read_text(ref_file)
+                reference = read_text(ref_file)
         if not reference:
             raise ValueError(f"no reference for unit {record['unit_id']!r}")
         return metrics.UnitOutcome(
             unit_id=record["unit_id"],
             compiled=bool(record["compiled"]),
             all_tests_passed=bool(record["all_tests_passed"]),
-            candidate=record.get("candidate", ""),
+            candidate=candidate,
             reference=reference,
         )
 
-    outcomes = read_jsonl(outcomes_path, outcome)
-    if not outcomes:
-        return _fail("outcomes file is empty")
-    try:
-        report = metrics.evaluate(outcomes)
-    except ValueError as exc:
-        return _fail(str(exc))
+    outcomes = read_jsonl(args.outcomes, outcome)
+    report = metrics.evaluate(outcomes)
     if args.out:
         metrics.write_report(args.out, outcomes, report)
     print(metrics.render_table(report))
@@ -463,9 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The one place where bad input becomes exit 1; only a unit's own files give exit 2.
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, JsonlError) as exc:
+    except (ValueError, OSError, CompletionError, ToolchainError) as exc:
         return _fail(str(exc))
 
 

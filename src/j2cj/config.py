@@ -34,6 +34,9 @@ _SCHEMA: dict[str, set[str]] = {
     "runner": {"mode", "command", "script", "timeout"},
     "repair": {"threshold", "max_iterations", "rag_top_k", "weights"},
 }
+# Settings that are strings when set; compiler.command and runner.command are lists of strings.
+_STRING_KEYS = {"paths": _SCHEMA["paths"], "llm": _SCHEMA["llm"],
+                "compiler": {"mode", "script"}, "runner": {"mode", "script"}}
 
 
 @dataclass
@@ -76,7 +79,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8: {path}") from exc
         except yaml.YAMLError as exc:
-            raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+            raise ConfigError(f"config file is not valid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
@@ -95,6 +98,19 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         if not isinstance(value, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
         _check_keys(value, section)
+        for key in sorted(_STRING_KEYS.get(section, ())):
+            if value.get(key) is not None and not isinstance(value[key], str):
+                raise ConfigError(f"{section}.{key} must be a string")
+    for section in ("compiler", "runner"):
+        settings = raw.get(section, {})
+        command = settings.get("command")
+        if command is not None and not (isinstance(command, list) and all(isinstance(p, str) for p in command)):
+            raise ConfigError(f"{section}.command must be a list of strings")
+        if "timeout" in settings:
+            try:
+                settings["timeout"] = float(settings["timeout"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {section}.timeout: {exc}") from exc
 
     decoding_raw = raw.get("decoding", {})
     try:
@@ -103,7 +119,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
             top_p=float(decoding_raw.get("top_p", 1.0)),
             max_tokens=int(decoding_raw.get("max_tokens", 2048)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid decoding settings: {exc}") from exc
 
     repair_raw = raw.get("repair", {})
@@ -116,7 +132,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
             weights=weights,
             rag_top_k=int(repair_raw.get("rag_top_k", 3)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid repair settings: {exc}") from exc
 
     retained_raw = raw.get("retained_categories")
@@ -138,7 +154,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         raise ConfigError("jobs must be a positive integer")
 
     return PipelineConfig(
-        paths={k: str(v) for k, v in raw.get("paths", {}).items()},
+        paths=dict(raw.get("paths", {})),
         llm=dict(raw.get("llm", {})),
         decoding=decoding,
         compiler=dict(raw.get("compiler", {})),
@@ -193,7 +209,7 @@ def build_compiler(config: PipelineConfig):
     command = settings.get("command")
     if not command:
         raise ConfigError("compiler.command is required in command mode")
-    return CommandCompiler(list(command), timeout=float(settings.get("timeout", 60.0)))
+    return CommandCompiler(list(command), timeout=settings.get("timeout", 60.0))
 
 
 def build_runner(config: PipelineConfig):
@@ -204,4 +220,4 @@ def build_runner(config: PipelineConfig):
         if not script:
             raise ConfigError("runner.script is required in mock mode")
         return MockRunner.load(script)
-    return CommandRunner(settings.get("command"), timeout=float(settings.get("timeout", 10.0)))
+    return CommandRunner(settings.get("command"), timeout=settings.get("timeout", 10.0))

@@ -32,7 +32,7 @@ from .llm import (
     DecodingConfig,
     extract_code_block,
 )
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, read_text, string_fields, write_jsonl
 
 CPT_BOUNDARY = "<<<PARA>>>"
 
@@ -83,15 +83,13 @@ class SyntaxEntry:
             if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
                 raise ValueError(f"field {key!r} must be a list of strings")
             return tuple(value)
-        for key in ("id", "title", "description"):
-            if not isinstance(record.get(key), str):
-                raise ValueError(f"field {key!r} must be a string")
+        entry_id, title, description = string_fields(record, "id", "title", "description")
         return cls(
-            id=record["id"],
-            title=record["title"],
+            id=entry_id,
+            title=title,
             tags=str_list("tags"),
             typical_questions=str_list("typical_questions"),
-            description=record["description"],
+            description=description,
             code_examples=str_list("code_examples"),
         )
 
@@ -433,13 +431,7 @@ def build_corpus(
                 skipped += 1
                 continue
             try:
-                pair_samples.append(
-                    build_parallel_sample(
-                        java_file.read_text(encoding="utf-8"),
-                        target_file.read_text(encoding="utf-8"),
-                        retained,
-                    )
-                )
+                pair_samples.append(build_parallel_sample(read_text(java_file), read_text(target_file), retained))
             except ValueError as exc:
                 stats["errors"].append(f"{java_file.name}: {exc}")
                 skipped += 1

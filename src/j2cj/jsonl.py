@@ -1,8 +1,8 @@
-"""Line-delimited JSON files: one strict reader and one atomic writer.
+"""Input files: one strict text reader, one JSONL reader and one atomic writer.
 
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
-repositories, datasets, outcomes, reports) goes through these two
-functions, so all of them report malformed input the same way
+repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
+``write_jsonl``, so all of them report malformed input the same way
 (``path:line: reason``) and are replaced whole, never left half-written.
 """
 
@@ -12,6 +12,7 @@ import json
 import os
 import re
 import threading
+from pathlib import Path
 from typing import Callable, Iterable
 
 
@@ -22,6 +23,22 @@ class JsonlError(ValueError):
 # Decoding with "surrogateescape" turns each byte that is not UTF-8 into one
 # of these code points, which strict UTF-8 text never contains.
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
+def string_fields(record: dict, *names: str) -> list[str]:
+    """The values of ``names`` in ``record``; one that is missing or not a string raises ValueError."""
+    for name in names:
+        if not isinstance(record.get(name), str):
+            raise ValueError(f"field {name!r} must be a string" if name in record else f"missing field {name!r}")
+    return [record[name] for name in names]
 
 
 def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import read_jsonl, string_fields, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -303,7 +303,7 @@ class Transcript:
     def load(cls, path) -> "Transcript":
         transcript = cls()
         for digest, reply, prompt in read_jsonl(
-            path, lambda r: (r["digest"], r["reply"], r.get("prompt", ""))
+            path, lambda r: string_fields({"prompt": "", **r}, "digest", "reply", "prompt")
         ):
             transcript.entries[digest] = reply
             transcript.prompts[digest] = prompt
@@ -322,12 +322,10 @@ class MockBackend:
 
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
-        self.calls: list[str] = []
 
     def complete(self, prompt: str, cfg: DecodingConfig = DecodingConfig()) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        self.calls.append(prompt)
         return self.transcript.lookup(prompt)
 
 

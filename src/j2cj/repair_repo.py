@@ -14,7 +14,7 @@ import bisect
 import re
 from dataclasses import dataclass
 
-from .jsonl import JsonlError, read_jsonl, write_jsonl
+from .jsonl import JsonlError, read_jsonl, string_fields, write_jsonl
 
 
 class DuplicateCaseError(ValueError):
@@ -58,17 +58,15 @@ class RepairCase:
 
     @classmethod
     def from_record(cls, record: dict) -> "RepairCase":
-        try:
-            return cls(
-                id=record["id"],
-                error_tags=tuple(record["error_tags"]),
-                error_info=record["error_info"],
-                repair_suggestion=record["repair_suggestion"],
-                faulty_fragment=record["faulty_fragment"],
-                corrected_code=record["corrected_code"],
-            )
-        except KeyError as exc:
-            raise RepositoryFormatError(f"case record missing field {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError("case record must be an object")
+        case_id, info, suggestion, faulty, corrected = string_fields(
+            record, "id", "error_info", "repair_suggestion", "faulty_fragment", "corrected_code"
+        )
+        tags = record.get("error_tags")
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise ValueError("field 'error_tags' must be a list of strings")
+        return cls(case_id, tuple(tags), info, suggestion, faulty, corrected)
 
 
 @dataclass(frozen=True)

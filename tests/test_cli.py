@@ -1,9 +1,12 @@
 """End-to-end CLI runs over replay fixtures."""
 
 import json
+import re
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize_source, tokenize_structure
@@ -366,6 +369,11 @@ def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
 
 
 _AGGREGATE = {"type": "aggregate", "n_total": 3, "n_compiled": 2, "n_cf": 1, "bleu": {"value": 0.5}}
+_CASE = RepairCase(
+    "c1", ("type_mismatch",), "error: expected String, found Int64", "Convert with toString().",
+    'let s: String = 1', 'let s: String = "1"',
+).to_record()
+_SUMMARIZE_WITH_VOCAB = ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--vocab", "{file}"]
 
 # name -> (file written under the fixture root, its text, the bad line, argv)
 _MALFORMED_INPUTS = {
@@ -401,6 +409,31 @@ _MALFORMED_INPUTS = {
     "repo-add-invalid-json": (
         "case.json", "{not json}\n", 1, ["repo", "add", "--repo", "{root}/repo.jsonl", "--file", "{file}"],
     ),
+    "transcript-reply-an-int": (
+        "transcript.jsonl", '{"digest": "d", "reply": 5}\n', 1, ["translate", "--config", "{config}"],
+    ),
+    "compiler-diagnostics-an-int": (
+        "compiler.jsonl", '{"digest": "d", "status": "fail", "diagnostics": 5}\n', 1,
+        ["translate", "--config", "{config}"],
+    ),
+    "runner-output-an-int": (
+        "runner.jsonl", '{"digest": "d", "input": "1\\n", "output": 5}\n', 1, ["translate", "--config", "{config}"],
+    ),
+    "repository-error-info-an-int": (
+        "repo.jsonl",
+        json.dumps({**_CASE, "error_info": 5}) + "\n",
+        1,
+        ["translate", "--config", "{config}"],
+    ),
+    "outcome-candidate-an-int": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": "u", "compiled": True, "all_tests_passed": True, "candidate": 5, "reference": "a"}),
+        1,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
+    "vocab-line-without-tab": (
+        "v.tsv", "# vocab-version: v1\nclass_declaration <STRUCT:CLASS>\n", 2, _SUMMARIZE_WITH_VOCAB,
+    ),
 }
 
 
@@ -415,6 +448,83 @@ def test_malformed_input_exits_1_with_one_line(pipeline, capsys, name):
     assert code == 1
     assert err.startswith(f"error: {bad}:{line}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_TRANSLATE = ["translate", "--config", "{config}"]
+_COMMAND_COMPILER = {"compiler.mode": "command", "compiler.command": ["cjc", "{source}"]}
+
+# name -> (config settings changed, files written under the fixture root (None: a directory), argv,
+#          the start of the stderr line after "error: ")
+_MALFORMED_SETUPS = {
+    "config-weights-an-int": ({"repair.weights": 5}, {}, _TRANSLATE, "invalid repair settings: "),
+    "config-threshold-a-list": ({"repair.threshold": [1]}, {}, _TRANSLATE, "invalid repair settings: "),
+    "config-temperature-null": ({"decoding.temperature": None}, {}, _TRANSLATE, "invalid decoding settings: "),
+    "config-timeout-not-a-number": (
+        {**_COMMAND_COMPILER, "compiler.timeout": "abc"}, {}, _TRANSLATE,
+        "invalid compiler.timeout: could not convert string to float: 'abc'",
+    ),
+    "config-command-a-string": (
+        {"compiler.mode": "command", "compiler.command": "cjc"}, {}, _TRANSLATE,
+        "compiler.command must be a list of strings",
+    ),
+    "config-transcript-an-int": ({"llm.transcript": 5}, {}, _TRANSLATE, "llm.transcript must be a string"),
+    "config-reports-a-list": ({"paths.reports": ["out"]}, {}, _TRANSLATE, "paths.reports must be a string"),
+    "config-not-yaml": (
+        {}, {"config.yaml": "a: [1"}, _TRANSLATE,
+        "config file is not valid YAML: while parsing a flow sequence in \"{root}/config.yaml\", line 1, column 4 ",
+    ),
+    "config-a-directory": (
+        {}, {"conf.d": None}, ["translate", "--config", "{root}/conf.d"], "[Errno 21] Is a directory: '{root}/conf.d'",
+    ),
+    "evaluate-out-a-directory": (
+        {}, {"outcomes.jsonl": json.dumps({"unit_id": "u", "compiled": True, "all_tests_passed": True,
+                                           "candidate": "a", "reference": "a"}), "out": None},
+        ["evaluate", "--outcomes", "{root}/outcomes.jsonl", "--out", "{root}/out"],
+        "[Errno 21] Is a directory: '{root}/out'",
+    ),
+    "outcomes-a-directory": (
+        {}, {"reports/outcomes.jsonl": None}, _TRANSLATE,
+        "[Errno 21] Is a directory: '{root}/reports/outcomes.jsonl'",
+    ),
+    "vocab-token-mapped-twice": (
+        {}, {"v.tsv": "class_declaration\t<STRUCT:X>\nblock\t<STRUCT:X>\n"},
+        ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--vocab", "{root}/v.tsv"],
+        "token '<STRUCT:X>' mapped from both 'class_declaration' and 'block'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_SETUPS))
+def test_malformed_setup_exits_1_with_one_line(pipeline, capsys, name):
+    root, config_path = pipeline
+    changes, files, argv, message = _MALFORMED_SETUPS[name]
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    for dotted, value in changes.items():
+        section, key = dotted.split(".")
+        raw.setdefault(section, {})[key] = value
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    for file_name, text in files.items():
+        path = root / file_name
+        if text is None:
+            path.mkdir(parents=True)
+        else:
+            path.write_text(text + "\n", encoding="utf-8")
+    code = main([a.format(config=config_path, root=root) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: " + message.format(root=root))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unreadable_unit_file_errors_only_its_own_unit(pipeline, capsys):
+    root, config_path = pipeline
+    (root / "bench" / "unit0.java").write_text(JAVA, encoding="utf-8")
+    (root / "bench" / "unit0.tests.json").mkdir()
+    code = main(["translate", "--config", str(config_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"unit0: error: IsADirectoryError: [Errno 21] Is a directory: '{root}/bench/unit0.tests.json'\n"
+    assert "unit1: accepted" in captured.out
 
 
 CLI_MAIN = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
@@ -498,6 +608,12 @@ _NOT_UTF8 = {
         "cand.cj", ["repair", "--config", "{config}", "--java", "{root}/bench/unit1.java", "--candidate", "{file}"], 1,
         "error: {file}: not UTF-8: invalid continuation byte at byte 6", "",
     ),
+    "summarize-ast-vocab": ("v.tsv", _SUMMARIZE_WITH_VOCAB, 1, "error: {file}: not UTF-8: invalid continuation byte at byte 6", ""),
+    "build-corpus-pair-target": (
+        "pairs/A.cj",
+        ["build-corpus", "--config", "{config}", "--pairs", "{root}/pairs", "--out", "{root}/datasets"], 2,
+        "problem: A.java: {file}: not UTF-8: invalid continuation byte at byte 6", "parallel_skipped: 1",
+    ),
     "build-corpus-snippet": (
         "snippets/bad.cj",
         ["build-corpus", "--config", "{config}", "--snippets", "{root}/snippets", "--out", "{root}/datasets"], 2,
@@ -518,6 +634,8 @@ def test_file_that_is_not_utf8_gives_one_line_naming_it(pipeline, capsys, name):
     (root / "snippets").mkdir()
     (root / "snippets" / "short.cj").write_text("func f() {}\n", encoding="utf-8")
     (root / "repo.jsonl").write_text("", encoding="utf-8")
+    (root / "pairs").mkdir()
+    (root / "pairs" / "A.java").write_text(JAVA, encoding="utf-8")
     file_name, argv, code, err, out_line = _NOT_UTF8[name]
     bad = root / file_name
     bad.write_bytes("class É {}\n".encode("latin-1"))
@@ -525,3 +643,78 @@ def test_file_that_is_not_utf8_gives_one_line_naming_it(pipeline, capsys, name):
     captured = capsys.readouterr()
     assert captured.err == err.format(file=bad, root=root) + "\n"
     assert out_line in captured.out
+
+
+# Files of the pipeline fixture the fuzz mutates: JSONL records, the tests
+# file's list of records and the YAML config's mapping of sections.
+_FUZZED_JSONL = ("transcript.jsonl", "compiler.jsonl", "runner.jsonl", "repo.jsonl")
+_FUZZED_TESTS = "bench/unit1.tests.json"
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=8),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@pytest.fixture
+def fuzzed_pipeline(pipeline):
+    """The pipeline fixture with a one-case repository, and the bytes of its input files."""
+    root, config_path = pipeline
+    (root / "repo.jsonl").write_text(json.dumps(_CASE) + "\n", encoding="utf-8")
+    return root, config_path, {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def _load(path):
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        return [json.loads(line) for line in text.splitlines()]
+    return yaml.safe_load(text) if path.suffix == ".yaml" else json.loads(text)
+
+
+def _save(path, doc):
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(record) + "\n" for record in doc), encoding="utf-8")
+    else:
+        path.write_text(yaml.safe_dump(doc) if path.suffix == ".yaml" else json.dumps(doc), encoding="utf-8")
+
+
+def _keys(doc):
+    """(mapping, key) for each key of each record, or of the config and its sections."""
+    if isinstance(doc, list):
+        return [(record, key) for record in doc for key in record]
+    sections = [value for value in doc.values() if isinstance(value, dict)]
+    return [(doc, key) for key in doc] + [(section, key) for section in sections for key in section]
+
+
+@settings(max_examples=200, deadline=2000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_mistyped_or_missing_field_never_raises(fuzzed_pipeline, capsys, data):
+    """One key of the config, transcript, mock scripts, tests file or
+    repository is deleted or given a JSON value of another type. Then
+    ``translate`` exits 0, 1 with one ``error:`` line, or 2 with one
+    ``NAME: error:`` or ``problem:`` line per failure; it never raises."""
+    root, config_path, pristine = fuzzed_pipeline
+    for path, content in pristine.items():
+        path.write_bytes(content)
+
+    path = root / data.draw(st.sampled_from([*_FUZZED_JSONL, _FUZZED_TESTS, "config.yaml"]))
+    doc = _load(path)
+    mapping, key = data.draw(st.sampled_from(_keys(doc)))
+    value = data.draw(st.just(_DELETE) | _JSON_VALUES.filter(lambda v: type(v) is not type(mapping[key])))
+    if value is _DELETE:
+        del mapping[key]
+    else:
+        mapping[key] = value
+    _save(path, doc)
+
+    capsys.readouterr()
+    code = main(["translate", "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        lines = err.splitlines()
+        assert lines and all(re.match(r"\S+: error: |problem: ", line) for line in lines), err
