@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .javaparse import SyntaxNode, parse
-from .jsonl import read_text
+from .jsonl import atomic_write, read_text
 
 # Control-flow and semantic node kinds kept in summaries by default.
 # class_body is included so type skeletons survive for declaration-only
@@ -92,10 +92,10 @@ def default_vocab(categories: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> S
 
 
 def save_vocab(vocab: StructuralTokenVocab, path) -> None:
-    lines = [f"# vocab-version: {vocab.version}"]
-    lines += [f"{category}\t{token}" for category, token in sorted(vocab.mapping.items())]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write(f"# vocab-version: {vocab.version}\n")
+        for category, token in sorted(vocab.mapping.items()):
+            fh.write(f"{category}\t{token}\n")
 
 
 def load_vocab(path) -> StructuralTokenVocab:

@@ -310,20 +310,24 @@ def cmd_evaluate(args) -> int:
     refs_dir = Path(args.refs) if args.refs else None
 
     def outcome(record: dict) -> metrics.UnitOutcome:
-        candidate, reference = string_fields({"candidate": "", "reference": "", **record}, "candidate", "reference")
+        unit_id, candidate, reference = string_fields(
+            {"candidate": "", "reference": "", **record}, "unit_id", "candidate", "reference"
+        )
+        for flag in ("compiled", "all_tests_passed"):
+            if not isinstance(record[flag], bool):
+                raise ValueError(f"field {flag!r} must be a boolean")
         if not reference and refs_dir is not None:
-            unit_id = str(record["unit_id"])
             if "/" in unit_id or unit_id in ("", ".", ".."):
                 raise ValueError(f"unit id {unit_id!r} is not a file name in --refs")
             ref_file = refs_dir / f"{unit_id}.cj"
             if ref_file.exists():
                 reference = read_text(ref_file)
         if not reference:
-            raise ValueError(f"no reference for unit {record['unit_id']!r}")
+            raise ValueError(f"no reference for unit {unit_id!r}")
         return metrics.UnitOutcome(
-            unit_id=record["unit_id"],
-            compiled=bool(record["compiled"]),
-            all_tests_passed=bool(record["all_tests_passed"]),
+            unit_id=unit_id,
+            compiled=record["compiled"],
+            all_tests_passed=record["all_tests_passed"],
             candidate=candidate,
             reference=reference,
         )

@@ -1,8 +1,9 @@
 """Pipeline configuration: YAML file, strict schema, env/flag overrides.
 
-Unknown keys are rejected at load so typos fail fast. Endpoint credentials
-are never stored in the file; the file names an environment variable and
-the key is read from the environment at backend construction time.
+``_SETTINGS`` gives every key one kind; unknown keys and values of another
+kind are rejected at load so typos fail fast. Endpoint credentials are
+never stored in the file; the file names an environment variable and the
+key is read from the environment at backend construction time.
 """
 
 from __future__ import annotations
@@ -25,18 +26,33 @@ class ConfigError(ValueError):
     pass
 
 
-_SCHEMA: dict[str, set[str]] = {
-    "": {"paths", "llm", "decoding", "compiler", "runner", "repair", "retained_categories", "allowlist", "jobs"},
-    "paths": {"datasets", "chapters", "snippets", "pairs", "repository", "benchmark", "reports", "traces"},
-    "llm": {"mode", "transcript", "endpoint", "model", "api_key_env", "record"},
-    "decoding": {"temperature", "top_p", "max_tokens"},
-    "compiler": {"mode", "command", "script", "timeout"},
-    "runner": {"mode", "command", "script", "timeout"},
-    "repair": {"threshold", "max_iterations", "rag_top_k", "weights"},
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Each kind of setting: its name in error messages and the test a value
+# passes. Nothing is converted; null (None) means unset only for strings.
+_STRING = ("a string", lambda v: v is None or isinstance(v, str))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBER = ("a number", _number)
+_STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)))
+_TOOL = {"mode": _STRING, "script": _STRING, "command": _STRINGS, "timeout": _NUMBER}
+
+# Every setting, by section ("" is the top level, whose keys are also the
+# other sections), and its kind. A setting left out takes the default of
+# the class that uses it.
+_SETTINGS: dict[str, dict[str, tuple]] = {
+    "": {"retained_categories": _STRINGS, "allowlist": _STRINGS, "jobs": _INTEGER},
+    "paths": dict.fromkeys(
+        ("datasets", "chapters", "snippets", "pairs", "repository", "benchmark", "reports", "traces"), _STRING
+    ),
+    "llm": dict.fromkeys(("mode", "transcript", "endpoint", "model", "api_key_env", "record"), _STRING),
+    "decoding": {"temperature": _NUMBER, "top_p": _NUMBER, "max_tokens": _INTEGER},
+    "compiler": _TOOL,
+    "runner": _TOOL,
+    "repair": {"threshold": _NUMBER, "max_iterations": _INTEGER, "rag_top_k": _INTEGER, "weights": _NUMBERS},
 }
-# Settings that are strings when set; compiler.command and runner.command are lists of strings.
-_STRING_KEYS = {"paths": _SCHEMA["paths"], "llm": _SCHEMA["llm"],
-                "compiler": {"mode", "script"}, "runner": {"mode", "script"}}
 
 
 @dataclass
@@ -51,17 +67,22 @@ class PipelineConfig:
     allowlist: tuple[str, ...] = DEFAULT_IMPORT_ALLOWLIST
     jobs: int = 1
 
+    def __post_init__(self):
+        self.retained_categories = frozenset(self.retained_categories)
+        self.allowlist = tuple(self.allowlist)
+        if not self.retained_categories:
+            raise ConfigError("retained_categories must be a non-empty list")
+        if self.jobs < 1:
+            raise ConfigError("jobs must be a positive integer")
+
     def path(self, name: str) -> Path | None:
         value = self.paths.get(name)
         return Path(value) if value else None
 
 
-def _check_keys(mapping: dict, section: str) -> None:
-    allowed = _SCHEMA[section]
-    unknown = set(mapping) - allowed
-    if unknown:
-        where = section or "top level"
-        raise ConfigError(f"unknown configuration keys at {where}: {sorted(unknown)}")
+def _given(settings: dict, *keys: str) -> dict:
+    """The settings among ``keys`` that ``settings`` sets, as keyword arguments."""
+    return {key: settings[key] for key in keys if key in settings}
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
@@ -92,77 +113,36 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
                 raise ConfigError(f"cannot override {dotted}: {part} is not a mapping")
         target[parts[-1]] = value
 
-    _check_keys(raw, "")
-    for section in ("paths", "llm", "decoding", "compiler", "runner", "repair"):
-        value = raw.get(section, {})
-        if not isinstance(value, dict):
+    sections = _SETTINGS.keys() - {""}
+    for section, kinds in _SETTINGS.items():
+        settings = raw.setdefault(section, {}) if section else raw
+        if not isinstance(settings, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        _check_keys(value, section)
-        for key in sorted(_STRING_KEYS.get(section, ())):
-            if value.get(key) is not None and not isinstance(value[key], str):
-                raise ConfigError(f"{section}.{key} must be a string")
-    for section in ("compiler", "runner"):
-        settings = raw.get(section, {})
-        command = settings.get("command")
-        if command is not None and not (isinstance(command, list) and all(isinstance(p, str) for p in command)):
-            raise ConfigError(f"{section}.command must be a list of strings")
-        if "timeout" in settings:
-            try:
-                settings["timeout"] = float(settings["timeout"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid {section}.timeout: {exc}") from exc
+        unknown = settings.keys() - kinds.keys() - (set() if section else sections)
+        if unknown:
+            raise ConfigError(f"unknown configuration keys at {section or 'top level'}: {sorted(unknown, key=str)}")
+        for key, (kind, valid) in kinds.items():
+            if key in settings and not valid(settings[key]):
+                raise ConfigError(f"{section + '.' if section else ''}{key} must be {kind}")
 
-    decoding_raw = raw.get("decoding", {})
     try:
-        decoding = DecodingConfig(
-            temperature=float(decoding_raw.get("temperature", 0.0)),
-            top_p=float(decoding_raw.get("top_p", 1.0)),
-            max_tokens=int(decoding_raw.get("max_tokens", 2048)),
-        )
-    except (TypeError, ValueError) as exc:
+        decoding = DecodingConfig(**raw["decoding"])
+    except ValueError as exc:
         raise ConfigError(f"invalid decoding settings: {exc}") from exc
-
-    repair_raw = raw.get("repair", {})
-    weights_raw = repair_raw.get("weights", [1.0] * 6)
     try:
-        weights = SimilarityWeights(tuple(float(v) for v in weights_raw))
-        repair = RepairConfig(
-            threshold=float(repair_raw.get("threshold", 0.5)),
-            max_iterations=int(repair_raw.get("max_iterations", 5)),
-            weights=weights,
-            rag_top_k=int(repair_raw.get("rag_top_k", 3)),
-        )
-    except (TypeError, ValueError) as exc:
+        if "weights" in raw["repair"]:
+            raw["repair"]["weights"] = SimilarityWeights(tuple(raw["repair"]["weights"]))
+        repair = RepairConfig(**raw["repair"])
+    except ValueError as exc:
         raise ConfigError(f"invalid repair settings: {exc}") from exc
-
-    retained_raw = raw.get("retained_categories")
-    retained = DEFAULT_RETAINED_CATEGORIES
-    if retained_raw is not None:
-        if not isinstance(retained_raw, list) or not retained_raw:
-            raise ConfigError("retained_categories must be a non-empty list")
-        retained = frozenset(str(c) for c in retained_raw)
-
-    allowlist_raw = raw.get("allowlist")
-    allowlist = DEFAULT_IMPORT_ALLOWLIST
-    if allowlist_raw is not None:
-        if not isinstance(allowlist_raw, list):
-            raise ConfigError("allowlist must be a list")
-        allowlist = tuple(str(p) for p in allowlist_raw)
-
-    jobs = raw.get("jobs", 1)
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConfigError("jobs must be a positive integer")
-
     return PipelineConfig(
-        paths=dict(raw.get("paths", {})),
-        llm=dict(raw.get("llm", {})),
+        paths=raw["paths"],
+        llm=raw["llm"],
         decoding=decoding,
-        compiler=dict(raw.get("compiler", {})),
-        runner=dict(raw.get("runner", {})),
+        compiler=raw["compiler"],
+        runner=raw["runner"],
         repair=repair,
-        retained_categories=retained,
-        allowlist=allowlist,
-        jobs=jobs,
+        **_given(raw, *_SETTINGS[""]),
     )
 
 
@@ -209,7 +189,7 @@ def build_compiler(config: PipelineConfig):
     command = settings.get("command")
     if not command:
         raise ConfigError("compiler.command is required in command mode")
-    return CommandCompiler(list(command), timeout=settings.get("timeout", 60.0))
+    return CommandCompiler(command, **_given(settings, "timeout"))
 
 
 def build_runner(config: PipelineConfig):
@@ -220,4 +200,4 @@ def build_runner(config: PipelineConfig):
         if not script:
             raise ConfigError("runner.script is required in mock mode")
         return MockRunner.load(script)
-    return CommandRunner(settings.get("command"), timeout=settings.get("timeout", 10.0))
+    return CommandRunner(settings.get("command"), **_given(settings, "timeout"))

@@ -32,7 +32,7 @@ from .llm import (
     DecodingConfig,
     extract_code_block,
 )
-from .jsonl import read_jsonl, read_text, string_fields, write_jsonl
+from .jsonl import atomic_write, read_jsonl, read_text, string_fields, write_jsonl
 
 CPT_BOUNDARY = "<<<PARA>>>"
 
@@ -439,6 +439,6 @@ def build_corpus(
         stats["parallel_pairs"] = len(pair_samples)
         stats["parallel_skipped"] = skipped
 
-    with open(out_dir / "stats.json", "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out_dir / "stats.json") as fh:
         fh.write(json.dumps(stats, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return stats

@@ -3,7 +3,9 @@
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
 ``write_jsonl``, so all of them report malformed input the same way
-(``path:line: reason``) and are replaced whole, never left half-written.
+(``path:line: reason``). Those files, traces, corpus statistics and
+vocabularies are all written through ``atomic_write``, so each is replaced
+whole, never left half-written.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import json
 import os
 import re
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 
 
 class JsonlError(ValueError):
@@ -76,22 +79,28 @@ def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
     return values
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
-    """Write one ``json.dumps(record, ensure_ascii=False)`` line per record.
+@contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """Open a UTF-8 text file that replaces ``path`` when the block ends.
 
-    The lines go to a sibling temp file that then replaces ``path``, so a
-    reader never sees a partial file and a record that fails to serialize
-    leaves the old file untouched. An ``OSError`` names ``path``, not the
-    temp file.
+    The text goes to a sibling temp file that then replaces ``path``, so a
+    reader never sees a partial file and a block that raises leaves the old
+    file untouched. An ``OSError`` names ``path``, not the temp file.
     """
     tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-            for record in records:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            yield fh
         os.replace(tmp_path, path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+
+
+def write_jsonl(path, records: Iterable[dict]) -> None:
+    """Write one ``json.dumps(record, ensure_ascii=False)`` line per record, atomically."""
+    with atomic_write(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

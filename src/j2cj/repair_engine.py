@@ -23,6 +23,7 @@ from .ast_summary import (
     tokenize_structure,
 )
 from .javaparse import parse, tree_has_errors
+from .jsonl import atomic_write
 from .llm import (
     RAG_REPAIR_TEMPLATE,
     REPAIR_APPLY_COMPILE_TEMPLATE,
@@ -469,5 +470,6 @@ def unit_to_trace(unit: TranslationUnit, redact: bool = False) -> dict:
 
 
 def write_trace(unit: TranslationUnit, path, redact: bool = False) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(unit_to_trace(unit, redact), ensure_ascii=False, indent=2) + "\n")
+    trace = json.dumps(unit_to_trace(unit, redact), ensure_ascii=False, indent=2)
+    with atomic_write(path) as fh:
+        fh.write(trace + "\n")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize_source, tokenize_structure
 from j2cj.cli import main
+from j2cj.config import _SETTINGS
 from j2cj.corpus import read_parallel_dataset
 from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
@@ -431,6 +432,24 @@ _MALFORMED_INPUTS = {
         1,
         ["evaluate", "--outcomes", "{file}"],
     ),
+    "outcome-compiled-a-string": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": "u", "compiled": "false", "all_tests_passed": False, "reference": "a"}),
+        1,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
+    "outcome-passed-a-string": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": "u", "compiled": True, "all_tests_passed": "no", "reference": "a"}),
+        1,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
+    "outcome-unit-id-an-int": (
+        "outcomes.jsonl",
+        json.dumps({"unit_id": 7, "compiled": True, "all_tests_passed": True, "reference": "a"}),
+        1,
+        ["evaluate", "--outcomes", "{file}"],
+    ),
     "vocab-line-without-tab": (
         "v.tsv", "# vocab-version: v1\nclass_declaration <STRUCT:CLASS>\n", 2, _SUMMARIZE_WITH_VOCAB,
     ),
@@ -456,12 +475,11 @@ _COMMAND_COMPILER = {"compiler.mode": "command", "compiler.command": ["cjc", "{s
 # name -> (config settings changed, files written under the fixture root (None: a directory), argv,
 #          the start of the stderr line after "error: ")
 _MALFORMED_SETUPS = {
-    "config-weights-an-int": ({"repair.weights": 5}, {}, _TRANSLATE, "invalid repair settings: "),
-    "config-threshold-a-list": ({"repair.threshold": [1]}, {}, _TRANSLATE, "invalid repair settings: "),
-    "config-temperature-null": ({"decoding.temperature": None}, {}, _TRANSLATE, "invalid decoding settings: "),
+    "config-weights-an-int": ({"repair.weights": 5}, {}, _TRANSLATE, "repair.weights must be a list of numbers"),
+    "config-threshold-a-list": ({"repair.threshold": [1]}, {}, _TRANSLATE, "repair.threshold must be a number"),
+    "config-temperature-null": ({"decoding.temperature": None}, {}, _TRANSLATE, "decoding.temperature must be a number"),
     "config-timeout-not-a-number": (
-        {**_COMMAND_COMPILER, "compiler.timeout": "abc"}, {}, _TRANSLATE,
-        "invalid compiler.timeout: could not convert string to float: 'abc'",
+        {**_COMMAND_COMPILER, "compiler.timeout": "abc"}, {}, _TRANSLATE, "compiler.timeout must be a number",
     ),
     "config-command-a-string": (
         {"compiler.mode": "command", "compiler.command": "cjc"}, {}, _TRANSLATE,
@@ -469,6 +487,10 @@ _MALFORMED_SETUPS = {
     ),
     "config-transcript-an-int": ({"llm.transcript": 5}, {}, _TRANSLATE, "llm.transcript must be a string"),
     "config-reports-a-list": ({"paths.reports": ["out"]}, {}, _TRANSLATE, "paths.reports must be a string"),
+    "config-unknown-keys-of-mixed-types": (
+        {}, {"config.yaml": "1: x\nb: y\nrepair: {2: z}"}, _TRANSLATE,
+        "unknown configuration keys at top level: [1, 'b']",
+    ),
     "config-not-yaml": (
         {}, {"config.yaml": "a: [1"}, _TRANSLATE,
         "config file is not valid YAML: while parsing a flow sequence in \"{root}/config.yaml\", line 1, column 4 ",
@@ -492,6 +514,26 @@ _MALFORMED_SETUPS = {
         "token '<STRUCT:X>' mapped from both 'class_declaration' and 'block'",
     ),
 }
+# Values of another kind, for each kind of setting, and two values that
+# loaded truncated or unchecked before every setting's kind was checked.
+_WRONG = {
+    "a string": [5, True, ["x"]],
+    "an integer": [True, 2.0, "3", None, [1]],
+    "a number": [True, "1", None, [0.5]],
+    "a list of strings": ["x", [1, None], [None], None, {"a": "b"}],
+    "a list of numbers": ["123456", [1, None], [True] * 6, None, 5],
+}
+_COERCED = {"repair.max_iterations": [2.7], "repair.threshold": ["0.3"]}
+# Every setting given each wrong value of its kind, unless a case above gives it already.
+_GIVEN = {json.dumps(changes) for changes, *_ in _MALFORMED_SETUPS.values()}
+for section, kinds in _SETTINGS.items():
+    for key, (kind, _) in kinds.items():
+        dotted = f"{section}.{key}".lstrip(".")
+        for value in _WRONG[kind] + _COERCED.get(dotted, []):
+            if json.dumps({dotted: value}) not in _GIVEN:
+                _MALFORMED_SETUPS[f"config-{dotted}={json.dumps(value)}"] = (
+                    {dotted: value}, {}, _TRANSLATE, f"{dotted} must be {kind}",
+                )
 
 
 @pytest.mark.parametrize("name", sorted(_MALFORMED_SETUPS))
@@ -500,8 +542,8 @@ def test_malformed_setup_exits_1_with_one_line(pipeline, capsys, name):
     changes, files, argv, message = _MALFORMED_SETUPS[name]
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
     for dotted, value in changes.items():
-        section, key = dotted.split(".")
-        raw.setdefault(section, {})[key] = value
+        *section, key = dotted.split(".")
+        (raw.setdefault(section[0], {}) if section else raw)[key] = value
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     for file_name, text in files.items():
         path = root / file_name
