@@ -10,6 +10,7 @@ script files keyed by the candidate's content digest.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import shutil
 import signal
@@ -84,6 +85,8 @@ class CommandCompiler:
             raise ToolchainError("compiler command must be non-empty")
         if not any("{source}" in part for part in command):
             raise ToolchainError("compiler command must reference {source}")
+        if not 0 < timeout < math.inf:
+            raise ToolchainError("compiler timeout must be a positive finite number of seconds")
         self.command = list(command)
         self.timeout = timeout
         self._root = tempfile.mkdtemp(prefix="j2cj-compile-")
@@ -109,6 +112,8 @@ class CommandRunner:
     """Run a compiled program per test case; ``{artifact}`` names the binary."""
 
     def __init__(self, command: list[str] | None = None, timeout: float = 10.0):
+        if not 0 < timeout < math.inf:
+            raise ToolchainError("runner timeout must be a positive finite number of seconds")
         self.command = list(command) if command else ["{artifact}"]
         self.timeout = timeout
 
@@ -138,6 +143,8 @@ class MockCompiler:
     def load(cls, path) -> "MockCompiler":
         def entry(record: dict):
             digest, status, diagnostics = string_fields({"diagnostics": "", **record}, "digest", "status", "diagnostics")
+            if status not in ("success", "fail"):
+                raise ValueError("field 'status' must be \"success\" or \"fail\"")
             return digest, {"status": status, "diagnostics": diagnostics}
 
         return cls(dict(read_jsonl(path, entry)))

@@ -28,6 +28,7 @@ from .jsonl import read_jsonl, read_text, string_fields, write_jsonl
 from .llm import CompletionError
 from .repair_engine import (
     Branch,
+    CompileStatus,
     EngineDeps,
     IterationRecord,
     RepairEngineError,
@@ -152,6 +153,8 @@ def cmd_translate(args) -> int:
     traces_dir = args.traces or config.path("traces")
     reports_dir = config.path("reports")
     repo_path = config.path("repository")
+    if args.harvest and repo_path is None:
+        return _fail("--harvest needs paths.repository")
     deps = _build_deps(config)
 
     java_files = sorted(Path(benchmark).glob("*.java"))
@@ -196,7 +199,7 @@ def cmd_translate(args) -> int:
                 {
                     "unit_id": unit_id,
                     "status": unit.status.value,
-                    "compiled": final.compile_status is not None and final.compile_status.value == "success",
+                    "compiled": final.compile_status is CompileStatus.SUCCESS,
                     "all_tests_passed": unit.status is UnitStatus.ACCEPTED,
                     "candidate": final.candidate,
                     "reference": references[unit_id],
@@ -204,7 +207,7 @@ def cmd_translate(args) -> int:
             )
         write_jsonl(Path(reports_dir) / "outcomes.jsonl", records)
 
-    if args.harvest and repo_path is not None:
+    if args.harvest:
         repo = deps.repo if deps.repo is not None else Repository()
         harvested = 0
         for unit_id in sorted(results):
@@ -297,7 +300,8 @@ def cmd_repo_search(args) -> int:
         return _fail("provide --error or --error-file")
     fragment = read_text(args.fragment_file) if args.fragment_file else ""
     tags = tuple(t for t in (args.tags or "").split(",") if t)
-    ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, args.top_k, config.repair.weights)
+    top_k = config.repair.rag_top_k if args.top_k is None else args.top_k
+    ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, top_k, config.repair.weights)
     for case, breakdown in ranked:
         scores = " ".join(f"s{j + 1}={s:.3f}" for j, s in enumerate(breakdown.scores))
         print(f"{case.id}\ttotal={breakdown.total:.4f}\t{scores}")
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--error-file")
     ps.add_argument("--fragment-file")
     ps.add_argument("--tags")
-    ps.add_argument("--top-k", type=int, default=3)
+    ps.add_argument("--top-k", type=int, default=None, help="default: repair.rag_top_k")
     ps.set_defaults(func=cmd_repo_search)
 
     p = sub.add_parser("evaluate", help="compute FE/CSR/CFE/BLEU over an outcomes file")

@@ -9,6 +9,7 @@ the mock backend, every pipeline run is byte-reproducible.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import string
 import threading
@@ -45,8 +46,8 @@ class DecodingConfig:
     max_tokens: int = 2048
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be non-negative and finite")
         if not (0 < self.top_p <= 1.0):
             raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens <= 0:
@@ -420,9 +421,12 @@ class HttpBackend:
     @staticmethod
     def _parse_reply(body: dict) -> str:
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise CompletionError(f"malformed completion response: {body!r}") from exc
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise CompletionError(f"malformed completion response: {body!r}")
+        return content
 
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)

@@ -71,13 +71,6 @@ class Branch(enum.Enum):
     TEST_REPAIR = "test_repair"
 
 
-class NextAction(enum.Enum):
-    ACCEPT = "accept"
-    RAG_REPAIR = "rag_repair"
-    SELF_ANALYSIS = "self_analysis"
-    TEST_REPAIR = "test_repair"
-
-
 class UnitStatus(enum.Enum):
     PENDING = "pending"
     ACCEPTED = "accepted"
@@ -180,6 +173,15 @@ def _record_signature(rec: IterationRecord) -> str:
 
 # --- operations --------------------------------------------------------------
 
+def _code_reply(prompt: str, llm, decoding: DecodingConfig, what: str) -> tuple[str, dict]:
+    """The code in ``llm``'s reply to ``prompt``, and the exchange; no code raises EmptyCodeError."""
+    reply = llm.complete(prompt, decoding)
+    code = extract_code_block(reply).strip()
+    if not code:
+        raise EmptyCodeError(f"{what} yielded no code")
+    return code, {"prompt": prompt, "reply": reply}
+
+
 def translate(
     java_source: str,
     llm,
@@ -192,15 +194,12 @@ def translate(
         raise ValueError("java source does not parse cleanly")
     tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
     prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
-    reply = llm.complete(prompt, decoding)
-    candidate = extract_code_block(reply).strip()
-    if not candidate:
-        raise EmptyCodeError("translation completion yielded no code")
+    candidate, exchange = _code_reply(prompt, llm, decoding, "translation completion")
     return IterationRecord(
         k=0,
         candidate=candidate,
         branch=Branch.INITIAL,
-        exchanges=[{"prompt": prompt, "reply": reply}],
+        exchanges=[exchange],
     )
 
 
@@ -209,18 +208,17 @@ def select_branch(
     test_result: TestResult,
     top_score: float | None,
     threshold: float,
-) -> NextAction:
-    """Route one evaluated candidate to accept or one of three repairs."""
+) -> Branch | None:
+    """The branch that repairs one evaluated candidate, or None to accept it. A compile
+    failure takes RAG repair only when a case was retrieved and its ``top_score`` reaches ``threshold``."""
     if compile_status is CompileStatus.FAIL:
-        if top_score is None:
-            raise ValueError("top_score required when compilation failed")
-        return NextAction.RAG_REPAIR if top_score >= threshold else NextAction.SELF_ANALYSIS
-    if top_score is not None:
-        raise ValueError("top_score only applies to compile failures")
+        if top_score is not None and top_score >= threshold:
+            return Branch.RAG_REPAIR
+        return Branch.SELF_ANALYSIS
     if test_result is TestResult.PASS:
-        return NextAction.ACCEPT
+        return None
     if test_result is TestResult.FAIL:
-        return NextAction.TEST_REPAIR
+        return Branch.TEST_REPAIR
     raise ValueError("tests must have run when compilation succeeded")
 
 
@@ -249,47 +247,37 @@ def format_cases(ranked: list[tuple[RepairCase, SimilarityBreakdown]] | list[Rep
     return "\n\n".join(blocks)
 
 
+# Each two-step branch: its guidance template, its apply template and the
+# slot that carries its evidence (compile errors or failed tests).
+_TWO_STEP = {
+    Branch.SELF_ANALYSIS: (REPAIR_GUIDANCE_COMPILE_TEMPLATE, REPAIR_APPLY_COMPILE_TEMPLATE, "errors"),
+    Branch.TEST_REPAIR: (REPAIR_GUIDANCE_TEST_TEMPLATE, REPAIR_APPLY_TEST_TEMPLATE, "failures"),
+}
+
+
 def self_analysis_repair(
     java_source: str,
     candidate: str,
     errors_text: str,
     llm,
     decoding: DecodingConfig = DecodingConfig(),
-    mode: str = "compile",
+    branch: Branch = Branch.SELF_ANALYSIS,
 ) -> tuple[str, str, list[dict]]:
     """Two-step repair: generate guidance, then code conditioned on it.
 
+    ``branch`` is SELF_ANALYSIS (compile errors) or TEST_REPAIR (failed tests).
     Returns (guidance, new_candidate, exchanges).
     """
     if not errors_text.strip():
         raise ValueError("at least one error must be present")
-    if mode == "compile":
-        guidance_template = REPAIR_GUIDANCE_COMPILE_TEMPLATE
-        apply_template = REPAIR_APPLY_COMPILE_TEMPLATE
-        slot = "errors"
-    elif mode == "test":
-        guidance_template = REPAIR_GUIDANCE_TEST_TEMPLATE
-        apply_template = REPAIR_APPLY_TEST_TEMPLATE
-        slot = "failures"
-    else:
-        raise ValueError(f"unknown repair mode {mode!r}")
-
-    guidance_prompt = guidance_template.render(
-        {"java": java_source, "candidate": candidate, slot: errors_text}
-    )
+    guidance_template, apply_template, slot = _TWO_STEP[branch]
+    slots = {"java": java_source, "candidate": candidate, slot: errors_text}
+    guidance_prompt = guidance_template.render(slots)
     guidance = llm.complete(guidance_prompt, decoding)
-    apply_prompt = apply_template.render(
-        {"java": java_source, "candidate": candidate, slot: errors_text, "guidance": guidance}
+    new_candidate, applied = _code_reply(
+        apply_template.render({**slots, "guidance": guidance}), llm, decoding, "self-analysis repair"
     )
-    code_reply = llm.complete(apply_prompt, decoding)
-    new_candidate = extract_code_block(code_reply).strip()
-    if not new_candidate:
-        raise EmptyCodeError("self-analysis repair yielded no code")
-    exchanges = [
-        {"prompt": guidance_prompt, "reply": guidance},
-        {"prompt": apply_prompt, "reply": code_reply},
-    ]
-    return guidance, new_candidate, exchanges
+    return guidance, new_candidate, [{"prompt": guidance_prompt, "reply": guidance}, applied]
 
 
 def rag_repair(
@@ -305,11 +293,8 @@ def rag_repair(
     prompt = RAG_REPAIR_TEMPLATE.render(
         {"errors": diagnostics, "cases": format_cases(retrieved), "candidate": candidate}
     )
-    reply = llm.complete(prompt, decoding)
-    new_candidate = extract_code_block(reply).strip()
-    if not new_candidate:
-        raise EmptyCodeError("rag repair yielded no code")
-    return new_candidate, [{"prompt": prompt, "reply": reply}]
+    new_candidate, exchange = _code_reply(prompt, llm, decoding, "rag repair")
+    return new_candidate, [exchange]
 
 
 def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) -> TranslationUnit:
@@ -365,43 +350,33 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
         diagnostics = rec.diagnostics if rec.diagnostics.strip() else "<no diagnostics>"
         ranked: list[tuple[RepairCase, SimilarityBreakdown]] = []
         top_score = None
-        if rec.compile_status is CompileStatus.FAIL:
-            top_score = 0.0
-            if deps.repo is not None and len(deps.repo) > 0:
-                ranked = retrieve(
-                    ErrorQuery(diagnostics, rec.candidate, extract_error_tags(diagnostics)),
-                    deps.repo,
-                    cfg.rag_top_k,
-                    cfg.weights,
-                )
-                top_score = ranked[0][1].total
+        if rec.compile_status is CompileStatus.FAIL and deps.repo is not None and len(deps.repo) > 0:
+            ranked = retrieve(
+                ErrorQuery(diagnostics, rec.candidate, extract_error_tags(diagnostics)),
+                deps.repo,
+                cfg.rag_top_k,
+                cfg.weights,
+            )
+            top_score = ranked[0][1].total
 
-        action = select_branch(rec.compile_status, rec.test_result, top_score, cfg.threshold)
-        guidance = None
-        if action is NextAction.ACCEPT:
+        branch = select_branch(rec.compile_status, rec.test_result, top_score, cfg.threshold)
+        if branch is None:
             unit.status = UnitStatus.ACCEPTED
             return unit
-        if action is NextAction.RAG_REPAIR:
+        guidance = None
+        if branch is Branch.RAG_REPAIR:
             candidate, exchanges = rag_repair(rec.candidate, diagnostics, ranked, deps.llm, deps.decoding)
-        elif action is NextAction.SELF_ANALYSIS:
-            guidance, candidate, exchanges = self_analysis_repair(
-                unit.java_source, rec.candidate, diagnostics, deps.llm, deps.decoding, "compile"
-            )
         else:
+            evidence = diagnostics if branch is Branch.SELF_ANALYSIS else format_failures(rec.failed_tests)
             guidance, candidate, exchanges = self_analysis_repair(
-                unit.java_source,
-                rec.candidate,
-                format_failures(rec.failed_tests),
-                deps.llm,
-                deps.decoding,
-                "test",
+                unit.java_source, rec.candidate, evidence, deps.llm, deps.decoding, branch
             )
 
         unit.candidates.append(
             IterationRecord(
                 k=k + 1,
                 candidate=candidate,
-                branch=Branch(action.value),
+                branch=branch,
                 guidance=guidance,
                 exchanges=exchanges,
             )

@@ -11,6 +11,7 @@ for a query built from the case's own fields, so self-similarity is exactly
 from __future__ import annotations
 
 import bisect
+import math
 import re
 from dataclasses import dataclass
 
@@ -88,15 +89,15 @@ def query_from_case(case: RepairCase) -> ErrorQuery:
 
 @dataclass(frozen=True)
 class SimilarityWeights:
-    """Six non-negative dimension weights, normalized to sum 1."""
+    """Six finite, non-negative dimension weights, normalized to sum 1."""
 
     values: tuple[float, float, float, float, float, float]
 
     def __post_init__(self):
         if len(self.values) != 6:
             raise ValueError("exactly six weights required")
-        if any(v < 0 for v in self.values):
-            raise ValueError("weights must be non-negative")
+        if not all(0 <= v < math.inf for v in self.values):
+            raise ValueError("weights must be non-negative and finite")
         total = sum(self.values)
         if total <= 0:
             raise ValueError("at least one weight must be positive")

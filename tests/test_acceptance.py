@@ -23,7 +23,6 @@ from j2cj.repair_engine import (
     CompileStatus,
     EngineDeps,
     IterationRecord,
-    NextAction,
     RepairConfig,
     TestCase,
     TestResult,
@@ -307,7 +306,7 @@ def test_criterion_8_threshold_gating():
                 1
                 for score in top_scores
                 if select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, score, tau)
-                is NextAction.RAG_REPAIR
+                is Branch.RAG_REPAIR
             )
             counts.append(routed)
         assert counts[0] == len(queries)  # every failure routes to RAG at tau=0

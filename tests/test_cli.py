@@ -220,6 +220,21 @@ def test_repo_add_and_search(tmp_path, capsys):
     assert main(["repo", "add", "--repo", str(repo_path), "--file", str(case_file)]) == 1
 
 
+def test_repo_search_top_k_defaults_to_rag_top_k(tmp_path, capsys):
+    repo_path = tmp_path / "repo.jsonl"
+    Repository(
+        [RepairCase(f"c{i}", ("E1",), f"error: type mismatch {i}", "use Int64", "let x: Int = 1", "let x: Int64 = 1")
+         for i in range(3)]
+    ).save(repo_path)
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump({"repair": {"rag_top_k": 1}}), encoding="utf-8")
+    argv = ["repo", "search", "--config", str(config_path), "--repo", str(repo_path), "--error", "error: type mismatch"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
+    assert main(argv + ["--top-k", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_evaluate_and_report_round_trip(tmp_path, capsys):
     outcomes_path = tmp_path / "outcomes.jsonl"
     refs_dir = tmp_path / "refs"
@@ -413,6 +428,9 @@ _MALFORMED_INPUTS = {
     "transcript-reply-an-int": (
         "transcript.jsonl", '{"digest": "d", "reply": 5}\n', 1, ["translate", "--config", "{config}"],
     ),
+    "compiler-status-misspelled": (
+        "compiler.jsonl", '{"digest": "d", "status": "succes"}\n', 1, ["translate", "--config", "{config}"],
+    ),
     "compiler-diagnostics-an-int": (
         "compiler.jsonl", '{"digest": "d", "status": "fail", "diagnostics": 5}\n', 1,
         ["translate", "--config", "{config}"],
@@ -484,6 +502,37 @@ _MALFORMED_SETUPS = {
     "config-command-a-string": (
         {"compiler.mode": "command", "compiler.command": "cjc"}, {}, _TRANSLATE,
         "compiler.command must be a list of strings",
+    ),
+    "config-weights-nan": (
+        {"repair.weights": [float("nan"), 1, 1, 1, 1, 1]}, {}, _TRANSLATE,
+        "invalid repair settings: weights must be non-negative and finite",
+    ),
+    "config-weights-inf": (
+        {"repair.weights": [float("inf")] * 6}, {}, _TRANSLATE,
+        "invalid repair settings: weights must be non-negative and finite",
+    ),
+    "config-temperature-nan": (
+        {"decoding.temperature": float("nan")}, {}, _TRANSLATE,
+        "invalid decoding settings: temperature must be non-negative and finite",
+    ),
+    "config-temperature-inf": (
+        {"decoding.temperature": float("inf")}, {}, _TRANSLATE,
+        "invalid decoding settings: temperature must be non-negative and finite",
+    ),
+    "config-compiler-timeout-nan": (
+        {**_COMMAND_COMPILER, "compiler.timeout": float("nan")}, {}, _TRANSLATE,
+        "compiler timeout must be a positive finite number of seconds",
+    ),
+    "config-runner-timeout-negative": (
+        {"runner.mode": "command", "runner.timeout": -1}, {}, _TRANSLATE,
+        "runner timeout must be a positive finite number of seconds",
+    ),
+    "config-runner-timeout-zero": (
+        {"runner.mode": "command", "runner.timeout": 0}, {}, _TRANSLATE,
+        "runner timeout must be a positive finite number of seconds",
+    ),
+    "translate-harvest-without-repository": (
+        {"paths.repository": None}, {}, _TRANSLATE + ["--harvest"], "--harvest needs paths.repository",
     ),
     "config-transcript-an-int": ({"llm.transcript": 5}, {}, _TRANSLATE, "llm.transcript must be a string"),
     "config-reports-a-list": ({"paths.reports": ["out"]}, {}, _TRANSLATE, "paths.reports must be a string"),

@@ -237,6 +237,14 @@ def test_http_backend_records_replies_for_replay():
     assert recorder.lookup("prompt-a") == "recorded"
 
 
+@pytest.mark.parametrize("content", [None, 7, ["x"]], ids=["null", "int", "list"])
+def test_http_backend_rejects_a_reply_that_is_not_text(content):
+    session = _FakeSession([_FakeResponse(200, {"choices": [{"message": {"content": content}}]})])
+    backend = HttpBackend("http://x", "m", session=session)
+    with pytest.raises(CompletionError, match="malformed completion response"):
+        backend.complete("p")
+
+
 def test_extract_code_block_variants():
     assert extract_code_block("```\nmain()\n```") == "main()"
     assert extract_code_block("prose first\n```cangjie\nlet x = 1\n```\nmore prose") == "let x = 1"

@@ -20,7 +20,6 @@ from j2cj.repair_engine import (
     EmptyCodeError,
     EngineDeps,
     IterationRecord,
-    NextAction,
     RepairConfig,
     TestCase,
     TestResult,
@@ -131,21 +130,18 @@ def high_similarity_case(diagnostics: str, candidate: str, case_id: str = "match
 # --- select_branch ------------------------------------------------------------------
 
 def test_select_branch_four_outcomes():
-    assert select_branch(CompileStatus.SUCCESS, TestResult.PASS, None, 0.5) is NextAction.ACCEPT
-    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.9, 0.5) is NextAction.RAG_REPAIR
-    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.3, 0.5) is NextAction.SELF_ANALYSIS
-    assert select_branch(CompileStatus.SUCCESS, TestResult.FAIL, None, 0.5) is NextAction.TEST_REPAIR
+    assert select_branch(CompileStatus.SUCCESS, TestResult.PASS, None, 0.5) is None
+    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.9, 0.5) is Branch.RAG_REPAIR
+    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.3, 0.5) is Branch.SELF_ANALYSIS
+    assert select_branch(CompileStatus.SUCCESS, TestResult.FAIL, None, 0.5) is Branch.TEST_REPAIR
 
 
 def test_select_branch_threshold_boundary_routes_to_rag():
-    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.5, 0.5) is NextAction.RAG_REPAIR
+    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, 0.5, 0.5) is Branch.RAG_REPAIR
 
 
 def test_select_branch_contract_violations():
-    with pytest.raises(ValueError):
-        select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, None, 0.5)
-    with pytest.raises(ValueError):
-        select_branch(CompileStatus.SUCCESS, TestResult.PASS, 0.9, 0.5)
+    assert select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, None, 0.5) is Branch.SELF_ANALYSIS
     with pytest.raises(ValueError):
         select_branch(CompileStatus.SUCCESS, TestResult.NOT_RUN, None, 0.5)
 
@@ -158,7 +154,7 @@ def test_threshold_sweep_monotone_gating():
         routed = sum(
             1
             for s in scores
-            if select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, s, tau) is NextAction.RAG_REPAIR
+            if select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, s, tau) is Branch.RAG_REPAIR
         )
         counts.append(routed)
     assert counts == sorted(counts, reverse=True)
@@ -302,6 +298,17 @@ def test_self_analysis_when_no_repo_or_low_score():
     assert unit.candidates[1].guidance == "the analysis"
     assert len(llm.prompts) == 2
     assert "the analysis" in llm.prompts[1]
+
+
+@pytest.mark.parametrize("repo", [None, Repository()], ids=["no-repo", "empty-repo"])
+def test_threshold_zero_without_retrieved_cases_takes_self_analysis(repo):
+    unit = unit_with("c0")
+    compiler = TableCompiler({"c0": (False, "error: gamma"), "c1": (False, "error: delta"), "c2": (True, "")})
+    llm = ScriptedLLM(["first analysis", "```\nc1\n```", "second analysis", "```\nc2\n```"])
+    deps = EngineDeps(llm=llm, compiler=compiler, runner=PassRunner(unit.test_suite), repo=repo)
+    run_repair_loop(unit, RepairConfig(threshold=0.0, max_iterations=5), deps)
+    assert unit.status is UnitStatus.ACCEPTED
+    assert [rec.branch for rec in unit.candidates] == [Branch.INITIAL, Branch.SELF_ANALYSIS, Branch.SELF_ANALYSIS]
 
 
 def test_test_failures_route_to_test_repair_with_discrepancies_in_prompt():
