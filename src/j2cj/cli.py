@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from pathlib import Path
 
 from . import ast_summary, corpus, metrics
@@ -74,11 +76,13 @@ def cmd_build_corpus(args) -> int:
         if directory is not None and not Path(directory).is_dir():
             return _fail(f"{name} directory does not exist: {directory}")
     llm = build_llm(config)
-    stats = corpus.build_corpus(
-        chapters, snippets, pairs, out_dir, llm,
-        decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
-    )
-    save_recording(llm, config)
+    try:
+        stats = corpus.build_corpus(
+            chapters, snippets, pairs, out_dir, llm,
+            decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
+        )
+    finally:
+        save_recording(llm, config)
     for key in sorted(stats):
         if key != "errors":
             print(f"{key}: {stats[key]}")
@@ -160,80 +164,64 @@ def cmd_translate(args) -> int:
     java_files = sorted(Path(benchmark).glob("*.java"))
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
-
-    results: dict[str, TranslationUnit] = {}
-    references: dict[str, str] = {}
-    errors: dict[str, str] = {}
-
-    def work(java_file):
-        try:
-            return java_file.stem, _run_unit(java_file, deps, config), None
-        except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
-            return java_file.stem, None, f"{type(exc).__name__}: {exc}"
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            outcomes = list(pool.map(work, java_files))
-    else:
-        outcomes = [work(java_file) for java_file in java_files]
-
-    for unit_id, result, error in outcomes:
-        if error is not None:
-            errors[unit_id] = error
-        else:
-            results[unit_id], references[unit_id] = result
-    save_recording(deps.llm, config)
-
     if traces_dir is not None:
         Path(traces_dir).mkdir(parents=True, exist_ok=True)
-        for unit_id in sorted(results):
-            write_trace(results[unit_id], Path(traces_dir) / f"{unit_id}.trace.json", redact=args.redact)
+
+    def work(java_file):
+        """Finish one unit: write its trace; return its id, status or error, outcome record and harvest."""
+        unit_id = java_file.stem
+        try:
+            unit, reference = _run_unit(java_file, deps, config)
+        except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
+            return unit_id, f"error: {type(exc).__name__}: {exc}", None, []
+        if traces_dir is not None:
+            write_trace(unit, Path(traces_dir) / f"{unit_id}.trace.json", redact=args.redact)
+        final = unit.candidates[-1]
+        accepted = unit.status is UnitStatus.ACCEPTED
+        record = {
+            "unit_id": unit_id,
+            "status": unit.status.value,
+            "compiled": final.compile_status is CompileStatus.SUCCESS,
+            "all_tests_passed": accepted,
+            "candidate": final.candidate,
+            "reference": reference,
+        }
+        return unit_id, unit.status.value, record, harvest_cases(unit) if args.harvest and accepted else []
+
+    try:
+        if config.jobs > 1:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                finished = list(pool.map(work, java_files))
+        else:
+            finished = [work(java_file) for java_file in java_files]
+    finally:
+        save_recording(deps.llm, config)
+    # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
+    finished.sort(key=lambda result: result[0])
 
     if reports_dir is not None:
         Path(reports_dir).mkdir(parents=True, exist_ok=True)
-        records = []
-        for unit_id in sorted(results):
-            unit = results[unit_id]
-            final = unit.candidates[-1]
-            records.append(
-                {
-                    "unit_id": unit_id,
-                    "status": unit.status.value,
-                    "compiled": final.compile_status is CompileStatus.SUCCESS,
-                    "all_tests_passed": unit.status is UnitStatus.ACCEPTED,
-                    "candidate": final.candidate,
-                    "reference": references[unit_id],
-                }
-            )
-        write_jsonl(Path(reports_dir) / "outcomes.jsonl", records)
+        write_jsonl(Path(reports_dir) / "outcomes.jsonl", (record for _, _, record, _ in finished if record))
 
     if args.harvest:
         repo = deps.repo if deps.repo is not None else Repository()
-        harvested = 0
-        for unit_id in sorted(results):
-            unit = results[unit_id]
-            if unit.status is UnitStatus.ACCEPTED:
-                for case in harvest_cases(unit):
-                    try:
-                        repo.add_case(case)
-                        harvested += 1
-                    except DuplicateCaseError:
-                        pass
+        before = len(repo)
+        for _, _, _, cases in finished:
+            for case in cases:
+                with suppress(DuplicateCaseError):
+                    repo.add_case(case)
         repo.save(repo_path)
-        print(f"harvested {harvested} repair case(s) into {repo_path}")
+        print(f"harvested {len(repo) - before} repair case(s) into {repo_path}")
 
-    counts = {status.value: 0 for status in UnitStatus if status is not UnitStatus.PENDING}
-    for unit in results.values():
-        counts[unit.status.value] += 1
-    for unit_id in sorted(results):
-        print(f"{unit_id}: {results[unit_id].status.value}")
-    for unit_id in sorted(errors):
-        print(f"{unit_id}: error: {errors[unit_id]}", file=sys.stderr)
+    counts = Counter()
+    for unit_id, status, record, _ in finished:
+        print(f"{unit_id}: {status}", file=sys.stdout if record else sys.stderr)
+        counts[status if record else "errored"] += 1
     print(
         f"accepted={counts['accepted']} stagnated={counts['stagnated']} "
-        f"budget_exhausted={counts['budget_exhausted']} errored={len(errors)}"
+        f"budget_exhausted={counts['budget_exhausted']} errored={counts['errored']}"
     )
-    return EXIT_PARTIAL if errors else EXIT_OK
+    return EXIT_PARTIAL if counts["errored"] else EXIT_OK
 
 
 def _repair_overrides(args) -> dict:
@@ -268,6 +256,8 @@ def cmd_repair(args) -> int:
     except (ToolchainError, RepairEngineError, CompletionError) as exc:
         print(f"{unit.unit_id}: error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
+    finally:
+        save_recording(deps.llm, config)
     if args.out:
         write_trace(unit, args.out, redact=args.redact)
     print(f"{unit.unit_id}: {unit.status.value}")

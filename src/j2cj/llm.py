@@ -276,7 +276,7 @@ class Transcript:
     """Exact-match replay store keyed by prompt digest.
 
     Files carry full prompts next to their digests for auditability, but
-    lookups only ever use the digest.
+    lookups only ever use the digest, so ``load`` keeps only the replies.
     """
 
     entries: dict[str, str] = field(default_factory=dict)
@@ -303,11 +303,12 @@ class Transcript:
     @classmethod
     def load(cls, path) -> "Transcript":
         transcript = cls()
-        for digest, reply, prompt in read_jsonl(
-            path, lambda r: string_fields({"prompt": "", **r}, "digest", "reply", "prompt")
-        ):
+
+        def keep_reply(record: dict) -> None:
+            digest, reply, _ = string_fields({"prompt": "", **record}, "digest", "reply", "prompt")
             transcript.entries[digest] = reply
-            transcript.prompts[digest] = prompt
+
+        read_jsonl(path, keep_reply)
         return transcript
 
     @classmethod

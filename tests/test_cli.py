@@ -2,6 +2,7 @@
 
 import json
 import re
+import types
 
 import pytest
 import yaml
@@ -143,6 +144,17 @@ def test_translate_parallel_jobs_match_serial_output(pipeline):
     main(["translate", "--config", str(config_path), "--jobs", "4"])
     assert (tmp_path / "traces" / "unit1.trace.json").read_bytes() == serial_trace
     assert (tmp_path / "reports" / "outcomes.jsonl").read_bytes() == serial_outcomes
+
+
+def test_translate_orders_units_by_stem_not_path(pipeline, capsys):
+    tmp_path, config_path = pipeline
+    for stem in ("a", "a-b"):  # path order puts "a-b.java" before "a.java"
+        for suffix in (".java", ".tests.json", ".ref.cj"):
+            (tmp_path / "bench" / f"{stem}{suffix}").write_bytes((tmp_path / "bench" / f"unit1{suffix}").read_bytes())
+    assert main(["translate", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == ["a: accepted", "a-b: accepted", "unit1: accepted"]
+    outcomes = (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["unit_id"] for line in outcomes] == ["a", "a-b", "unit1"]
 
 
 def test_translate_redact_hides_prompt_bodies(pipeline):
@@ -368,6 +380,65 @@ def test_repair_command_runs_loop_on_existing_candidate(pipeline, capsys, tmp_pa
     assert code == 0
     assert "accepted" in out
     assert C1 in out
+
+
+class _ScriptedSession:
+    """An HTTP session that answers with ``replies`` in order, then refuses with 401."""
+
+    def __init__(self, replies):
+        self.replies = list(replies)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if not self.replies:
+            return types.SimpleNamespace(status_code=401, text="denied")
+        payload = {"choices": [{"message": {"content": self.replies.pop(0)}}]}
+        return types.SimpleNamespace(status_code=200, text="", json=lambda: payload)
+
+
+def _record_over_http(config_path, monkeypatch, replies):
+    """Switch the config to a recording http model that answers with ``replies``; return the recording's path."""
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    record = config_path.parent / "rec.jsonl"
+    raw["llm"] = {"mode": "http", "endpoint": "http://localhost:9/v1", "model": "m", "record": str(record)}
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    monkeypatch.setattr("requests.Session", lambda: _ScriptedSession(replies))
+    return record
+
+
+@pytest.mark.parametrize("answered,code", [(2, 0), (1, 2)], ids=["accepted", "completion-error"])
+def test_repair_saves_its_recording(pipeline, monkeypatch, capsys, tmp_path, answered, code):
+    _, config_path = pipeline
+    replies = [GUIDANCE, f"```\n{C1}\n```"][:answered]
+    record = _record_over_http(config_path, monkeypatch, replies)
+    (tmp_path / "cand.cj").write_text(C0, encoding="utf-8")
+    argv = ["repair", "--config", str(config_path), "--java", str(tmp_path / "bench" / "unit1.java"),
+            "--candidate", str(tmp_path / "cand.cj"), "--tests", str(tmp_path / "bench" / "unit1.tests.json")]
+    assert main(argv) == code
+    assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
+
+
+def test_translate_keeps_its_recording_when_a_trace_write_fails(pipeline, monkeypatch, capsys):
+    tmp_path, config_path = pipeline
+    replies = [f"```\n{C0}\n```", GUIDANCE, f"```\n{C1}\n```"]
+    record = _record_over_http(config_path, monkeypatch, replies)
+    (tmp_path / "traces" / "unit1.trace.json").mkdir(parents=True)
+    assert main(["translate", "--config", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
+
+
+def test_translate_keeps_its_recording_when_interrupted(pipeline, monkeypatch):
+    _, config_path = pipeline
+    replies = [f"```\n{C0}\n```"]
+    record = _record_over_http(config_path, monkeypatch, replies)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("j2cj.cli.run_repair_loop", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["translate", "--config", str(config_path)])
+    assert list(Transcript.load(record).entries.values()) == replies
 
 
 def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):

@@ -137,9 +137,10 @@ def test_transcript_file_round_trip(tmp_path):
     transcript.save(path)
     loaded = Transcript.load(path)
     assert loaded.entries == transcript.entries
-    assert loaded.prompts == transcript.prompts
     lines = path.read_text(encoding="utf-8").splitlines()
     assert all(set(json.loads(line)) == {"digest", "prompt", "reply"} for line in lines)
+    assert {json.loads(line)["prompt"] for line in lines} == {"p1", "p2"}
+    assert loaded.prompts == {}
 
 
 class _FakeResponse:

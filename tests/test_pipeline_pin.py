@@ -11,14 +11,17 @@ through it. A change that moves outputs on purpose updates the value in
 the same commit and says why.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from j2cj import cli
 from j2cj.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -66,3 +69,26 @@ def test_pipeline_outputs_are_pinned(workload, jobs, tmp_path, monkeypatch):
         make_synthetic.generate(workload, seed, out, small=True)
         digest.update(f"{seed} {_run_plan(out, monkeypatch, jobs)}\n".encode("utf-8"))
     assert digest.hexdigest() == PIPELINE_DIGESTS[workload]
+
+
+def test_translate_keeps_no_finished_unit(tmp_path, monkeypatch):
+    """Each unit is finished where it runs, so none is alive when the run saves its recording."""
+    units, alive = [], []
+    run_repair_loop, save_recording = cli.run_repair_loop, cli.save_recording
+
+    def run_and_watch(*args):
+        unit = run_repair_loop(*args)
+        units.append(weakref.ref(unit))
+        return unit
+
+    def count_and_save(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in units))
+        save_recording(*args)
+
+    monkeypatch.setattr(cli, "run_repair_loop", run_and_watch)
+    monkeypatch.setattr(cli, "save_recording", count_and_save)
+    make_synthetic.generate("translate-mix", 3, tmp_path, small=True)
+    _run_plan(tmp_path, monkeypatch)
+    assert len(units) == 14
+    assert alive == [0]
