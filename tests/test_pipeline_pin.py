@@ -1,6 +1,6 @@
-"""The whole pipeline's outputs, pinned.
+"""The whole pipeline on the benchmark generator's inputs.
 
-Every workload of the benchmark generator runs at small size on seeds 1-10
+Its outputs are pinned: every workload runs at small size on seeds 1-10
 through ``j2cj.cli.main``, in this process. One sha256 per workload, over
 the per-seed output digests of ``bench/worker.py`` (traces, outcomes,
 report, datasets and the saved repository), must equal the value recorded
