@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .javaparse import SyntaxNode, parse
-from .jsonl import atomic_write, read_text
+from .javaparse import SyntaxNode
+from .jsonl import read_text
 
 # Control-flow and semantic node kinds kept in summaries by default.
 # class_body is included so type skeletons survive for declaration-only
@@ -91,13 +91,6 @@ def default_vocab(categories: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> S
     return StructuralTokenVocab({c: f"<STRUCT:{c.upper()}>" for c in sorted(categories)})
 
 
-def save_vocab(vocab: StructuralTokenVocab, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write(f"# vocab-version: {vocab.version}\n")
-        for category, token in sorted(vocab.mapping.items()):
-            fh.write(f"{category}\t{token}\n")
-
-
 def load_vocab(path) -> StructuralTokenVocab:
     mapping: dict[str, str] = {}
     version = "v1"
@@ -137,13 +130,6 @@ def summarize(
     return StructuralSummary(tuple(categories))
 
 
-def summarize_source(
-    source: str,
-    retained: frozenset[str] | set[str] = DEFAULT_RETAINED_CATEGORIES,
-) -> StructuralSummary:
-    return summarize(parse(source), retained)
-
-
 def tokenize_structure(summary: StructuralSummary, vocab: StructuralTokenVocab) -> list[str]:
     """One structural token per summary category, unknown kinds -> OTHER."""
     return [vocab.token_for(category) for category in summary.categories]
@@ -174,21 +160,3 @@ def render_structured_prompt(tokens: list[str], source: str, instruction: str) -
         f"{STRUCT_OPEN}\n{struct_body}\n{STRUCT_CLOSE}\n"
         f"{CODE_OPEN}\n{source}\n{CODE_CLOSE}\n"
     )
-
-
-def extract_blocks(prompt: str) -> tuple[list[str], str]:
-    """Recover (tokens, source) from a rendered prompt."""
-
-    def _between(text: str, open_marker: str, close_marker: str) -> str:
-        try:
-            start = text.index(open_marker) + len(open_marker)
-            end = text.index(close_marker, start)
-        except ValueError:
-            raise ValueError(f"prompt lacks {open_marker}/{close_marker} block") from None
-        return text[start:end]
-
-    struct_body = _between(prompt, STRUCT_OPEN, STRUCT_CLOSE).strip("\n")
-    code_body = _between(prompt, CODE_OPEN, CODE_CLOSE)
-    code = code_body[1:-1] if code_body.startswith("\n") and code_body.endswith("\n") else code_body
-    tokens = struct_body.split() if struct_body else []
-    return tokens, code

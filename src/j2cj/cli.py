@@ -78,8 +78,7 @@ def cmd_build_corpus(args) -> int:
     llm = build_llm(config)
     try:
         stats = corpus.build_corpus(
-            chapters, snippets, pairs, out_dir, llm,
-            decoding=config.decoding, allowlist=config.allowlist, retained=config.retained_categories,
+            chapters, snippets, pairs, out_dir, llm, allowlist=config.allowlist, retained=config.retained_categories
         )
     finally:
         save_recording(llm, config)
@@ -134,7 +133,7 @@ def _build_deps(config: PipelineConfig) -> EngineDeps:
     llm, compiler, runner = build_llm(config), build_compiler(config), build_runner(config)
     repo_path = config.path("repository")
     repo = Repository.load(repo_path) if repo_path is not None and repo_path.exists() else None
-    return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo, decoding=config.decoding)
+    return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo)
 
 
 def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
@@ -144,7 +143,7 @@ def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
     java = read_text(java_file)
     tests = _load_tests(tests_file) if tests_file.exists() else []
     reference = read_text(ref_file) if ref_file.exists() else ""
-    record = translate(java, deps.llm, retained=config.retained_categories, decoding=deps.decoding)
+    record = translate(java, deps.llm, retained=config.retained_categories)
     unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[record], unit_id=java_file.stem)
     return run_repair_loop(unit, config.repair, deps), reference
 

@@ -37,7 +37,14 @@ _INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, boo
 _NUMBER = ("a number", _number)
 _STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)))
-_TOOL = {"mode": _STRING, "script": _STRING, "command": _STRINGS, "timeout": _NUMBER}
+
+
+def _choice(*names: str) -> tuple:
+    """The kind of a setting that is one of ``names``."""
+    return (" or ".join(map(repr, names)), lambda v: v in names)
+
+
+_TOOL = {"mode": _choice("mock", "command"), "script": _STRING, "command": _STRINGS, "timeout": _NUMBER}
 
 # Every setting, by section ("" is the top level, whose keys are also the
 # other sections), and its kind. A setting left out takes the default of
@@ -47,7 +54,10 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
     "paths": dict.fromkeys(
         ("datasets", "chapters", "snippets", "pairs", "repository", "benchmark", "reports", "traces"), _STRING
     ),
-    "llm": dict.fromkeys(("mode", "transcript", "endpoint", "model", "api_key_env", "record"), _STRING),
+    "llm": {
+        "mode": _choice("mock", "http"),
+        **dict.fromkeys(("transcript", "endpoint", "model", "api_key_env", "record"), _STRING),
+    },
     "decoding": {"temperature": _NUMBER, "top_p": _NUMBER, "max_tokens": _INTEGER},
     "compiler": _TOOL,
     "runner": _TOOL,
@@ -148,26 +158,23 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
 
 def build_llm(config: PipelineConfig):
     settings = config.llm
-    mode = settings.get("mode", "mock")
-    if mode == "mock":
+    if settings.get("mode", "mock") == "mock":
         transcript_path = settings.get("transcript")
         if not transcript_path:
             raise ConfigError("llm.transcript is required in mock mode")
         return MockBackend(Transcript.load(transcript_path))
-    if mode == "http":
-        endpoint = settings.get("endpoint")
-        model = settings.get("model")
-        if not endpoint or not model:
-            raise ConfigError("llm.endpoint and llm.model are required in http mode")
-        api_key = None
-        key_env = settings.get("api_key_env")
-        if key_env:
-            api_key = os.environ.get(key_env)
-        recorder = None
-        if settings.get("record"):
-            recorder = Transcript()
-        return HttpBackend(endpoint, model, api_key=api_key, recorder=recorder)
-    raise ConfigError(f"unknown llm mode {mode!r}")
+    endpoint = settings.get("endpoint")
+    model = settings.get("model")
+    if not endpoint or not model:
+        raise ConfigError("llm.endpoint and llm.model are required in http mode")
+    api_key = None
+    key_env = settings.get("api_key_env")
+    if key_env:
+        api_key = os.environ.get(key_env)
+    recorder = None
+    if settings.get("record"):
+        recorder = Transcript()
+    return HttpBackend(endpoint, model, api_key=api_key, recorder=recorder, decoding=config.decoding)
 
 
 def save_recording(llm, config: PipelineConfig) -> None:
@@ -180,8 +187,7 @@ def save_recording(llm, config: PipelineConfig) -> None:
 
 def build_compiler(config: PipelineConfig):
     settings = config.compiler
-    mode = settings.get("mode", "command")
-    if mode == "mock":
+    if settings.get("mode", "command") == "mock":
         script = settings.get("script")
         if not script:
             raise ConfigError("compiler.script is required in mock mode")
@@ -194,8 +200,7 @@ def build_compiler(config: PipelineConfig):
 
 def build_runner(config: PipelineConfig):
     settings = config.runner
-    mode = settings.get("mode", "command")
-    if mode == "mock":
+    if settings.get("mode", "command") == "mock":
         script = settings.get("script")
         if not script:
             raise ConfigError("runner.script is required in mock mode")

@@ -29,10 +29,9 @@ from .llm import (
     MONOLINGUAL_INSTRUCTION,
     SEMANTIC_ANNOTATION_TEMPLATE,
     TRANSLATE_INSTRUCTION,
-    DecodingConfig,
     extract_code_block,
 )
-from .jsonl import atomic_write, read_jsonl, read_text, string_fields, write_jsonl
+from .jsonl import atomic_write, read_text, string_fields, write_jsonl
 
 CPT_BOUNDARY = "<<<PARA>>>"
 
@@ -132,7 +131,7 @@ class ReconstructionResult:
     problems: list[str] = field(default_factory=list)
 
 
-def reconstruct_chapter(chapter: str, llm, decoding: DecodingConfig = DecodingConfig()) -> ReconstructionResult:
+def reconstruct_chapter(chapter: str, llm) -> ReconstructionResult:
     """Turn one documentation chapter into validated syntax entries.
 
     Malformed entries in the reply are dropped and counted; a reply with no
@@ -141,7 +140,7 @@ def reconstruct_chapter(chapter: str, llm, decoding: DecodingConfig = DecodingCo
     if not chapter.strip():
         raise ValueError("chapter must be non-empty")
     prompt = DOC_RECONSTRUCTION_TEMPLATE.render({"chapter": chapter})
-    reply = llm.complete(prompt, decoding)
+    reply = llm.complete(prompt)
     payload = extract_code_block(reply)
     try:
         items = json.loads(payload)
@@ -208,9 +207,10 @@ class FilterOutcome:
         return counts
 
 
-def _balanced(code: str) -> bool:
+def _balanced(stripped: str) -> bool:
+    """Whether the brackets of code with comments and strings blanked out nest."""
     stack: list[str] = []
-    for ch in _CJ_STRING_RE.sub(" ", _CJ_COMMENT_RE.sub(" ", code)):
+    for ch in stripped:
         if ch in "([{":
             stack.append(ch)
         elif ch in ")]}":
@@ -233,7 +233,7 @@ def filter_snippets(
             outcome.rejected.append(RejectedSnippet(code, REASON_TOO_SHORT))
             continue
         stripped = _CJ_STRING_RE.sub(" ", _CJ_COMMENT_RE.sub(" ", code))
-        if not _balanced(code) or _EXTEND_RE.search(stripped) or not _DECLARATION_RE.search(stripped):
+        if not _balanced(stripped) or _EXTEND_RE.search(stripped) or not _DECLARATION_RE.search(stripped):
             outcome.rejected.append(RejectedSnippet(code, REASON_INCOMPLETE))
             continue
         imports = _IMPORT_RE.findall(stripped)
@@ -266,12 +266,12 @@ def one_sentence(text: str) -> str:
     return text
 
 
-def annotate_snippet(code: str, llm, decoding: DecodingConfig = DecodingConfig()) -> str:
+def annotate_snippet(code: str, llm) -> str:
     """One-sentence functional description of a retained snippet."""
     if not code.strip():
         raise ValueError("code must be non-empty")
     prompt = SEMANTIC_ANNOTATION_TEMPLATE.render({"code": code})
-    reply = llm.complete(prompt, decoding).strip()
+    reply = llm.complete(prompt).strip()
     if not reply:
         raise AnnotationError("annotation reply is empty")
     return one_sentence(reply)
@@ -307,16 +307,8 @@ def write_cpt_dataset(records: list[str], path) -> None:
     write_jsonl(path, [{"text": r} for r in records])
 
 
-def read_cpt_dataset(path) -> list[str]:
-    return read_jsonl(path, lambda r: r["text"])
-
-
 def write_syntax_entries(entries: list[SyntaxEntry], path) -> None:
     write_jsonl(path, [e.to_record() for e in entries])
-
-
-def read_syntax_entries(path) -> list[SyntaxEntry]:
-    return read_jsonl(path, SyntaxEntry.from_record)
 
 
 def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
@@ -324,10 +316,6 @@ def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
         path,
         [{"instruction": s.instruction, "input": s.input, "output": s.output} for s in samples],
     )
-
-
-def read_monolingual_dataset(path) -> list[MonolingualSample]:
-    return read_jsonl(path, lambda r: MonolingualSample(r["instruction"], r["input"], r["output"]))
 
 
 def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
@@ -345,12 +333,6 @@ def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
     )
 
 
-def read_parallel_dataset(path) -> list[ParallelSample]:
-    return read_jsonl(path, lambda r: ParallelSample(
-        r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
-    ))
-
-
 # --- directory-level orchestration ------------------------------------------------
 
 def build_corpus(
@@ -359,7 +341,6 @@ def build_corpus(
     pairs_dir: str | Path | None,
     out_dir: str | Path,
     llm,
-    decoding: DecodingConfig = DecodingConfig(),
     allowlist: tuple[str, ...] = DEFAULT_IMPORT_ALLOWLIST,
     retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
 ) -> dict:
@@ -382,8 +363,8 @@ def build_corpus(
         dropped = 0
         for chapter_file in chapter_files:
             try:
-                result = reconstruct_chapter(chapter_file.read_text(encoding="utf-8"), llm, decoding)
-            except (ReconstructionError, ValueError, RuntimeError) as exc:
+                result = reconstruct_chapter(read_text(chapter_file), llm)
+            except (ValueError, RuntimeError) as exc:
                 stats["errors"].append(f"{chapter_file.name}: {exc}".splitlines()[0])
                 continue
             dropped += result.dropped
@@ -404,15 +385,15 @@ def build_corpus(
         snippets = []
         for snippet_file in sorted(Path(snippets_dir).glob("*.cj")):
             try:
-                snippets.append(snippet_file.read_text(encoding="utf-8"))
-            except UnicodeDecodeError as exc:
+                snippets.append(read_text(snippet_file))
+            except ValueError as exc:
                 stats["errors"].append(f"{snippet_file.name}: {exc}")
         outcome = filter_snippets(snippets, allowlist)
         samples = []
         for code in outcome.retained:
             try:
-                samples.append(build_monolingual_sample(code, annotate_snippet(code, llm, decoding)))
-            except (AnnotationError, ValueError, RuntimeError) as exc:
+                samples.append(build_monolingual_sample(code, annotate_snippet(code, llm)))
+            except (ValueError, RuntimeError) as exc:
                 stats["errors"].append(f"snippet annotation: {exc}")
         write_monolingual_dataset(samples, out_dir / "monolingual.jsonl")
         stats["snippets_seen"] = len(snippets)

@@ -879,7 +879,3 @@ def parse(source: str) -> SyntaxNode:
 def tree_has_errors(root: SyntaxNode) -> bool:
     """True when the tree contains at least one ERROR node."""
     return any(node.category == "ERROR" for node in root.walk())
-
-
-def count_internal_nodes(root: SyntaxNode) -> int:
-    return sum(1 for node in root.walk() if not node.is_terminal)

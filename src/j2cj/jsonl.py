@@ -3,9 +3,9 @@
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
 ``write_jsonl``, so all of them report malformed input the same way
-(``path:line: reason``). Those files, traces, corpus statistics and
-vocabularies are all written through ``atomic_write``, so each is replaced
-whole, never left half-written.
+(``path:line: reason``). Those files, traces and corpus statistics are all
+written through ``atomic_write``, so each is replaced whole, never left
+half-written.
 """
 
 from __future__ import annotations

@@ -110,7 +110,7 @@ class PromptTemplate:
         return self.body.format_map(slots)
 
 
-# --- template registry ----------------------------------------------------
+# --- templates ------------------------------------------------------------
 
 TRANSLATE_INSTRUCTION = (
     "Translate the following Java program into Cangjie. Follow the structural "
@@ -251,19 +251,6 @@ RAG_REPAIR_TEMPLATE = PromptTemplate(
     required_slots=frozenset({"errors", "cases", "candidate"}),
 )
 
-TEMPLATE_REGISTRY: dict[str, PromptTemplate] = {
-    t.name: t
-    for t in (
-        DOC_RECONSTRUCTION_TEMPLATE,
-        SEMANTIC_ANNOTATION_TEMPLATE,
-        REPAIR_GUIDANCE_COMPILE_TEMPLATE,
-        REPAIR_APPLY_COMPILE_TEMPLATE,
-        REPAIR_GUIDANCE_TEST_TEMPLATE,
-        REPAIR_APPLY_TEST_TEMPLATE,
-        RAG_REPAIR_TEMPLATE,
-    )
-}
-
 
 # --- transcripts and backends ----------------------------------------------
 
@@ -311,13 +298,6 @@ class Transcript:
         read_jsonl(path, keep_reply)
         return transcript
 
-    @classmethod
-    def record(cls, pairs: list[tuple[str, str]]) -> "Transcript":
-        t = cls()
-        for prompt, reply in pairs:
-            t.add(prompt, reply)
-        return t
-
 
 class MockBackend:
     """Deterministic completion backend replaying a transcript."""
@@ -325,7 +305,7 @@ class MockBackend:
     def __init__(self, transcript: Transcript):
         self.transcript = transcript
 
-    def complete(self, prompt: str, cfg: DecodingConfig = DecodingConfig()) -> str:
+    def complete(self, prompt: str) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         return self.transcript.lookup(prompt)
@@ -344,9 +324,10 @@ class HttpBackend:
     Retries transport errors, 429 and 5xx responses with exponential
     backoff; a 429 whose ``Retry-After`` is a whole number of seconds waits
     that long instead, at most ``HTTP_TIMEOUT_S``. Other 4xx responses fail
-    immediately. An optional recorder transcript captures
-    (prompt, reply) pairs for later replay. ``requests`` is imported only
-    here, so the replay backend never pays for it.
+    immediately. Every request carries the backend's decoding settings. An
+    optional recorder transcript captures (prompt, reply) pairs for later
+    replay. ``requests`` is imported only here, so the replay backend never
+    pays for it.
     """
 
     def __init__(
@@ -356,10 +337,12 @@ class HttpBackend:
         api_key: str | None = None,
         recorder: Transcript | None = None,
         session: requests.Session | None = None,
+        decoding: DecodingConfig = DecodingConfig(),
     ):
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
+        self.decoding = decoding
         self.recorder = recorder
         if session is None:
             import requests
@@ -368,21 +351,21 @@ class HttpBackend:
         self.session = session
         self._slots = threading.BoundedSemaphore(HTTP_MAX_CONCURRENCY)
 
-    def complete(self, prompt: str, cfg: DecodingConfig = DecodingConfig()) -> str:
+    def complete(self, prompt: str) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         with self._slots:
-            return self._complete_locked(prompt, cfg)
+            return self._complete_locked(prompt)
 
-    def _complete_locked(self, prompt: str, cfg: DecodingConfig) -> str:
+    def _complete_locked(self, prompt: str) -> str:
         import requests
 
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": cfg.temperature,
-            "top_p": cfg.top_p,
-            "max_tokens": cfg.max_tokens,
+            "temperature": self.decoding.temperature,
+            "top_p": self.decoding.top_p,
+            "max_tokens": self.decoding.max_tokens,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:

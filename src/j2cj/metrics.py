@@ -85,13 +85,6 @@ def cfe(n_cf: int, n_compiled: int) -> Fraction:
     return Fraction(n_cf, n_compiled)
 
 
-def fe(outcomes: list[UnitOutcome]) -> Fraction:
-    """Fraction of units whose translation passed every test case."""
-    if not outcomes:
-        raise ValueError("outcomes must be non-empty")
-    return Fraction(sum(1 for o in outcomes if o.all_tests_passed), len(outcomes))
-
-
 # --- BLEU ---------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -31,7 +31,6 @@ from .llm import (
     REPAIR_GUIDANCE_COMPILE_TEMPLATE,
     REPAIR_GUIDANCE_TEST_TEMPLATE,
     TRANSLATE_INSTRUCTION,
-    DecodingConfig,
     extract_code_block,
     prompt_digest,
 )
@@ -133,7 +132,6 @@ class EngineDeps:
     compiler: object
     runner: object
     repo: Repository | None = None
-    decoding: DecodingConfig = DecodingConfig()
 
 
 # --- normalization ----------------------------------------------------------
@@ -173,9 +171,9 @@ def _record_signature(rec: IterationRecord) -> str:
 
 # --- operations --------------------------------------------------------------
 
-def _code_reply(prompt: str, llm, decoding: DecodingConfig, what: str) -> tuple[str, dict]:
+def _code_reply(prompt: str, llm, what: str) -> tuple[str, dict]:
     """The code in ``llm``'s reply to ``prompt``, and the exchange; no code raises EmptyCodeError."""
-    reply = llm.complete(prompt, decoding)
+    reply = llm.complete(prompt)
     code = extract_code_block(reply).strip()
     if not code:
         raise EmptyCodeError(f"{what} yielded no code")
@@ -186,7 +184,6 @@ def translate(
     java_source: str,
     llm,
     retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
-    decoding: DecodingConfig = DecodingConfig(),
 ) -> IterationRecord:
     """Produce the initial candidate via the structure-conditioned prompt."""
     tree = parse(java_source)
@@ -194,7 +191,7 @@ def translate(
         raise ValueError("java source does not parse cleanly")
     tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
     prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
-    candidate, exchange = _code_reply(prompt, llm, decoding, "translation completion")
+    candidate, exchange = _code_reply(prompt, llm, "translation completion")
     return IterationRecord(
         k=0,
         candidate=candidate,
@@ -260,7 +257,6 @@ def self_analysis_repair(
     candidate: str,
     errors_text: str,
     llm,
-    decoding: DecodingConfig = DecodingConfig(),
     branch: Branch = Branch.SELF_ANALYSIS,
 ) -> tuple[str, str, list[dict]]:
     """Two-step repair: generate guidance, then code conditioned on it.
@@ -273,9 +269,9 @@ def self_analysis_repair(
     guidance_template, apply_template, slot = _TWO_STEP[branch]
     slots = {"java": java_source, "candidate": candidate, slot: errors_text}
     guidance_prompt = guidance_template.render(slots)
-    guidance = llm.complete(guidance_prompt, decoding)
+    guidance = llm.complete(guidance_prompt)
     new_candidate, applied = _code_reply(
-        apply_template.render({**slots, "guidance": guidance}), llm, decoding, "self-analysis repair"
+        apply_template.render({**slots, "guidance": guidance}), llm, "self-analysis repair"
     )
     return guidance, new_candidate, [{"prompt": guidance_prompt, "reply": guidance}, applied]
 
@@ -285,7 +281,6 @@ def rag_repair(
     diagnostics: str,
     retrieved: list[tuple[RepairCase, SimilarityBreakdown]] | list[RepairCase],
     llm,
-    decoding: DecodingConfig = DecodingConfig(),
 ) -> tuple[str, list[dict]]:
     """Single-completion repair guided by retrieved cases, in rank order."""
     if not retrieved:
@@ -293,7 +288,7 @@ def rag_repair(
     prompt = RAG_REPAIR_TEMPLATE.render(
         {"errors": diagnostics, "cases": format_cases(retrieved), "candidate": candidate}
     )
-    new_candidate, exchange = _code_reply(prompt, llm, decoding, "rag repair")
+    new_candidate, exchange = _code_reply(prompt, llm, "rag repair")
     return new_candidate, [exchange]
 
 
@@ -365,11 +360,11 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
             return unit
         guidance = None
         if branch is Branch.RAG_REPAIR:
-            candidate, exchanges = rag_repair(rec.candidate, diagnostics, ranked, deps.llm, deps.decoding)
+            candidate, exchanges = rag_repair(rec.candidate, diagnostics, ranked, deps.llm)
         else:
             evidence = diagnostics if branch is Branch.SELF_ANALYSIS else format_failures(rec.failed_tests)
             guidance, candidate, exchanges = self_analysis_repair(
-                unit.java_source, rec.candidate, evidence, deps.llm, deps.decoding, branch
+                unit.java_source, rec.candidate, evidence, deps.llm, branch
             )
 
         unit.candidates.append(

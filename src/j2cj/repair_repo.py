@@ -15,15 +15,11 @@ import math
 import re
 from dataclasses import dataclass
 
-from .jsonl import JsonlError, read_jsonl, string_fields, write_jsonl
+from .jsonl import read_jsonl, string_fields, write_jsonl
 
 
 class DuplicateCaseError(ValueError):
     pass
-
-
-# A malformed repository file or case record: the JSONL reader's error.
-RepositoryFormatError = JsonlError
 
 
 @dataclass(frozen=True)
@@ -81,10 +77,6 @@ class ErrorQuery:
     def __post_init__(self):
         if not self.error_info.strip():
             raise ValueError("query error_info must be non-empty")
-
-
-def query_from_case(case: RepairCase) -> ErrorQuery:
-    return ErrorQuery(case.error_info, case.faulty_fragment, case.error_tags)
 
 
 @dataclass(frozen=True)
@@ -423,9 +415,6 @@ class Repository:
                 case.error_info, case.error_tags, case.faulty_fragment
             )
         return features
-
-    def get(self, case_id: str) -> RepairCase | None:
-        return self._cases.get(case_id)
 
     def cases(self) -> list[RepairCase]:
         return list(self._cases.values())

@@ -11,12 +11,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from scripted_suite import run_suite
+from support import query_from_case, transcript_of
 
 from j2cj.adapters import CompileOutcome, RunOutcome
-from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES, summarize, summarize_source
+from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES, summarize
 from j2cj.corpus import build_corpus
 from j2cj.javaparse import parse
-from j2cj.llm import DOC_RECONSTRUCTION_TEMPLATE, DecodingConfig, MockBackend, Transcript
+from j2cj.llm import DOC_RECONSTRUCTION_TEMPLATE, DecodingConfig, MockBackend
 from j2cj.metrics import bleu, cfe, csr, percent
 from j2cj.repair_engine import (
     Branch,
@@ -38,7 +39,6 @@ from j2cj.repair_repo import (
     RepairCase,
     Repository,
     SimilarityWeights,
-    query_from_case,
     retrieve,
     similarity,
 )
@@ -222,7 +222,7 @@ def test_criterion_5_ast_summaries():
 
         assert len(GOLDEN) >= 20
         for source, expected in GOLDEN:
-            assert list(summarize_source(source).categories) == expected, source
+            assert list(summarize(parse(source)).categories) == expected, source
         rng = random.Random(5)
         for _ in range(1000):
             source = gen_snippet(rng)
@@ -262,7 +262,7 @@ def test_criterion_7_dataset_determinism_and_capacity(tmp_path):
             }
             prompt = DOC_RECONSTRUCTION_TEMPLATE.render({"chapter": chapter})
             pairs.append((prompt, json.dumps([entry])))
-        transcript = Transcript.record(pairs)
+        transcript = transcript_of(pairs)
 
         out_a, out_b = tmp_path / "out_a", tmp_path / "out_b"
         stats = build_corpus(chapters_dir, None, None, out_a, MockBackend(transcript))

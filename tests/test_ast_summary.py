@@ -9,21 +9,20 @@ import random
 
 import pytest
 
+from support import extract_blocks
+
 from j2cj.ast_summary import (
     DEFAULT_RETAINED_CATEGORIES,
     MarkerCollisionError,
     StructuralTokenVocab,
     VocabError,
     default_vocab,
-    extract_blocks,
     load_vocab,
     render_structured_prompt,
-    save_vocab,
     summarize,
-    summarize_source,
     tokenize_structure,
 )
-from j2cj.javaparse import count_internal_nodes, parse
+from j2cj.javaparse import parse
 
 # (source, hand-traced DFS summary under the default retained set)
 GOLDEN = [
@@ -126,7 +125,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("source,expected", GOLDEN, ids=range(len(GOLDEN)))
 def test_golden_summaries(source, expected):
-    assert list(summarize_source(source).categories) == expected
+    assert list(summarize(parse(source)).categories) == expected
 
 
 def test_empty_retained_set_is_rejected():
@@ -194,13 +193,13 @@ def test_fuzz_no_terminal_categories_and_length_bound():
         summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES)
         terminal_categories = {n.category for n in tree.walk() if n.is_terminal}
         assert not terminal_categories & set(summary.categories)
-        assert len(summary) <= count_internal_nodes(tree)
+        assert len(summary) <= sum(1 for node in tree.walk() if not node.is_terminal)
 
 
 def test_declaration_sources_have_nonempty_summaries():
     rng = random.Random(7)
     for _ in range(100):
-        summary = summarize_source(gen_snippet(rng))
+        summary = summarize(parse(gen_snippet(rng)))
         assert len(summary) > 0
 
 
@@ -234,7 +233,8 @@ def test_non_injective_vocab_rejected():
 def test_vocab_round_trips_through_text_table(tmp_path):
     vocab = default_vocab()
     path = tmp_path / "vocab.tsv"
-    save_vocab(vocab, path)
+    table = "".join(f"{category}\t{token}\n" for category, token in sorted(vocab.mapping.items()))
+    path.write_text(f"# vocab-version: {vocab.version}\n{table}", encoding="utf-8")
     loaded = load_vocab(path)
     assert loaded.mapping == vocab.mapping
     assert loaded.version == vocab.version
@@ -272,7 +272,7 @@ def test_round_trip_over_random_sources():
     vocab = default_vocab()
     for _ in range(200):
         source = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 120)))
-        tokens = tokenize_structure(summarize_source("class A {}"), vocab)
+        tokens = tokenize_structure(summarize(parse("class A {}")), vocab)
         prompt = render_structured_prompt(tokens, source, "Translate this")
         assert extract_blocks(prompt) == (tokens, source)
 
@@ -282,7 +282,7 @@ def test_determinism_byte_identical_prompts():
     vocab = default_vocab()
 
     def build() -> str:
-        summary = summarize_source(source)
+        summary = summarize(parse(source))
         return render_structured_prompt(tokenize_structure(summary, vocab), source, "Translate")
 
     assert build() == build()

@@ -9,11 +9,14 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from support import transcript_of
+
 from j2cj.adapters import MockCompiler, MockRunner
-from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize_source, tokenize_structure
+from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
 from j2cj.cli import main
 from j2cj.config import _SETTINGS
-from j2cj.corpus import read_parallel_dataset
+from j2cj.javaparse import parse
+from j2cj.jsonl import read_jsonl
 from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
     REPAIR_APPLY_COMPILE_TEMPLATE,
@@ -31,7 +34,7 @@ GUIDANCE = "Flip the subtraction to an addition."
 
 
 def translation_prompt(java: str) -> str:
-    tokens = tokenize_structure(summarize_source(java), default_vocab())
+    tokens = tokenize_structure(summarize(parse(java)), default_vocab())
     return render_structured_prompt(tokens, java, TRANSLATE_INSTRUCTION)
 
 
@@ -309,7 +312,7 @@ def test_build_corpus_cli(tmp_path, capsys):
     }
     chapter_text = "# One"
     (chapters / "one.md").write_text(chapter_text, encoding="utf-8")
-    transcript = Transcript.record(
+    transcript = transcript_of(
         [(DOC_RECONSTRUCTION_TEMPLATE.render({"chapter": chapter_text}), json.dumps([entry]))]
     )
     transcript_path = tmp_path / "t.jsonl"
@@ -350,8 +353,8 @@ def test_build_corpus_structure_block_follows_retained_categories(tmp_path, caps
     assert tokens == ["<STRUCT:IF_STATEMENT>"]
     out_dir = tmp_path / "datasets"
     assert main(["build-corpus", "--config", str(config_path), "--pairs", str(pairs), "--out", str(out_dir)]) == 0
-    [sample] = read_parallel_dataset(out_dir / "parallel.jsonl")
-    assert list(sample.structure_block) == tokens
+    [sample] = read_jsonl(out_dir / "parallel.jsonl")
+    assert sample["structure_block"] == tokens
 
 
 def test_build_corpus_missing_dir_is_error(tmp_path):
@@ -606,6 +609,9 @@ _MALFORMED_SETUPS = {
         {"paths.repository": None}, {}, _TRANSLATE + ["--harvest"], "--harvest needs paths.repository",
     ),
     "config-transcript-an-int": ({"llm.transcript": 5}, {}, _TRANSLATE, "llm.transcript must be a string"),
+    "config-llm-mode-unknown": ({"llm.mode": "mokc"}, {}, _TRANSLATE, "llm.mode must be 'mock' or 'http'"),
+    "config-compiler-mode-unknown": ({"compiler.mode": "mokc"}, {}, _TRANSLATE, "compiler.mode must be 'mock' or 'command'"),
+    "config-runner-mode-unknown": ({"runner.mode": "mokc"}, {}, _TRANSLATE, "runner.mode must be 'mock' or 'command'"),
     "config-reports-a-list": ({"paths.reports": ["out"]}, {}, _TRANSLATE, "paths.reports must be a string"),
     "config-unknown-keys-of-mixed-types": (
         {}, {"config.yaml": "1: x\nb: y\nrepair: {2: z}"}, _TRANSLATE,
@@ -642,6 +648,8 @@ _WRONG = {
     "a number": [True, "1", None, [0.5]],
     "a list of strings": ["x", [1, None], [None], None, {"a": "b"}],
     "a list of numbers": ["123456", [1, None], [True] * 6, None, 5],
+    "'mock' or 'http'": [5, True, ["x"], None, "Mock"],
+    "'mock' or 'command'": [5, True, ["x"], None, "Mock"],
 }
 _COERCED = {"repair.max_iterations": [2.7], "repair.threshold": ["0.3"]}
 # Every setting given each wrong value of its kind, unless a case above gives it already.
@@ -723,8 +731,8 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_
     result = run_isolated(CLI_MAIN, *argv, timeout=60)
     assert result.returncode == 2, result.stderr
     assert result.stderr == "problem: A.java: java source does not parse cleanly\n"
-    [sample] = read_parallel_dataset(out_dir / "parallel.jsonl")
-    assert sample.java_source == JAVA
+    [sample] = read_jsonl(out_dir / "parallel.jsonl")
+    assert sample["java_source"] == JAVA
 
 
 @pytest.mark.parametrize("unit_id", ["../x", "a/b", "/abs/x"])
@@ -779,8 +787,12 @@ _NOT_UTF8 = {
     "build-corpus-snippet": (
         "snippets/bad.cj",
         ["build-corpus", "--config", "{config}", "--snippets", "{root}/snippets", "--out", "{root}/datasets"], 2,
-        "problem: bad.cj: 'utf-8' codec can't decode byte 0xc9 in position 6: invalid continuation byte",
-        "snippets_seen: 1",
+        "problem: bad.cj: {file}: not UTF-8: invalid continuation byte at byte 6", "snippets_seen: 1",
+    ),
+    "build-corpus-chapter": (
+        "chapters/bad.md",
+        ["build-corpus", "--config", "{config}", "--chapters", "{root}/chapters", "--out", "{root}/datasets"], 2,
+        "problem: bad.md: {file}: not UTF-8: invalid continuation byte at byte 6", "entries: 0",
     ),
 }
 
@@ -798,6 +810,7 @@ def test_file_that_is_not_utf8_gives_one_line_naming_it(pipeline, capsys, name):
     (root / "repo.jsonl").write_text("", encoding="utf-8")
     (root / "pairs").mkdir()
     (root / "pairs" / "A.java").write_text(JAVA, encoding="utf-8")
+    (root / "chapters").mkdir()
     file_name, argv, code, err, out_line = _NOT_UTF8[name]
     bad = root / file_name
     bad.write_bytes("class É {}\n".encode("latin-1"))

@@ -5,11 +5,14 @@ import json
 
 import pytest
 
-from j2cj.ast_summary import default_vocab, summarize_source, tokenize_structure
+from support import transcript_of
+
+from j2cj.ast_summary import default_vocab, summarize, tokenize_structure
 from j2cj.corpus import (
     CPT_BOUNDARY,
     AnnotationError,
     MonolingualSample,
+    ParallelSample,
     ReconstructionError,
     SyntaxEntry,
     annotate_snippet,
@@ -18,10 +21,6 @@ from j2cj.corpus import (
     build_parallel_sample,
     filter_snippets,
     one_sentence,
-    read_cpt_dataset,
-    read_monolingual_dataset,
-    read_parallel_dataset,
-    read_syntax_entries,
     reconstruct_chapter,
     serialize_cpt,
     write_cpt_dataset,
@@ -29,6 +28,8 @@ from j2cj.corpus import (
     write_parallel_dataset,
     write_syntax_entries,
 )
+from j2cj.javaparse import parse
+from j2cj.jsonl import read_jsonl
 from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
     SEMANTIC_ANNOTATION_TEMPLATE,
@@ -62,7 +63,7 @@ FIVE_LINE_SNIPPET = """func add(a: Int64, b: Int64): Int64 {
 
 
 def mock_for(prompt: str, reply: str) -> MockBackend:
-    return MockBackend(Transcript.record([(prompt, reply)]))
+    return MockBackend(transcript_of([(prompt, reply)]))
 
 
 def reconstruction_mock(chapter: str, reply: str) -> MockBackend:
@@ -235,7 +236,7 @@ JAVA_METHOD = "class A { static int f(int x) { return x + 1; } }"
 
 def test_parallel_sample_structure_block_matches_pipeline():
     sample = build_parallel_sample(JAVA_METHOD, "func f(x: Int64): Int64 { x + 1 }")
-    expected = tokenize_structure(summarize_source(JAVA_METHOD), default_vocab())
+    expected = tokenize_structure(summarize(parse(JAVA_METHOD)), default_vocab())
     assert list(sample.structure_block) == expected
     assert sample.structure_block[0] == "<STRUCT:CLASS_DECLARATION>"
 
@@ -267,24 +268,26 @@ def test_dataset_round_trips(tmp_path):
     entries = [SyntaxEntry.from_record(GOOD_ENTRY), SyntaxEntry.from_record(SECOND_ENTRY)]
     entries_path = tmp_path / "entries.jsonl"
     write_syntax_entries(entries, entries_path)
-    assert read_syntax_entries(entries_path) == entries
+    assert read_jsonl(entries_path, SyntaxEntry.from_record) == entries
 
     records = serialize_cpt(entries)
     cpt_path = tmp_path / "cpt.jsonl"
     write_cpt_dataset(records, cpt_path)
-    assert read_cpt_dataset(cpt_path) == records
+    assert read_jsonl(cpt_path, lambda r: r["text"]) == records
     first = json.loads(cpt_path.read_text(encoding="utf-8").splitlines()[0])
     assert set(first) == {"text"}
 
     samples = [build_monolingual_sample(FIVE_LINE_SNIPPET, "Add numbers.")]
     mono_path = tmp_path / "mono.jsonl"
     write_monolingual_dataset(samples, mono_path)
-    assert read_monolingual_dataset(mono_path) == samples
+    assert read_jsonl(mono_path, lambda r: MonolingualSample(r["instruction"], r["input"], r["output"])) == samples
 
     parallel = [build_parallel_sample(JAVA_METHOD, "func f() {}")]
     par_path = tmp_path / "par.jsonl"
     write_parallel_dataset(parallel, par_path)
-    assert read_parallel_dataset(par_path) == parallel
+    assert read_jsonl(par_path, lambda r: ParallelSample(
+        r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
+    )) == parallel
 
 
 # --- directory orchestration ------------------------------------------------------------------
@@ -300,7 +303,7 @@ def _chapter_fixture(tmp_path, count: int) -> tuple:
         entry["id"] = f"entry-{i:03d}"
         prompt = DOC_RECONSTRUCTION_TEMPLATE.render({"chapter": chapter})
         pairs.append((prompt, json.dumps([entry])))
-    return chapters_dir, Transcript.record(pairs)
+    return chapters_dir, transcript_of(pairs)
 
 
 def test_build_corpus_end_to_end(tmp_path):
@@ -351,7 +354,7 @@ def test_build_corpus_duplicate_ids_are_dropped_and_counted(tmp_path):
         (chapters_dir / f"c{i}.md").write_text(chapter, encoding="utf-8")
         prompt = DOC_RECONSTRUCTION_TEMPLATE.render({"chapter": chapter})
         pairs.append((prompt, json.dumps([GOOD_ENTRY])))  # same id twice
-    stats = build_corpus(chapters_dir, None, None, tmp_path / "out", MockBackend(Transcript.record(pairs)))
+    stats = build_corpus(chapters_dir, None, None, tmp_path / "out", MockBackend(transcript_of(pairs)))
     assert stats["entries"] == 1
     assert stats["entries_dropped"] == 1
 
@@ -373,7 +376,7 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     cpt_path = tmp_path / "cpt.jsonl"
     write_cpt_dataset(serialize_cpt(entries), cpt_path)
-    assert len(read_cpt_dataset(cpt_path)) == 6779
+    assert len(read_jsonl(cpt_path)) == 6779
 
     mono = [
         build_monolingual_sample(FIVE_LINE_SNIPPET, f"Add two integers, case {i}.")
@@ -381,7 +384,7 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     mono_path = tmp_path / "mono.jsonl"
     write_monolingual_dataset(mono, mono_path)
-    assert len(read_monolingual_dataset(mono_path)) == 3241
+    assert len(read_jsonl(mono_path)) == 3241
 
     parallel = [
         build_parallel_sample(JAVA_METHOD, f"func f(x: Int64): Int64 {{ x + {i} }}")
@@ -389,4 +392,4 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     par_path = tmp_path / "par.jsonl"
     write_parallel_dataset(parallel, par_path)
-    assert len(read_parallel_dataset(par_path)) == 2140
+    assert len(read_jsonl(par_path)) == 2140

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from j2cj.javaparse import KEYWORDS, SyntaxNode, Token, _tokenize, count_internal_nodes, parse, tree_has_errors
+from j2cj.javaparse import KEYWORDS, SyntaxNode, Token, _tokenize, parse, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -164,7 +164,7 @@ def test_parser_always_terminates_on_garbage():
 def test_internal_node_count_bounds_walk():
     source = "class A { void m() { if (x) { y(); } } }"
     root = parse(source)
-    internal = count_internal_nodes(root)
+    internal = sum(1 for node in root.walk() if not node.is_terminal)
     total = sum(1 for _ in root.walk())
     assert 0 < internal < total
 

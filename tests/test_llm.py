@@ -10,8 +10,17 @@ import pytest
 import requests
 from hypothesis import given, strategies as st
 
+from support import transcript_of
+
+from j2cj.config import build_llm, load_config
 from j2cj.llm import (
-    TEMPLATE_REGISTRY,
+    DOC_RECONSTRUCTION_TEMPLATE,
+    RAG_REPAIR_TEMPLATE,
+    REPAIR_APPLY_COMPILE_TEMPLATE,
+    REPAIR_APPLY_TEST_TEMPLATE,
+    REPAIR_GUIDANCE_COMPILE_TEMPLATE,
+    REPAIR_GUIDANCE_TEST_TEMPLATE,
+    SEMANTIC_ANNOTATION_TEMPLATE,
     CompletionError,
     DecodingConfig,
     HttpBackend,
@@ -87,15 +96,23 @@ def test_brace_escaping_in_template_body():
 
 
 def test_registry_templates_render_with_their_slots():
-    for name, template in TEMPLATE_REGISTRY.items():
+    for template in (
+        DOC_RECONSTRUCTION_TEMPLATE,
+        SEMANTIC_ANNOTATION_TEMPLATE,
+        REPAIR_GUIDANCE_COMPILE_TEMPLATE,
+        REPAIR_APPLY_COMPILE_TEMPLATE,
+        REPAIR_GUIDANCE_TEST_TEMPLATE,
+        REPAIR_APPLY_TEST_TEMPLATE,
+        RAG_REPAIR_TEMPLATE,
+    ):
         slots = {slot: f"<{slot}>" for slot in template.required_slots}
         rendered = template.render(slots)
         for slot in template.required_slots:
-            assert f"<{slot}>" in rendered, name
+            assert f"<{slot}>" in rendered, template.name
 
 
 def test_render_is_injective_for_distinct_slot_maps():
-    template = TEMPLATE_REGISTRY["repair_guidance_compile"]
+    template = REPAIR_GUIDANCE_COMPILE_TEMPLATE
     a = template.render({"java": "x", "candidate": "y", "errors": "z"})
     b = template.render({"java": "x", "candidate": "y", "errors": "w"})
     assert a != b
@@ -108,7 +125,7 @@ _SLOT_TEXT = st.text(alphabet=st.characters(blacklist_characters="[]", blacklist
 def test_render_injective_property_for_delimited_template(first, second, other):
     # Slots sit between bracketed delimiter lines, so distinct slot maps
     # cannot collide.
-    template = TEMPLATE_REGISTRY["repair_guidance_compile"]
+    template = REPAIR_GUIDANCE_COMPILE_TEMPLATE
     base = {"java": first, "candidate": second, "errors": other}
     rendered = template.render(base)
     changed = template.render({**base, "errors": other + "x"})
@@ -132,7 +149,7 @@ def test_complete_rejects_empty_prompt():
 
 
 def test_transcript_file_round_trip(tmp_path):
-    transcript = Transcript.record([("p1", "r1"), ("p2", "r2")])
+    transcript = transcript_of([("p1", "r1"), ("p2", "r2")])
     path = tmp_path / "transcript.jsonl"
     transcript.save(path)
     loaded = Transcript.load(path)
@@ -180,13 +197,27 @@ def _no_backoff(monkeypatch):
 
 def test_http_backend_sends_decoding_settings():
     session = _FakeSession([_ok_response("done")])
-    backend = HttpBackend("http://x/v1/chat", "model-a", session=session)
-    assert backend.complete("p", DecodingConfig(max_tokens=7)) == "done"
+    backend = HttpBackend("http://x/v1/chat", "model-a", session=session, decoding=DecodingConfig(max_tokens=7))
+    assert backend.complete("p") == "done"
     sent = session.requests[0]
     assert sent["temperature"] == 0.0
     assert sent["top_p"] == 1.0
     assert sent["max_tokens"] == 7
     assert sent["messages"] == [{"role": "user", "content": "p"}]
+
+
+def test_build_llm_gives_the_http_backend_the_configured_decoding_settings(tmp_path):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(
+        "llm: {mode: http, endpoint: 'http://x/v1/chat', model: m}\n"
+        "decoding: {temperature: 0.3, top_p: 0.9, max_tokens: 64}\n",
+        encoding="utf-8",
+    )
+    backend = build_llm(load_config(config_path))
+    backend.session = session = _FakeSession([_ok_response("done")])
+    assert backend.complete("p") == "done"
+    sent = session.requests[0]
+    assert (sent["temperature"], sent["top_p"], sent["max_tokens"]) == (0.3, 0.9, 64)
 
 
 def test_http_backend_retries_transient_then_succeeds():

@@ -20,7 +20,6 @@ from j2cj.metrics import (
     corpus_bleu,
     csr,
     evaluate,
-    fe,
     percent,
     render_table,
     report_record,
@@ -64,11 +63,11 @@ def _outcomes(n_total: int, n_compiled: int, n_cf: int) -> list[UnitOutcome]:
 
 
 def test_fe_examples():
-    assert fe(_outcomes(3, 3, 3)) == 1
-    assert fe(_outcomes(3, 0, 0)) == 0
-    assert percent(fe(_outcomes(165, 118, 105))) == "63.64"
+    assert evaluate(_outcomes(3, 3, 3)).fe == 1
+    assert evaluate(_outcomes(3, 0, 0)).fe == 0
+    assert percent(evaluate(_outcomes(165, 118, 105)).fe) == "63.64"
     with pytest.raises(ValueError):
-        fe([])
+        evaluate([])
 
 
 def test_unit_outcome_invariant():

@@ -1,12 +1,17 @@
 """Repair-loop conformance: branch routing, termination, stagnation,
 harvesting, trace integrity."""
 
+import json
 import random
 
 import pytest
 
+from support import extract_blocks, transcript_of
+
 from j2cj.adapters import CompileOutcome, RunOutcome, ToolchainError
-from j2cj.ast_summary import default_vocab, extract_blocks, summarize_source, tokenize_structure
+from j2cj.ast_summary import default_vocab, summarize, tokenize_structure
+from j2cj.corpus import annotate_snippet, reconstruct_chapter
+from j2cj.javaparse import parse
 from j2cj.llm import (
     RAG_REPAIR_TEMPLATE,
     TRANSLATE_INSTRUCTION,
@@ -182,11 +187,11 @@ def test_output_normalization_rules():
 # --- translate -------------------------------------------------------------------------
 
 def make_translation_transcript(java: str, reply: str) -> tuple[Transcript, str]:
-    tokens = tokenize_structure(summarize_source(java), default_vocab())
+    tokens = tokenize_structure(summarize(parse(java)), default_vocab())
     from j2cj.ast_summary import render_structured_prompt
 
     prompt = render_structured_prompt(tokens, java, TRANSLATE_INSTRUCTION)
-    return Transcript.record([(prompt, reply)]), prompt
+    return transcript_of([(prompt, reply)]), prompt
 
 
 def test_translate_replays_transcript_and_extracts_fence():
@@ -198,8 +203,36 @@ def test_translate_replays_transcript_and_extracts_fence():
     assert record.candidate == "func f(x: Int64): Int64 { x + 1 }"
     tokens, source = extract_blocks(record.exchanges[0]["prompt"])
     assert source == java
-    assert tokens == tokenize_structure(summarize_source(java), default_vocab())
+    assert tokens == tokenize_structure(summarize(parse(java)), default_vocab())
     assert record.exchanges[0]["prompt"] == prompt
+
+
+def test_every_completion_passes_the_prompt_alone():
+    """A model whose ``complete`` takes only the prompt serves translation,
+    all three repair branches, chapter reconstruction and annotation."""
+
+    class PromptOnlyLLM(ScriptedLLM):
+        def complete(self, prompt):
+            return super().complete(prompt)
+
+    unit = unit_with("unused")
+    llm = PromptOnlyLLM(["```\nc0\n```", "```\nc1\n```", "g2", "```\nc2\n```", "g3", "```\nc3\n```"])
+    unit.candidates = [translate(unit.java_source, llm)]
+    diagnostics = "error: undefined symbol frob"
+    compiler = TableCompiler(
+        {"c0": (False, diagnostics), "c1": (False, "error: zzz qqq"), "c2": (True, ""), "c3": (True, "")}
+    )
+    runner = TableRunner({("c2", "1\n"): "3\n", ("c3", "1\n"): "2\n"})
+    repo = Repository([high_similarity_case(diagnostics, "c0")])
+    deps = EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo)
+    run_repair_loop(unit, RepairConfig(max_iterations=5), deps)
+    assert unit.status is UnitStatus.ACCEPTED
+    assert [rec.branch for rec in unit.candidates] == [
+        Branch.INITIAL, Branch.RAG_REPAIR, Branch.SELF_ANALYSIS, Branch.TEST_REPAIR,
+    ]
+    entry = {"id": "e1", "title": "T", "typical_questions": ["q?"], "description": "d"}
+    assert [e.id for e in reconstruct_chapter("# One", PromptOnlyLLM([json.dumps([entry])])).entries] == ["e1"]
+    assert annotate_snippet("func f() {}", PromptOnlyLLM(["Does nothing. Really."])) == "Does nothing."
 
 
 def test_translate_rejects_unparseable_java():

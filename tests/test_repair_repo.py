@@ -7,18 +7,19 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from support import query_from_case
+
+from j2cj.jsonl import JsonlError
 from j2cj.repair_repo import (
     DuplicateCaseError,
     ErrorQuery,
     RepairCase,
     Repository,
-    RepositoryFormatError,
     SimilarityWeights,
     extract_error_tags,
     fragment_skeleton,
     levenshtein,
     message_tokens,
-    query_from_case,
     retrieve,
     similarity,
     _lcs_length,
@@ -413,10 +414,10 @@ def test_duplicate_id_rejected():
 def test_malformed_repository_file(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"id": "x"}\n', encoding="utf-8")
-    with pytest.raises(RepositoryFormatError):
+    with pytest.raises(JsonlError):
         Repository.load(path)
     path.write_text("not json\n", encoding="utf-8")
-    with pytest.raises(RepositoryFormatError):
+    with pytest.raises(JsonlError):
         Repository.load(path)
 
 
