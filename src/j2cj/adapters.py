@@ -9,7 +9,6 @@ script files keyed by the candidate's content digest.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import shutil
@@ -19,15 +18,11 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 
-from .jsonl import read_jsonl, string_fields, write_jsonl
+from .jsonl import read_jsonl, string_fields, text_digest, write_jsonl
 
 
 class ToolchainError(RuntimeError):
     """Toolchain invocation failed (distinct from a compile failure)."""
-
-
-def candidate_digest(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def _expand(part: str, **values: str) -> str:
@@ -66,7 +61,6 @@ class CompileOutcome:
 @dataclass(frozen=True)
 class RunOutcome:
     output: str
-    exit_code: int
     timed_out: bool
 
 
@@ -120,12 +114,12 @@ class CommandRunner:
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
         argv = [_expand(part, artifact=artifact) for part in self.command]
         try:
-            returncode, stdout, _ = _run(argv, self.timeout, stdin_text=stdin_text)
+            _, stdout, _ = _run(argv, self.timeout, stdin_text=stdin_text)
         except FileNotFoundError as exc:
             raise ToolchainError(f"program not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired:
-            return RunOutcome("", -1, True)
-        return RunOutcome(stdout, returncode, False)
+            return RunOutcome("", True)
+        return RunOutcome(stdout, False)
 
 
 class MockCompiler:
@@ -153,12 +147,12 @@ class MockCompiler:
         write_jsonl(path, ({"digest": digest, **entry} for digest, entry in self.script.items()))
 
     def add(self, source: str, ok: bool, diagnostics: str = "") -> str:
-        digest = candidate_digest(source)
+        digest = text_digest(source)
         self.script[digest] = {"status": "success" if ok else "fail", "diagnostics": diagnostics}
         return digest
 
     def compile(self, source: str) -> CompileOutcome:
-        digest = candidate_digest(source)
+        digest = text_digest(source)
         entry = self.script.get(digest)
         if entry is None:
             raise ToolchainError(f"mock compiler script has no entry for digest {digest}")
@@ -188,10 +182,10 @@ class MockRunner:
         ))
 
     def add(self, source: str, stdin_text: str, output: str) -> None:
-        self.script[(candidate_digest(source), stdin_text)] = output
+        self.script[(text_digest(source), stdin_text)] = output
 
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
         key = (artifact, stdin_text)
         if key not in self.script:
             raise ToolchainError(f"mock runner script has no entry for {key!r}")
-        return RunOutcome(self.script[key], 0, False)
+        return RunOutcome(self.script[key], False)

@@ -71,7 +71,6 @@ class StructuralTokenVocab:
     """Injective mapping from node category to a `<STRUCT:NAME>` token."""
 
     mapping: dict[str, str] = field(default_factory=dict)
-    version: str = "v1"
 
     def __post_init__(self):
         seen: dict[str, str] = {}
@@ -93,19 +92,14 @@ def default_vocab(categories: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> S
 
 def load_vocab(path) -> StructuralTokenVocab:
     mapping: dict[str, str] = {}
-    version = "v1"
     for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "vocab-version:" in line:
-                version = line.split("vocab-version:", 1)[1].strip()
+        if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise VocabError(f"{path}:{lineno}: expected 'category<TAB>token'")
         mapping[parts[0]] = parts[1]
-    return StructuralTokenVocab(mapping, version)
+    return StructuralTokenVocab(mapping)
 
 
 def summarize(

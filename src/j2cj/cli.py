@@ -160,7 +160,8 @@ def cmd_translate(args) -> int:
         return _fail("--harvest needs paths.repository")
     deps = _build_deps(config)
 
-    java_files = sorted(Path(benchmark).glob("*.java"))
+    # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
+    java_files = sorted(Path(benchmark).glob("*.java"), key=lambda path: path.stem)
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
     if traces_dir is not None:
@@ -195,8 +196,6 @@ def cmd_translate(args) -> int:
             finished = [work(java_file) for java_file in java_files]
     finally:
         save_recording(deps.llm, config)
-    # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
-    finished.sort(key=lambda result: result[0])
 
     if reports_dir is not None:
         Path(reports_dir).mkdir(parents=True, exist_ok=True)

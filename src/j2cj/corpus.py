@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .ast_summary import (
@@ -44,10 +45,6 @@ REASON_DISALLOWED_IMPORT = "disallowed_import"
 
 class ReconstructionError(RuntimeError):
     """The reconstruction reply yielded zero valid entries."""
-
-    def __init__(self, message: str, raw_reply: str):
-        super().__init__(f"{message}\n--- raw reply ---\n{raw_reply}")
-        self.raw_reply = raw_reply
 
 
 class AnnotationError(RuntimeError):
@@ -92,16 +89,6 @@ class SyntaxEntry:
             code_examples=str_list("code_examples"),
         )
 
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "tags": list(self.tags),
-            "typical_questions": list(self.typical_questions),
-            "description": self.description,
-            "code_examples": list(self.code_examples),
-        }
-
 
 @dataclass(frozen=True)
 class MonolingualSample:
@@ -128,14 +115,13 @@ class ParallelSample:
 class ReconstructionResult:
     entries: list[SyntaxEntry]
     dropped: int = 0
-    problems: list[str] = field(default_factory=list)
 
 
 def reconstruct_chapter(chapter: str, llm) -> ReconstructionResult:
     """Turn one documentation chapter into validated syntax entries.
 
     Malformed entries in the reply are dropped and counted; a reply with no
-    valid entry at all raises with the raw reply attached.
+    valid entry at all raises.
     """
     if not chapter.strip():
         raise ValueError("chapter must be non-empty")
@@ -145,19 +131,18 @@ def reconstruct_chapter(chapter: str, llm) -> ReconstructionResult:
     try:
         items = json.loads(payload)
     except json.JSONDecodeError as exc:
-        raise ReconstructionError(f"reply is not valid JSON: {exc}", reply) from exc
+        raise ReconstructionError(f"reply is not valid JSON: {exc}") from exc
     if not isinstance(items, list):
-        raise ReconstructionError("reply JSON is not an array", reply)
+        raise ReconstructionError("reply JSON is not an array")
 
     result = ReconstructionResult(entries=[])
-    for index, item in enumerate(items):
+    for item in items:
         try:
             result.entries.append(SyntaxEntry.from_record(item))
-        except ValueError as exc:
+        except ValueError:
             result.dropped += 1
-            result.problems.append(f"entry[{index}]: {exc}")
     if not result.entries:
-        raise ReconstructionError("reply yielded zero valid entries", reply)
+        raise ReconstructionError("reply yielded zero valid entries")
     return result
 
 
@@ -182,29 +167,20 @@ def serialize_cpt(entries: list[SyntaxEntry]) -> list[str]:
 
 _CJ_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 _CJ_STRING_RE = re.compile(r'"""(?:.|\n)*?"""|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'')
-_IMPORT_RE = re.compile(r"^\s*(?:from\s+\S+\s+)?import\s+(\S+)", re.MULTILINE)
+# (package of a `from ... import`, imported name); an access modifier may lead.
+_IMPORT_RE = re.compile(
+    r"^\s*(?:(?:public|protected|internal|private)\s+)?(?:from\s+(\S+)\s+)?import\s+(\S+)", re.MULTILINE
+)
 _DECLARATION_RE = re.compile(r"\b(?:func|class|struct|enum|interface|init|main)\b")
 _EXTEND_RE = re.compile(r"^\s*(?:public\s+)?extend\b", re.MULTILINE)
 
 _PAIRS = {")": "(", "]": "[", "}": "{"}
 
 
-@dataclass(frozen=True)
-class RejectedSnippet:
-    code: str
-    reason: str
-
-
 @dataclass
 class FilterOutcome:
     retained: list[str]
-    rejected: list[RejectedSnippet]
-
-    def reason_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.rejected:
-            counts[r.reason] = counts.get(r.reason, 0) + 1
-        return counts
+    rejected: Counter[str]  # rejection reason -> number of snippets
 
 
 def _balanced(stripped: str) -> bool:
@@ -225,20 +201,22 @@ def filter_snippets(
     allowlist: tuple[str, ...] = DEFAULT_IMPORT_ALLOWLIST,
 ) -> FilterOutcome:
     """Keep snippets that are long enough, structurally complete in
-    isolation, and restricted to allowlisted imports."""
-    outcome = FilterOutcome(retained=[], rejected=[])
+    isolation, and restricted to allowlisted imports: ``std`` allows
+    ``std`` and ``std.math.*``, not ``stdx.net``."""
+    outcome = FilterOutcome(retained=[], rejected=Counter())
+    inside_allowed = tuple(a + "." for a in allowlist)
     for code in snippets:
         non_blank = [line for line in code.splitlines() if line.strip()]
         if len(non_blank) < 5:
-            outcome.rejected.append(RejectedSnippet(code, REASON_TOO_SHORT))
+            outcome.rejected[REASON_TOO_SHORT] += 1
             continue
         stripped = _CJ_STRING_RE.sub(" ", _CJ_COMMENT_RE.sub(" ", code))
         if not _balanced(stripped) or _EXTEND_RE.search(stripped) or not _DECLARATION_RE.search(stripped):
-            outcome.rejected.append(RejectedSnippet(code, REASON_INCOMPLETE))
+            outcome.rejected[REASON_INCOMPLETE] += 1
             continue
-        imports = _IMPORT_RE.findall(stripped)
-        if any(not imp.startswith(allowlist) for imp in imports):
-            outcome.rejected.append(RejectedSnippet(code, REASON_DISALLOWED_IMPORT))
+        imports = [f"{package}.{name}" if package else name for package, name in _IMPORT_RE.findall(stripped)]
+        if any(imp not in allowlist and not imp.startswith(inside_allowed) for imp in imports):
+            outcome.rejected[REASON_DISALLOWED_IMPORT] += 1
             continue
         outcome.retained.append(code)
     return outcome
@@ -308,29 +286,15 @@ def write_cpt_dataset(records: list[str], path) -> None:
 
 
 def write_syntax_entries(entries: list[SyntaxEntry], path) -> None:
-    write_jsonl(path, [e.to_record() for e in entries])
+    write_jsonl(path, [asdict(e) for e in entries])
 
 
 def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
-    write_jsonl(
-        path,
-        [{"instruction": s.instruction, "input": s.input, "output": s.output} for s in samples],
-    )
+    write_jsonl(path, [asdict(s) for s in samples])
 
 
 def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
-    write_jsonl(
-        path,
-        [
-            {
-                "instruction": s.instruction,
-                "structure_block": list(s.structure_block),
-                "java_source": s.java_source,
-                "cangjie_target": s.cangjie_target,
-            }
-            for s in samples
-        ],
-    )
+    write_jsonl(path, [asdict(s) for s in samples])
 
 
 # --- directory-level orchestration ------------------------------------------------
@@ -398,7 +362,7 @@ def build_corpus(
         write_monolingual_dataset(samples, out_dir / "monolingual.jsonl")
         stats["snippets_seen"] = len(snippets)
         stats["snippets_retained"] = len(outcome.retained)
-        stats["snippets_rejected"] = outcome.reason_counts()
+        stats["snippets_rejected"] = dict(outcome.rejected)
         stats["monolingual_samples"] = len(samples)
 
     if pairs_dir is not None:

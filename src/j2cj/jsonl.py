@@ -1,4 +1,5 @@
-"""Input files: one strict text reader, one JSONL reader and one atomic writer.
+"""Input files: one strict text reader, one JSONL reader, one atomic writer
+and the one text digest that keys transcripts, mock scripts and traces.
 
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
@@ -10,6 +11,7 @@ half-written.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -34,6 +36,11 @@ def read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
+def text_digest(text: str) -> str:
+    """Hex SHA-256 of the UTF-8 encoding of ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def string_fields(record: dict, *names: str) -> list[str]:

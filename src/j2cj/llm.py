@@ -8,7 +8,6 @@ the mock backend, every pipeline run is byte-reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 import string
@@ -17,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .jsonl import read_jsonl, string_fields, write_jsonl
+from .jsonl import read_jsonl, string_fields, text_digest, write_jsonl
 
 if TYPE_CHECKING:
     import requests
@@ -33,10 +32,6 @@ class CompletionError(RuntimeError):
 
 class MockMissError(CompletionError):
     """The replay transcript has no entry for the prompt."""
-
-    def __init__(self, digest: str):
-        super().__init__(f"transcript has no reply for prompt digest {digest}")
-        self.digest = digest
 
 
 @dataclass(frozen=True)
@@ -254,10 +249,6 @@ RAG_REPAIR_TEMPLATE = PromptTemplate(
 
 # --- transcripts and backends ----------------------------------------------
 
-def prompt_digest(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-
-
 @dataclass
 class Transcript:
     """Exact-match replay store keyed by prompt digest.
@@ -270,15 +261,15 @@ class Transcript:
     prompts: dict[str, str] = field(default_factory=dict)
 
     def add(self, prompt: str, reply: str) -> str:
-        digest = prompt_digest(prompt)
+        digest = text_digest(prompt)
         self.entries[digest] = reply
         self.prompts[digest] = prompt
         return digest
 
     def lookup(self, prompt: str) -> str:
-        digest = prompt_digest(prompt)
+        digest = text_digest(prompt)
         if digest not in self.entries:
-            raise MockMissError(digest)
+            raise MockMissError(f"transcript has no reply for prompt digest {digest}")
         return self.entries[digest]
 
     def save(self, path) -> None:
@@ -323,11 +314,12 @@ class HttpBackend:
 
     Retries transport errors, 429 and 5xx responses with exponential
     backoff; a 429 whose ``Retry-After`` is a whole number of seconds waits
-    that long instead, at most ``HTTP_TIMEOUT_S``. Other 4xx responses fail
-    immediately. Every request carries the backend's decoding settings. An
-    optional recorder transcript captures (prompt, reply) pairs for later
-    replay. ``requests`` is imported only here, so the replay backend never
-    pays for it.
+    that long instead, at most ``HTTP_TIMEOUT_S``. Other 4xx responses, and
+    a 200 whose body is not JSON or has no reply text, fail immediately.
+    Every request carries the backend's decoding settings. An optional
+    recorder transcript captures (prompt, reply) pairs for later replay.
+    ``requests`` is imported only here, so the replay backend never pays
+    for it.
     """
 
     def __init__(
@@ -394,7 +386,11 @@ class HttpBackend:
                 continue
             if resp.status_code != 200:
                 raise CompletionError(f"endpoint returned {resp.status_code}: {resp.text[:500]}")
-            reply = self._parse_reply(resp.json())
+            try:
+                body = resp.json()
+            except ValueError as exc:  # not JSON: every JSONDecodeError requests raises is a ValueError
+                raise CompletionError(f"malformed completion response: {resp.text[:500]}") from exc
+            reply = self._parse_reply(body)
             if self.recorder is not None:
                 self.recorder.add(prompt, reply)
             return reply

@@ -23,7 +23,7 @@ from .ast_summary import (
     tokenize_structure,
 )
 from .javaparse import parse, tree_has_errors
-from .jsonl import atomic_write
+from .jsonl import atomic_write, text_digest
 from .llm import (
     RAG_REPAIR_TEMPLATE,
     REPAIR_APPLY_COMPILE_TEMPLATE,
@@ -32,7 +32,6 @@ from .llm import (
     REPAIR_GUIDANCE_TEST_TEMPLATE,
     TRANSLATE_INSTRUCTION,
     extract_code_block,
-    prompt_digest,
 )
 from .repair_repo import (
     ErrorQuery,
@@ -410,7 +409,7 @@ def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
 
 def record_to_dict(rec: IterationRecord, redact: bool = False) -> dict:
     exchanges = [
-        {"prompt_digest": prompt_digest(e["prompt"]), "reply_digest": prompt_digest(e["reply"])}
+        {"prompt_digest": text_digest(e["prompt"]), "reply_digest": text_digest(e["reply"])}
         if redact
         else {"prompt": e["prompt"], "reply": e["reply"]}
         for e in rec.exchanges

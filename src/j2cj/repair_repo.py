@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .jsonl import read_jsonl, string_fields, write_jsonl
 
@@ -42,16 +42,6 @@ class RepairCase:
             raise ValueError(f"case {self.id}: corrected_code must be non-empty")
         if self.faulty_fragment == self.corrected_code:
             raise ValueError(f"case {self.id}: faulty_fragment equals corrected_code")
-
-    def to_record(self) -> dict:
-        return {
-            "id": self.id,
-            "error_tags": list(self.error_tags),
-            "error_info": self.error_info,
-            "repair_suggestion": self.repair_suggestion,
-            "faulty_fragment": self.faulty_fragment,
-            "corrected_code": self.corrected_code,
-        }
 
     @classmethod
     def from_record(cls, record: dict) -> "RepairCase":
@@ -429,7 +419,7 @@ class Repository:
         return isinstance(other, Repository) and self._cases == other._cases
 
     def save(self, path) -> None:
-        write_jsonl(path, (case.to_record() for case in self._cases.values()))
+        write_jsonl(path, (asdict(case) for case in self._cases.values()))
 
     @classmethod
     def load(cls, path) -> "Repository":

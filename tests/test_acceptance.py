@@ -329,7 +329,7 @@ class _TableRunner:
         self.table = table
 
     def run(self, artifact, stdin_text):
-        return RunOutcome(self.table[(artifact.removeprefix("artifact:"), stdin_text)], 0, False)
+        return RunOutcome(self.table[(artifact.removeprefix("artifact:"), stdin_text)], False)
 
 
 class _ScriptedLLM:

@@ -3,6 +3,7 @@
 import json
 import re
 import types
+from dataclasses import asdict
 
 import pytest
 import yaml
@@ -223,7 +224,7 @@ def test_repo_add_and_search(tmp_path, capsys):
     repo_path = tmp_path / "repo.jsonl"
     case = RepairCase("c1", ("E1",), "error: type mismatch on Int", "use Int64", "let x: Int = 1", "let x: Int64 = 1")
     case_file = tmp_path / "case.json"
-    case_file.write_text(json.dumps(case.to_record()), encoding="utf-8")
+    case_file.write_text(json.dumps(asdict(case)), encoding="utf-8")
     assert main(["repo", "add", "--repo", str(repo_path), "--file", str(case_file)]) == 0
     assert "1 case" in capsys.readouterr().out
 
@@ -459,10 +460,10 @@ def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
 
 
 _AGGREGATE = {"type": "aggregate", "n_total": 3, "n_compiled": 2, "n_cf": 1, "bleu": {"value": 0.5}}
-_CASE = RepairCase(
+_CASE = asdict(RepairCase(
     "c1", ("type_mismatch",), "error: expected String, found Int64", "Convert with toString().",
     'let s: String = 1', 'let s: String = "1"',
-).to_record()
+))
 _SUMMARIZE_WITH_VOCAB = ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--vocab", "{file}"]
 
 # name -> (file written under the fixture root, its text, the bad line, argv)

@@ -2,6 +2,7 @@
 annotation, parallel samples, persistence round trips."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -94,7 +95,6 @@ def test_reconstruct_drops_and_counts_malformed_entries():
     result = reconstruct_chapter(chapter, reconstruction_mock(chapter, reply))
     assert len(result.entries) == 1
     assert result.dropped == 1
-    assert result.problems and "id" in result.problems[0]
 
 
 def test_reconstruct_accepts_fenced_json_reply():
@@ -109,12 +109,12 @@ def test_reconstruct_empty_chapter_is_precondition_error():
         reconstruct_chapter("  ", MockBackend(Transcript()))
 
 
-def test_reconstruct_zero_valid_entries_reports_raw_reply():
+def test_reconstruct_zero_valid_entries_raises_a_one_line_error():
     chapter = "# Broken"
     reply = json.dumps([{"id": "x"}])
     with pytest.raises(ReconstructionError) as err:
         reconstruct_chapter(chapter, reconstruction_mock(chapter, reply))
-    assert err.value.raw_reply == reply
+    assert str(err.value).splitlines() == ["reply yielded zero valid entries"]
     with pytest.raises(ReconstructionError):
         reconstruct_chapter(chapter, reconstruction_mock(chapter, "not json"))
 
@@ -154,38 +154,44 @@ def test_serialize_cpt_markers_identical_across_records():
 def test_filter_rejects_short_snippets():
     outcome = filter_snippets(["let a = 1\nlet b = 2\nlet c = 3\nprintln(a)"])
     assert outcome.retained == []
-    assert outcome.rejected[0].reason == "too_short"
+    assert outcome.rejected == {"too_short": 1}
 
 
 def test_filter_retains_std_import_snippet():
-    snippet = "import std.collection.ArrayList\n" + FIVE_LINE_SNIPPET
-    outcome = filter_snippets([snippet])
-    assert outcome.retained == [snippet]
+    for import_line in ["import std.collection.ArrayList", "from std import math.*"]:
+        snippet = import_line + "\n" + FIVE_LINE_SNIPPET
+        outcome = filter_snippets([snippet])
+        assert outcome.retained == [snippet], import_line
 
 
 def test_filter_rejects_unbalanced_braces_as_incomplete():
     snippet = FIVE_LINE_SNIPPET + "\nfunc g(): Unit {"
     outcome = filter_snippets([snippet])
-    assert outcome.rejected[0].reason == "incomplete"
+    assert outcome.rejected == {"incomplete": 1}
 
 
 def test_filter_rejects_third_party_imports():
-    snippet = "import vendor.http.Client\n" + FIVE_LINE_SNIPPET
-    outcome = filter_snippets([snippet])
-    assert outcome.rejected[0].reason == "disallowed_import"
+    for import_line in [
+        "import vendor.http.Client",
+        "import stdx.net.http.*",  # shares a prefix with std, not a package
+        "import stdlib.foo",
+        "public import net.http.*",  # an access modifier does not hide the import
+    ]:
+        outcome = filter_snippets([import_line + "\n" + FIVE_LINE_SNIPPET])
+        assert outcome.rejected == {"disallowed_import": 1}, import_line
 
 
 def test_filter_rejects_extend_and_declaration_free_snippets():
     extend_snippet = "extend Int64 {\n    func double(): Int64 {\n        return this * 2\n    }\n}\nlet q = 1"
     fragment = "let a = 1\nlet b = 2\nlet c = 3\nlet d = 4\nlet e = 5"
     outcome = filter_snippets([extend_snippet, fragment])
-    assert [r.reason for r in outcome.rejected] == ["incomplete", "incomplete"]
+    assert outcome.rejected == {"incomplete": 2}
 
 
 def test_filter_conserves_counts():
     snippets = ["short", FIVE_LINE_SNIPPET, "import x.y\n" + FIVE_LINE_SNIPPET]
     outcome = filter_snippets(snippets)
-    assert len(outcome.retained) + len(outcome.rejected) == len(snippets)
+    assert len(outcome.retained) + sum(outcome.rejected.values()) == len(snippets)
 
 
 def test_braces_inside_strings_do_not_unbalance():
@@ -269,6 +275,7 @@ def test_dataset_round_trips(tmp_path):
     entries_path = tmp_path / "entries.jsonl"
     write_syntax_entries(entries, entries_path)
     assert read_jsonl(entries_path, SyntaxEntry.from_record) == entries
+    assert list(read_jsonl(entries_path)[0]) == [f.name for f in fields(SyntaxEntry)]
 
     records = serialize_cpt(entries)
     cpt_path = tmp_path / "cpt.jsonl"
@@ -281,6 +288,7 @@ def test_dataset_round_trips(tmp_path):
     mono_path = tmp_path / "mono.jsonl"
     write_monolingual_dataset(samples, mono_path)
     assert read_jsonl(mono_path, lambda r: MonolingualSample(r["instruction"], r["input"], r["output"])) == samples
+    assert list(read_jsonl(mono_path)[0]) == [f.name for f in fields(MonolingualSample)]
 
     parallel = [build_parallel_sample(JAVA_METHOD, "func f() {}")]
     par_path = tmp_path / "par.jsonl"
@@ -288,6 +296,7 @@ def test_dataset_round_trips(tmp_path):
     assert read_jsonl(par_path, lambda r: ParallelSample(
         r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
     )) == parallel
+    assert list(read_jsonl(par_path)[0]) == [f.name for f in fields(ParallelSample)]
 
 
 # --- directory orchestration ------------------------------------------------------------------

@@ -30,8 +30,8 @@ from j2cj.llm import (
     TemplateError,
     Transcript,
     extract_code_block,
-    prompt_digest,
 )
+from j2cj.jsonl import text_digest
 
 
 def test_decoding_defaults_and_validation():
@@ -139,7 +139,7 @@ def test_transcript_replay_and_miss():
     assert backend.complete("hello") == "world"
     with pytest.raises(MockMissError) as err:
         backend.complete("unknown")
-    assert err.value.digest == prompt_digest("unknown")
+    assert str(err.value) == f"transcript has no reply for prompt digest {text_digest('unknown')}"
 
 
 def test_complete_rejects_empty_prompt():
@@ -275,6 +275,18 @@ def test_http_backend_rejects_a_reply_that_is_not_text(content):
     backend = HttpBackend("http://x", "m", session=session)
     with pytest.raises(CompletionError, match="malformed completion response"):
         backend.complete("p")
+
+
+def test_http_backend_rejects_a_body_that_is_not_json_without_retry():
+    response = _FakeResponse(200)
+    response.text = "<html>" + "x" * 600
+    response.json = lambda: json.loads(response.text)
+    session = _FakeSession([response])
+    backend = HttpBackend("http://x", "m", session=session)
+    with pytest.raises(CompletionError) as err:
+        backend.complete("p")
+    assert str(err.value) == "malformed completion response: " + response.text[:500]
+    assert len(session.requests) == 1
 
 
 def test_extract_code_block_variants():

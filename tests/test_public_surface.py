@@ -1,4 +1,5 @@
-"""Every public name in ``src/j2cj`` has a caller outside the tests.
+"""Every public name in ``src/j2cj`` has a caller outside the tests, and
+every stored attribute a reader (see the second test).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -55,3 +56,68 @@ def test_every_public_name_has_a_caller_in_src_or_bench():
         if not name.startswith("_") and name not in referenced
     ]
     assert not unused, "public names that only tests use:\n" + "\n".join(unused)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _stored_attributes(tree: ast.Module):
+    """(class, attribute, line) for every dataclass field and every ``self.x`` an ``__init__`` assigns."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if _is_dataclass(node) and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id, item.lineno
+            elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for sub in ast.walk(item):
+                    if (
+                        isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                    ):
+                        yield node.name, sub.attr, sub.lineno
+
+
+def _read_attributes() -> tuple[set[str], set[str]]:
+    """Attribute names read in ``src/`` and ``bench/``, and the classes named
+    in a parameter annotation of a function that calls ``asdict``."""
+    attributes, whole = set(), set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "asdict"
+                for sub in ast.walk(node)
+            ):
+                for arg in node.args.args:
+                    if arg.annotation is not None:
+                        whole.update(n.id for n in ast.walk(arg.annotation) if isinstance(n, ast.Name))
+    return attributes, whole
+
+
+def test_every_stored_attribute_is_read_in_src_or_bench():
+    """Every dataclass field, and every ``self.x`` an ``__init__`` assigns, of
+    a class in ``src/j2cj`` is read as an attribute (``obj.x`` not assigned
+    to) somewhere under ``src/`` or ``bench/``. A dataclass also counts as
+    read whole when it appears in a parameter annotation of a function that
+    calls ``asdict``, which writes every field.
+
+    Like the public-name check, this goes by name alone: a field is hidden
+    by any read of an attribute with its spelling, so a list that is only
+    appended to (``result.problems.append(...)``) passes, because
+    ``.problems`` is read to reach ``append``.
+    """
+    attributes, whole = _read_attributes()
+    unread = [
+        f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
+        for path in sorted((ROOT / "src" / "j2cj").glob("*.py"))
+        for cls, name, line in _stored_attributes(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in attributes and cls not in whole
+    ]
+    assert not unread, "stored attributes that nothing reads:\n" + "\n".join(unread)

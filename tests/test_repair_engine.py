@@ -87,7 +87,7 @@ class TableRunner:
 
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
         candidate = artifact.removeprefix("artifact:")
-        return RunOutcome(self.table[(candidate, stdin_text)], 0, False)
+        return RunOutcome(self.table[(candidate, stdin_text)], False)
 
 
 class PassRunner:
@@ -95,7 +95,7 @@ class PassRunner:
         self.expected = {t.input: t.expected_output for t in unit_tests}
 
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
-        return RunOutcome(self.expected[stdin_text], 0, False)
+        return RunOutcome(self.expected[stdin_text], False)
 
 
 class ScriptedLLM:
@@ -370,7 +370,7 @@ def test_test_failures_route_to_test_repair_with_discrepancies_in_prompt():
 def test_timeout_counts_as_test_failure():
     class TimeoutRunner:
         def run(self, artifact, stdin_text):
-            return RunOutcome("", -1, True)
+            return RunOutcome("", True)
 
     unit = unit_with("c0")
     deps = EngineDeps(
@@ -428,7 +428,7 @@ def test_adversarial_random_mocks_always_terminate_within_budget():
 
     class ChaosRunner:
         def run(self, artifact, stdin_text):
-            return RunOutcome(rng.choice(["2\n", "nope\n"]), 0, False)
+            return RunOutcome(rng.choice(["2\n", "nope\n"]), False)
 
     class ChaosLLM:
         def __init__(self):

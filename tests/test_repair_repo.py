@@ -3,13 +3,14 @@ against exhaustive scans; repository persistence."""
 
 import random
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import query_from_case
 
-from j2cj.jsonl import JsonlError
+from j2cj.jsonl import JsonlError, read_jsonl
 from j2cj.repair_repo import (
     DuplicateCaseError,
     ErrorQuery,
@@ -403,6 +404,7 @@ def test_repository_round_trip(tmp_path):
     path = tmp_path / "repo.jsonl"
     repo.save(path)
     assert Repository.load(path) == repo
+    assert list(read_jsonl(path)[0]) == [f.name for f in fields(RepairCase)]
 
 
 def test_duplicate_id_rejected():
