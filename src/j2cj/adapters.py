@@ -3,7 +3,8 @@
 Compiler contract: a command template receives the candidate source file
 path; exit code 0 means success and captured stderr is the diagnostics.
 Runner contract: the compiled program is invoked once per test case with
-the test input on stdin and its stdout captured. Mock variants replay
+the test input on stdin and its stdout captured; a non-zero exit code N
+adds a final ``<exit N>`` line to that output. Mock variants replay
 script files keyed by the candidate's content digest.
 """
 
@@ -114,11 +115,13 @@ class CommandRunner:
     def run(self, artifact: str, stdin_text: str) -> RunOutcome:
         argv = [_expand(part, artifact=artifact) for part in self.command]
         try:
-            _, stdout, _ = _run(argv, self.timeout, stdin_text=stdin_text)
+            returncode, stdout, _ = _run(argv, self.timeout, stdin_text=stdin_text)
         except FileNotFoundError as exc:
             raise ToolchainError(f"program not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired:
             return RunOutcome("", True)
+        if returncode:  # the exit code joins the output, so a failing program fails its test case
+            stdout += ("\n" if stdout and not stdout.endswith("\n") else "") + f"<exit {returncode}>\n"
         return RunOutcome(stdout, False)
 
 

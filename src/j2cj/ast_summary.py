@@ -9,10 +9,7 @@ boundary markers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .javaparse import SyntaxNode
-from .jsonl import read_text
 
 # Control-flow and semantic node kinds kept in summaries by default.
 # class_body is included so type skeletons survive for declaration-only
@@ -39,8 +36,6 @@ DEFAULT_RETAINED_CATEGORIES = frozenset(
     }
 )
 
-STRUCT_OTHER_TOKEN = "<STRUCT:OTHER>"
-
 STRUCT_OPEN = "<<<STRUCT>>>"
 STRUCT_CLOSE = "<<<END_STRUCT>>>"
 CODE_OPEN = "<<<CODE>>>"
@@ -52,81 +47,33 @@ class MarkerCollisionError(ValueError):
     """Raised when a text to embed already contains a boundary marker."""
 
 
-class VocabError(ValueError):
-    """Raised for non-injective or malformed structural-token vocabularies."""
-
-
-@dataclass(frozen=True)
-class StructuralSummary:
-    """DFS pre-order sequence of retained internal node categories."""
-
-    categories: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.categories)
-
-
-@dataclass(frozen=True)
-class StructuralTokenVocab:
-    """Injective mapping from node category to a `<STRUCT:NAME>` token."""
-
-    mapping: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        seen: dict[str, str] = {}
-        for category, token in self.mapping.items():
-            if not (token.startswith("<STRUCT:") and token.endswith(">")):
-                raise VocabError(f"malformed structural token for {category!r}: {token!r}")
-            if token in seen:
-                raise VocabError(f"token {token!r} mapped from both {seen[token]!r} and {category!r}")
-            seen[token] = category
-
-    def token_for(self, category: str) -> str:
-        return self.mapping.get(category, STRUCT_OTHER_TOKEN)
-
-
-def default_vocab(categories: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> StructuralTokenVocab:
-    """Vocabulary mapping each category to `<STRUCT:UPPER_NAME>`."""
-    return StructuralTokenVocab({c: f"<STRUCT:{c.upper()}>" for c in sorted(categories)})
-
-
-def load_vocab(path) -> StructuralTokenVocab:
-    mapping: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), 1):
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise VocabError(f"{path}:{lineno}: expected 'category<TAB>token'")
-        mapping[parts[0]] = parts[1]
-    return StructuralTokenVocab(mapping)
+def default_vocab(categories: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> dict[str, str]:
+    """Each category's structural token: its name, upper-cased, as `<STRUCT:NAME>`."""
+    return {c: f"<STRUCT:{c.upper()}>" for c in categories}
 
 
 def summarize(
     tree: SyntaxNode,
     retained: frozenset[str] | set[str] = DEFAULT_RETAINED_CATEGORIES,
     source: str | None = None,
-) -> StructuralSummary:
-    """Collect retained internal node categories in DFS pre-order.
+) -> tuple[str, ...]:
+    """The retained internal node categories, in DFS pre-order.
 
-    Terminal nodes never contribute; ERROR nodes are not retained, so
-    partially broken sources still summarize. ``source`` is accepted and
-    unused: the benchmark's input generator (bench/make_synthetic.py)
-    still passes it.
+    Terminal nodes never contribute; ERROR nodes are not retained by
+    default, so partially broken sources still summarize. ``source`` is
+    accepted and unused: the benchmark's input generator
+    (bench/make_synthetic.py) still passes it.
     """
     if not retained:
         raise ValueError("retained category set must be non-empty")
-    categories = [
-        node.category
-        for node in tree.walk()
-        if not node.is_terminal and node.category in retained
-    ]
-    return StructuralSummary(tuple(categories))
+    return tuple(
+        node.category for node in tree.walk() if not node.is_terminal and node.category in retained
+    )
 
 
-def tokenize_structure(summary: StructuralSummary, vocab: StructuralTokenVocab) -> list[str]:
-    """One structural token per summary category, unknown kinds -> OTHER."""
-    return [vocab.token_for(category) for category in summary.categories]
+def tokenize_structure(summary: tuple[str, ...], vocab: dict[str, str]) -> list[str]:
+    """One structural token per summary category."""
+    return [vocab[category] for category in summary]
 
 
 def ensure_no_markers(text: str, what: str = "text") -> None:
@@ -146,8 +93,6 @@ def render_structured_prompt(tokens: list[str], source: str, instruction: str) -
         raise ValueError("instruction must be non-empty")
     ensure_no_markers(source, "source")
     ensure_no_markers(instruction, "instruction")
-    for token in tokens:
-        ensure_no_markers(token, "structural token")
     struct_body = " ".join(tokens)
     return (
         f"{instruction}\n"

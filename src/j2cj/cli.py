@@ -96,14 +96,10 @@ def cmd_summarize_ast(args) -> int:
     config = load_config(args.config)
     summary = ast_summary.summarize(parse_java(read_text(args.file)), config.retained_categories)
     if args.tokens:
-        vocab = (
-            ast_summary.load_vocab(args.vocab)
-            if args.vocab
-            else ast_summary.default_vocab(config.retained_categories)
-        )
+        vocab = ast_summary.default_vocab(config.retained_categories)
         print(" ".join(ast_summary.tokenize_structure(summary, vocab)))
     else:
-        for category in summary.categories:
+        for category in summary:
             print(category)
     return EXIT_OK
 
@@ -365,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--config")
     p.add_argument("--tokens", action="store_true", help="print structural tokens instead of categories")
-    p.add_argument("--vocab", help="vocabulary table (category<TAB>token)")
     p.set_defaults(func=cmd_summarize_ast)
 
     p = sub.add_parser("translate", help="translate and iteratively repair a benchmark directory")

@@ -17,6 +17,7 @@ import yaml
 from .adapters import CommandCompiler, CommandRunner, MockCompiler, MockRunner
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES
 from .corpus import DEFAULT_IMPORT_ALLOWLIST
+from .javaparse import CATEGORIES
 from .llm import DecodingConfig, HttpBackend, MockBackend, Transcript
 from .repair_engine import RepairConfig
 from .repair_repo import SimilarityWeights
@@ -82,6 +83,9 @@ class PipelineConfig:
         self.allowlist = tuple(self.allowlist)
         if not self.retained_categories:
             raise ConfigError("retained_categories must be a non-empty list")
+        unknown = self.retained_categories - CATEGORIES
+        if unknown:
+            raise ConfigError(f"retained_categories names no parser category: {sorted(unknown)}")
         if self.jobs < 1:
             raise ConfigError("jobs must be a positive integer")
 

@@ -61,6 +61,27 @@ MODIFIER_KEYWORDS = frozenset(
     transient volatile strictfp default""".split()
 )
 
+# Every category an internal (non-terminal) node of a parse tree can have.
+CATEGORIES = frozenset(
+    """program ERROR package_declaration import_declaration modifiers annotation
+    marker_annotation annotation_argument_list class_declaration interface_declaration
+    enum_declaration record_declaration annotation_type_declaration class_body
+    interface_body enum_body annotation_type_body enum_constant superclass
+    super_interfaces type_parameters type_arguments generic_type scoped_type_identifier
+    array_type dimensions integral_type floating_point_type boolean_type void_type
+    field_declaration method_declaration constructor_declaration constructor_body
+    static_initializer formal_parameters formal_parameter spread_parameter
+    inferred_parameters throws variable_declarator local_variable_declaration block
+    expression_statement if_statement for_statement enhanced_for_statement
+    while_statement do_statement switch_expression switch_block
+    switch_block_statement_group switch_label switch_rule try_statement
+    try_with_resources_statement resource_specification catch_clause
+    catch_formal_parameter finally_clause return_statement throw_statement
+    break_statement continue_statement assert_statement labeled_statement
+    synchronized_statement expression parenthesized_expression lambda_expression
+    argument_list array_creation_expression array_initializer object_creation_expression""".split()
+)
+
 
 @dataclass
 class Token:

@@ -57,14 +57,14 @@ class PromptTemplate:
     """Named template with `{slot}` placeholders in ``str.format`` syntax.
 
     Slot names are lowercase identifiers with no conversion, format spec,
-    attribute or index; ``{{`` and ``}}`` escape literal braces. Every
-    required slot must appear in the body exactly once, and the body must
-    not contain placeholders outside the required set.
+    attribute or index; ``{{`` and ``}}`` escape literal braces. The
+    template's slots are the body's placeholders, each appearing exactly
+    once.
     """
 
     name: str
     body: str
-    required_slots: frozenset[str]
+    required_slots: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         try:
@@ -77,23 +77,17 @@ class PromptTemplate:
             raise TemplateError(
                 f"template {self.name!r}: {exc}; use '{{{{' or '}}}}' for a literal brace"
             ) from None
-        counts: dict[str, int] = {}
+        slots: set[str] = set()
         for slot, conversion, spec in fields:
             if conversion is not None or spec or not _SLOT_NAME_RE.fullmatch(slot):
                 raise TemplateError(
                     f"template {self.name!r}: malformed placeholder {slot!r}; a slot is a "
                     "lowercase name with no conversion, format spec, attribute or index"
                 )
-            counts[slot] = counts.get(slot, 0) + 1
-        for slot in self.required_slots:
-            if counts.get(slot, 0) != 1:
-                raise TemplateError(
-                    f"template {self.name!r}: slot {slot!r} appears "
-                    f"{counts.get(slot, 0)} times, expected exactly once"
-                )
-        extra = set(counts) - set(self.required_slots)
-        if extra:
-            raise TemplateError(f"template {self.name!r}: undeclared placeholders {sorted(extra)}")
+            if slot in slots:
+                raise TemplateError(f"template {self.name!r}: slot {slot!r} appears more than once")
+            slots.add(slot)
+        object.__setattr__(self, "required_slots", frozenset(slots))
 
     def render(self, slots: dict[str, str]) -> str:
         missing = self.required_slots - set(slots)
@@ -135,7 +129,6 @@ DOC_RECONSTRUCTION_TEMPLATE = PromptTemplate(
         "Chapter:\n"
         "{chapter}\n"
     ),
-    required_slots=frozenset({"chapter"}),
 )
 
 SEMANTIC_ANNOTATION_TEMPLATE = PromptTemplate(
@@ -147,7 +140,6 @@ SEMANTIC_ANNOTATION_TEMPLATE = PromptTemplate(
         "Output only the description.\n"
         "{code}\n"
     ),
-    required_slots=frozenset({"code"}),
 )
 
 REPAIR_GUIDANCE_COMPILE_TEMPLATE = PromptTemplate(
@@ -165,7 +157,6 @@ REPAIR_GUIDANCE_COMPILE_TEMPLATE = PromptTemplate(
         "Explain the root cause of each error and propose concrete code changes.\n"
         "Do not output code yet; output the analysis and repair plan only.\n"
     ),
-    required_slots=frozenset({"java", "candidate", "errors"}),
 )
 
 REPAIR_APPLY_COMPILE_TEMPLATE = PromptTemplate(
@@ -185,7 +176,6 @@ REPAIR_APPLY_COMPILE_TEMPLATE = PromptTemplate(
         "\n"
         "Output only the complete corrected Cangjie code in a fenced code block.\n"
     ),
-    required_slots=frozenset({"java", "candidate", "errors", "guidance"}),
 )
 
 REPAIR_GUIDANCE_TEST_TEMPLATE = PromptTemplate(
@@ -204,7 +194,6 @@ REPAIR_GUIDANCE_TEST_TEMPLATE = PromptTemplate(
         "code changes. Do not output code yet; output the analysis and repair\n"
         "plan only.\n"
     ),
-    required_slots=frozenset({"java", "candidate", "failures"}),
 )
 
 REPAIR_APPLY_TEST_TEMPLATE = PromptTemplate(
@@ -224,7 +213,6 @@ REPAIR_APPLY_TEST_TEMPLATE = PromptTemplate(
         "\n"
         "Output only the complete corrected Cangjie code in a fenced code block.\n"
     ),
-    required_slots=frozenset({"java", "candidate", "failures", "guidance"}),
 )
 
 RAG_REPAIR_TEMPLATE = PromptTemplate(
@@ -243,7 +231,6 @@ RAG_REPAIR_TEMPLATE = PromptTemplate(
         "Follow the repair suggestions where they apply. Output only the\n"
         "complete corrected Cangjie code in a fenced code block.\n"
     ),
-    required_slots=frozenset({"errors", "cases", "candidate"}),
 )
 
 
@@ -384,12 +371,13 @@ class HttpBackend:
                     if seconds.isdecimal():
                         retry_after = min(float(seconds), HTTP_TIMEOUT_S)
                 continue
+            excerpt = " ".join(resp.text[:500].split())  # whitespace runs folded: the error is one line
             if resp.status_code != 200:
-                raise CompletionError(f"endpoint returned {resp.status_code}: {resp.text[:500]}")
+                raise CompletionError(f"endpoint returned {resp.status_code}: {excerpt}")
             try:
                 body = resp.json()
             except ValueError as exc:  # not JSON: every JSONDecodeError requests raises is a ValueError
-                raise CompletionError(f"malformed completion response: {resp.text[:500]}") from exc
+                raise CompletionError(f"malformed completion response: {excerpt}") from exc
             reply = self._parse_reply(body)
             if self.recorder is not None:
                 self.recorder.add(prompt, reply)

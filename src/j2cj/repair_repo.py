@@ -412,12 +412,6 @@ class Repository:
     def __len__(self) -> int:
         return len(self._cases)
 
-    def __iter__(self):
-        return iter(self._cases.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Repository) and self._cases == other._cases
-
     def save(self, path) -> None:
         write_jsonl(path, (asdict(case) for case in self._cases.values()))
 

@@ -12,9 +12,11 @@ from j2cj.adapters import (
     CommandRunner,
     MockCompiler,
     MockRunner,
+    RunOutcome,
     ToolchainError,
 )
 from j2cj.jsonl import text_digest
+from j2cj.repair_engine import normalize_output
 
 
 def test_command_compiler_success_and_failure():
@@ -55,6 +57,17 @@ def test_command_runner_pipes_stdin_and_captures_stdout():
     outcome = runner.run("ignored", "ping\n")
     assert outcome.output == "ping\n"
     assert not outcome.timed_out
+
+
+@pytest.mark.parametrize(
+    "script,output",
+    [("echo 6; exit 3", "6\n<exit 3>\n"), ("printf 6; exit 1", "6\n<exit 1>\n")],
+    ids=["line-ended", "unterminated"],
+)
+def test_command_runner_output_ends_with_a_nonzero_exit_code(script, output):
+    outcome = CommandRunner(["sh", "-c", script]).run("x", "3\n")
+    assert outcome == RunOutcome(output, False)
+    assert normalize_output(outcome.output) != normalize_output("6\n")
 
 
 def test_command_runner_timeout_counts_as_timed_out():

@@ -14,15 +14,12 @@ from support import extract_blocks
 from j2cj.ast_summary import (
     DEFAULT_RETAINED_CATEGORIES,
     MarkerCollisionError,
-    StructuralTokenVocab,
-    VocabError,
     default_vocab,
-    load_vocab,
     render_structured_prompt,
     summarize,
     tokenize_structure,
 )
-from j2cj.javaparse import parse
+from j2cj.javaparse import CATEGORIES, parse
 
 # (source, hand-traced DFS summary under the default retained set)
 GOLDEN = [
@@ -125,7 +122,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("source,expected", GOLDEN, ids=range(len(GOLDEN)))
 def test_golden_summaries(source, expected):
-    assert list(summarize(parse(source)).categories) == expected
+    assert list(summarize(parse(source))) == expected
 
 
 def test_empty_retained_set_is_rejected():
@@ -135,7 +132,7 @@ def test_empty_retained_set_is_rejected():
 
 def test_vacuous_retention_yields_empty_summary():
     summary = summarize(parse("class A {}"), frozenset({"while_statement"}))
-    assert summary.categories == ()
+    assert summary == ()
 
 
 # --- fuzz corpus ---------------------------------------------------------------
@@ -192,7 +189,7 @@ def test_fuzz_no_terminal_categories_and_length_bound():
         tree = parse(source)
         summary = summarize(tree, DEFAULT_RETAINED_CATEGORIES)
         terminal_categories = {n.category for n in tree.walk() if n.is_terminal}
-        assert not terminal_categories & set(summary.categories)
+        assert not terminal_categories & set(summary)
         assert len(summary) <= sum(1 for node in tree.walk() if not node.is_terminal)
 
 
@@ -206,39 +203,19 @@ def test_declaration_sources_have_nonempty_summaries():
 # --- vocab ----------------------------------------------------------------------
 
 def test_default_vocab_is_injective_and_total():
-    vocab = default_vocab()
-    assert len(set(vocab.mapping.values())) == len(vocab.mapping)
-    assert set(vocab.mapping) == set(DEFAULT_RETAINED_CATEGORIES)
+    vocab = default_vocab(CATEGORIES)
+    assert len(set(vocab.values())) == len(vocab)
+    assert set(vocab) == set(CATEGORIES)
+    assert vocab["if_statement"] == "<STRUCT:IF_STATEMENT>"
+    assert default_vocab() == {c: vocab[c] for c in DEFAULT_RETAINED_CATEGORIES}
 
 
 def test_tokenize_structure_examples():
-    vocab = StructuralTokenVocab({"if_statement": "<STRUCT:IF>"})
+    vocab = {"if_statement": "<STRUCT:IF>"}
     summary = summarize(parse("void f() { if (x) {} }"), frozenset({"if_statement"}))
     assert tokenize_structure(summary, vocab) == ["<STRUCT:IF>"]
     empty = summarize(parse("class A {}"), frozenset({"if_statement"}))
     assert tokenize_structure(empty, vocab) == []
-
-
-def test_unmapped_category_falls_back_to_other():
-    vocab = StructuralTokenVocab({"if_statement": "<STRUCT:IF>"})
-    summary = summarize(parse("class A {}"), frozenset({"class_declaration"}))
-    assert tokenize_structure(summary, vocab) == ["<STRUCT:OTHER>"]
-
-
-def test_non_injective_vocab_rejected():
-    with pytest.raises(VocabError):
-        StructuralTokenVocab({"a": "<STRUCT:X>", "b": "<STRUCT:X>"})
-
-
-def test_vocab_round_trips_through_text_table(tmp_path):
-    vocab = default_vocab()
-    path = tmp_path / "vocab.tsv"
-    table = "".join(f"{category}\t{token}\n" for category, token in sorted(vocab.mapping.items()))
-    path.write_text(f"# vocab-version: v2\n{table}", encoding="utf-8")
-    loaded = load_vocab(path)
-    assert loaded.mapping == vocab.mapping  # a `#` header is skipped
-    first_line = path.read_text(encoding="utf-8").splitlines()[1]
-    assert "\t" in first_line
 
 
 # --- prompt rendering --------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end CLI runs over replay fixtures."""
 
+import argparse
 import json
 import re
 import types
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 import yaml
@@ -14,7 +16,7 @@ from support import transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import main
+from j2cj.cli import build_parser, main
 from j2cj.config import _SETTINGS
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
@@ -218,6 +220,28 @@ def test_summarize_ast_outputs_categories_and_tokens(tmp_path, capsys):
     assert lines[0] == "class_declaration"
     assert main(["summarize-ast", str(java_file), "--tokens"]) == 0
     assert capsys.readouterr().out.startswith("<STRUCT:CLASS_DECLARATION>")
+
+
+def _long_options(parser: argparse.ArgumentParser, words: tuple[str, ...] = ()):
+    """(subcommand, its long options) for every subcommand that takes no further subcommand."""
+    subcommands = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subcommands:
+        yield " ".join(words), {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+    for action in subcommands:
+        for name, subparser in action.choices.items():
+            yield from _long_options(subparser, (*words, name))
+
+
+def test_readme_cli_synopsis_names_each_subcommands_long_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("## CLI\n\n```text\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for line in synopsis.splitlines():
+        if line.startswith("j2cj "):
+            words = line.split()
+            command = " ".join(words[1:3] if words[1] == "repo" else words[1:2])
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    assert documented == dict(_long_options(build_parser()))
 
 
 def test_repo_add_and_search(tmp_path, capsys):
@@ -464,7 +488,6 @@ _CASE = asdict(RepairCase(
     "c1", ("type_mismatch",), "error: expected String, found Int64", "Convert with toString().",
     'let s: String = 1', 'let s: String = "1"',
 ))
-_SUMMARIZE_WITH_VOCAB = ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--vocab", "{file}"]
 
 # name -> (file written under the fixture root, its text, the bad line, argv)
 _MALFORMED_INPUTS = {
@@ -542,9 +565,6 @@ _MALFORMED_INPUTS = {
         json.dumps({"unit_id": 7, "compiled": True, "all_tests_passed": True, "reference": "a"}),
         1,
         ["evaluate", "--outcomes", "{file}"],
-    ),
-    "vocab-line-without-tab": (
-        "v.tsv", "# vocab-version: v1\nclass_declaration <STRUCT:CLASS>\n", 2, _SUMMARIZE_WITH_VOCAB,
     ),
 }
 
@@ -635,10 +655,10 @@ _MALFORMED_SETUPS = {
         {}, {"reports/outcomes.jsonl": None}, _TRANSLATE,
         "[Errno 21] Is a directory: '{root}/reports/outcomes.jsonl'",
     ),
-    "vocab-token-mapped-twice": (
-        {}, {"v.tsv": "class_declaration\t<STRUCT:X>\nblock\t<STRUCT:X>\n"},
-        ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--vocab", "{root}/v.tsv"],
-        "token '<STRUCT:X>' mapped from both 'class_declaration' and 'block'",
+    "config-retained-category-unknown": (
+        {"retained_categories": ["class_decl", "block"]}, {},
+        ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--config", "{config}"],
+        "retained_categories names no parser category: ['class_decl']\n",
     ),
 }
 # Values of another kind, for each kind of setting, and two values that
@@ -779,7 +799,6 @@ _NOT_UTF8 = {
         "cand.cj", ["repair", "--config", "{config}", "--java", "{root}/bench/unit1.java", "--candidate", "{file}"], 1,
         "error: {file}: not UTF-8: invalid continuation byte at byte 6", "",
     ),
-    "summarize-ast-vocab": ("v.tsv", _SUMMARIZE_WITH_VOCAB, 1, "error: {file}: not UTF-8: invalid continuation byte at byte 6", ""),
     "build-corpus-pair-target": (
         "pairs/A.cj",
         ["build-corpus", "--config", "{config}", "--pairs", "{root}/pairs", "--out", "{root}/datasets"], 2,

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import random
 import re
 import signal
 import sys
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from j2cj.javaparse import KEYWORDS, SyntaxNode, Token, _tokenize, parse, tree_has_errors
+from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES
+from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, Token, _tokenize, parse, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -324,6 +326,22 @@ def test_stray_delimiter_terminates_with_error_tree(run_isolated, source):
     result = run_isolated(code, stdin=source, timeout=20)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "True\n"
+
+
+def test_declared_categories_are_exactly_what_the_corpora_emit():
+    from test_ast_summary import GOLDEN, gen_snippet
+
+    rng = random.Random(5)
+    sources = [
+        *(source for source, _ in PINNED_TREES),
+        *HANGING_AT_PARENT,
+        *(source for source, _ in GOLDEN),
+        *(gen_snippet(rng) for _ in range(1000)),
+    ]
+    emitted = {node.category for source in sources for node in parse(source).walk() if not node.is_terminal}
+    assert emitted == CATEGORIES
+    assert len(CATEGORIES) == 74
+    assert DEFAULT_RETAINED_CATEGORIES <= CATEGORIES
 
 
 def test_nesting_too_deep_becomes_one_error_node():

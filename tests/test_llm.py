@@ -47,38 +47,37 @@ def test_decoding_defaults_and_validation():
 
 
 def test_render_simple_substitution():
-    template = PromptTemplate("t", "T: {code}", frozenset({"code"}))
+    template = PromptTemplate("t", "T: {code}")
     assert template.render({"code": "x"}) == "T: x"
 
 
 def test_render_missing_slot_names_the_slot():
-    template = PromptTemplate("t", "T: {code}", frozenset({"code"}))
+    template = PromptTemplate("t", "T: {code}")
     with pytest.raises(TemplateError, match="code"):
         template.render({})
 
 
 def test_render_rejects_unknown_extra_slots():
-    template = PromptTemplate("t", "T: {code}", frozenset({"code"}))
+    template = PromptTemplate("t", "T: {code}")
     with pytest.raises(TemplateError, match="extra"):
         template.render({"code": "x", "extra": "y"})
 
 
 def test_slot_value_with_placeholder_syntax_is_not_reexpanded():
-    template = PromptTemplate("t", "A {first} B {second}", frozenset({"first", "second"}))
+    template = PromptTemplate("t", "A {first} B {second}")
     rendered = template.render({"first": "{second}", "second": "ZZ"})
     assert rendered == "A {second} B ZZ"
 
 
 def test_template_requires_each_slot_exactly_once():
-    with pytest.raises(TemplateError):
-        PromptTemplate("t", "{code} and {code}", frozenset({"code"}))
-    with pytest.raises(TemplateError):
-        PromptTemplate("t", "no slots here", frozenset({"code"}))
+    with pytest.raises(TemplateError, match="'code' appears more than once"):
+        PromptTemplate("t", "{code} and {code}")
+    assert PromptTemplate("t", "no slots here").required_slots == frozenset()
 
 
-def test_template_rejects_undeclared_placeholders():
-    with pytest.raises(TemplateError):
-        PromptTemplate("t", "has {rogue}", frozenset())
+def test_template_slots_are_its_placeholders():
+    assert PromptTemplate("t", "has {rogue} and {{literal}}").required_slots == {"rogue"}
+    assert REPAIR_APPLY_TEST_TEMPLATE.required_slots == {"java", "candidate", "failures", "guidance"}
 
 
 @pytest.mark.parametrize(
@@ -87,11 +86,11 @@ def test_template_rejects_undeclared_placeholders():
 )
 def test_template_rejects_malformed_placeholders(body):
     with pytest.raises(TemplateError):
-        PromptTemplate("t", body, frozenset({"a"}))
+        PromptTemplate("t", body)
 
 
 def test_brace_escaping_in_template_body():
-    template = PromptTemplate("t", 'JSON: {{"k": "{v}"}}', frozenset({"v"}))
+    template = PromptTemplate("t", 'JSON: {{"k": "{v}"}}')
     assert template.render({"v": "x"}) == 'JSON: {"k": "x"}'
 
 
@@ -287,6 +286,18 @@ def test_http_backend_rejects_a_body_that_is_not_json_without_retry():
         backend.complete("p")
     assert str(err.value) == "malformed completion response: " + response.text[:500]
     assert len(session.requests) == 1
+
+
+@pytest.mark.parametrize("status", [404, 200])
+def test_http_backend_error_quoting_a_multiline_body_is_one_line(status):
+    response = _FakeResponse(status)
+    response.text = "<html>\n<body>down</body>\n</html>"
+    response.json = lambda: json.loads(response.text)
+    backend = HttpBackend("http://x", "m", session=_FakeSession([response]))
+    with pytest.raises(CompletionError) as err:
+        backend.complete("p")
+    prefix = "endpoint returned 404" if status == 404 else "malformed completion response"
+    assert str(err.value) == f"{prefix}: <html> <body>down</body> </html>"
 
 
 def test_extract_code_block_variants():

@@ -294,7 +294,7 @@ def code_fragment(rng: random.Random, size: int) -> str:
 
 
 def exhaustive_top_k(query, repo, k, w):
-    scored = [(case, similarity(query, case, w)) for case in repo]
+    scored = [(case, similarity(query, case, w)) for case in repo.cases()]
     return sorted(scored, key=lambda pair: (-pair[1].total, pair[0].id))[:k]
 
 
@@ -403,7 +403,7 @@ def test_repository_round_trip(tmp_path):
     repo = Repository([random_case(rng, f"c{i}") for i in range(10)])
     path = tmp_path / "repo.jsonl"
     repo.save(path)
-    assert Repository.load(path) == repo
+    assert Repository.load(path).cases() == repo.cases()
     assert list(read_jsonl(path)[0]) == [f.name for f in fields(RepairCase)]
 
 
