@@ -18,6 +18,7 @@ from pathlib import Path
 from . import ast_summary, corpus, metrics
 from .adapters import ToolchainError
 from .config import (
+    SETTINGS,
     PipelineConfig,
     build_compiler,
     build_llm,
@@ -60,25 +61,28 @@ def _fail(message: str) -> int:
     return EXIT_CONFIG
 
 
+def _overrides(args) -> dict:
+    """The settings given as flags: each flag that sets a setting has its dotted key as dest."""
+    return {key: value for key, value in vars(args).items() if key in SETTINGS and value is not None}
+
+
 # --- build-corpus ------------------------------------------------------------
 
 def cmd_build_corpus(args) -> int:
-    config = load_config(args.config)
-    chapters = args.chapters or config.path("chapters")
-    snippets = args.snippets or config.path("snippets")
-    pairs = args.pairs or config.path("pairs")
-    out_dir = args.out or config.path("datasets")
+    config = load_config(args.config, _overrides(args))
+    inputs = {name: config.path(name) for name in ("chapters", "snippets", "pairs")}
+    out_dir = config.path("datasets")
     if out_dir is None:
         return _fail("no output directory (use --out or paths.datasets)")
-    if chapters is None and snippets is None and pairs is None:
+    if not any(inputs.values()):
         return _fail("no input directories configured")
-    for name, directory in (("chapters", chapters), ("snippets", snippets), ("pairs", pairs)):
-        if directory is not None and not Path(directory).is_dir():
+    for name, directory in inputs.items():
+        if directory is not None and not directory.is_dir():
             return _fail(f"{name} directory does not exist: {directory}")
     llm = build_llm(config)
     try:
         stats = corpus.build_corpus(
-            chapters, snippets, pairs, out_dir, llm, allowlist=config.allowlist, retained=config.retained_categories
+            *inputs.values(), out_dir, llm, allowlist=config.allowlist, retained=config.retained_categories
         )
     finally:
         save_recording(llm, config)
@@ -93,7 +97,7 @@ def cmd_build_corpus(args) -> int:
 # --- summarize-ast -----------------------------------------------------------
 
 def cmd_summarize_ast(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, _overrides(args))
     summary = ast_summary.summarize(parse_java(read_text(args.file)), config.retained_categories)
     if args.tokens:
         vocab = ast_summary.default_vocab(config.retained_categories)
@@ -145,11 +149,11 @@ def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
 
 
 def cmd_translate(args) -> int:
-    config = load_config(args.config, _translate_overrides(args))
-    benchmark = args.benchmark or config.path("benchmark")
-    if benchmark is None or not Path(benchmark).is_dir():
+    config = load_config(args.config, _overrides(args))
+    benchmark = config.path("benchmark")
+    if benchmark is None or not benchmark.is_dir():
         return _fail(f"benchmark directory does not exist: {benchmark}")
-    traces_dir = args.traces or config.path("traces")
+    traces_dir = config.path("traces")
     reports_dir = config.path("reports")
     repo_path = config.path("repository")
     if args.harvest and repo_path is None:
@@ -157,11 +161,11 @@ def cmd_translate(args) -> int:
     deps = _build_deps(config)
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
-    java_files = sorted(Path(benchmark).glob("*.java"), key=lambda path: path.stem)
+    java_files = sorted(benchmark.glob("*.java"), key=lambda path: path.stem)
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
     if traces_dir is not None:
-        Path(traces_dir).mkdir(parents=True, exist_ok=True)
+        traces_dir.mkdir(parents=True, exist_ok=True)
 
     def work(java_file):
         """Finish one unit: write its trace; return its id, status or error, outcome record and harvest."""
@@ -171,7 +175,7 @@ def cmd_translate(args) -> int:
         except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
             return unit_id, f"error: {type(exc).__name__}: {exc}", None, []
         if traces_dir is not None:
-            write_trace(unit, Path(traces_dir) / f"{unit_id}.trace.json", redact=args.redact)
+            write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=args.redact)
         final = unit.candidates[-1]
         accepted = unit.status is UnitStatus.ACCEPTED
         record = {
@@ -184,18 +188,15 @@ def cmd_translate(args) -> int:
         }
         return unit_id, unit.status.value, record, harvest_cases(unit) if args.harvest and accepted else []
 
-    try:
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                finished = list(pool.map(work, java_files))
-        else:
-            finished = [work(java_file) for java_file in java_files]
+    try:  # map keeps unit order, and an interrupt cancels the units not yet started
+        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+            finished = list(pool.map(work, java_files))
     finally:
         save_recording(deps.llm, config)
 
     if reports_dir is not None:
-        Path(reports_dir).mkdir(parents=True, exist_ok=True)
-        write_jsonl(Path(reports_dir) / "outcomes.jsonl", (record for _, _, record, _ in finished if record))
+        reports_dir.mkdir(parents=True, exist_ok=True)
+        write_jsonl(reports_dir / "outcomes.jsonl", (record for _, _, record, _ in finished if record))
 
     if args.harvest:
         repo = deps.repo if deps.repo is not None else Repository()
@@ -218,26 +219,8 @@ def cmd_translate(args) -> int:
     return EXIT_PARTIAL if counts["errored"] else EXIT_OK
 
 
-def _repair_overrides(args) -> dict:
-    overrides = {}
-    if args.threshold is not None:
-        overrides["repair.threshold"] = args.threshold
-    if args.max_iterations is not None:
-        overrides["repair.max_iterations"] = args.max_iterations
-    return overrides
-
-
-def _translate_overrides(args) -> dict:
-    overrides = _repair_overrides(args)
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.no_repair:
-        overrides["repair.max_iterations"] = 1
-    return overrides
-
-
 def cmd_repair(args) -> int:
-    config = load_config(args.config, _repair_overrides(args))
+    config = load_config(args.config, _overrides(args))
     unit = TranslationUnit(
         java_source=read_text(args.java),
         test_suite=_load_tests(args.tests) if args.tests else [],
@@ -274,8 +257,8 @@ def cmd_repo_add(args) -> int:
 
 
 def cmd_repo_search(args) -> int:
-    config = load_config(args.config)
-    repo_path = Path(args.repo) if args.repo else config.path("repository")
+    config = load_config(args.config, _overrides(args))
+    repo_path = config.path("repository")
     if repo_path is None or not repo_path.exists():
         return _fail(f"repository file does not exist: {repo_path}")
     repo = Repository.load(repo_path)
@@ -284,8 +267,7 @@ def cmd_repo_search(args) -> int:
         return _fail("provide --error or --error-file")
     fragment = read_text(args.fragment_file) if args.fragment_file else ""
     tags = tuple(t for t in (args.tags or "").split(",") if t)
-    top_k = config.repair.rag_top_k if args.top_k is None else args.top_k
-    ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, top_k, config.repair.weights)
+    ranked = retrieve(ErrorQuery(error_info, fragment, tags), repo, config.repair.rag_top_k, config.repair.weights)
     for case, breakdown in ranked:
         scores = " ".join(f"s{j + 1}={s:.3f}" for j, s in enumerate(breakdown.scores))
         print(f"{case.id}\ttotal={breakdown.total:.4f}\t{scores}")
@@ -345,45 +327,49 @@ def cmd_report(args) -> int:
 
 # --- parser ---------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="j2cj", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises, so that main turns it into exit 1 and one line."""
 
-    p = sub.add_parser("build-corpus", help="build the three training datasets")
-    p.add_argument("--config")
-    p.add_argument("--chapters", type=Path)
-    p.add_argument("--snippets", type=Path)
-    p.add_argument("--pairs", type=Path)
-    p.add_argument("--out", type=Path)
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Each flag that sets a setting stores it under the setting's dotted key (see ``_overrides``)."""
+    parser = _Parser(prog="j2cj", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    configured = _Parser(add_help=False)
+    configured.add_argument("--config")
+    repairing = _Parser(add_help=False, parents=[configured])
+    repairing.add_argument("--redact", action="store_true", help="store prompt/reply digests instead of full text")
+    repairing.add_argument("--threshold", dest="repair.threshold", metavar="T", type=float)
+    repairing.add_argument("--max-iterations", dest="repair.max_iterations", metavar="N", type=int)
+
+    p = sub.add_parser("build-corpus", parents=[configured], help="build the three training datasets")
+    for name in ("chapters", "snippets", "pairs"):
+        p.add_argument(f"--{name}", dest=f"paths.{name}", metavar="DIR")
+    p.add_argument("--out", dest="paths.datasets", metavar="DIR")
     p.set_defaults(func=cmd_build_corpus)
 
-    p = sub.add_parser("summarize-ast", help="print the structural summary of a Java file")
+    p = sub.add_parser("summarize-ast", parents=[configured], help="print the structural summary of a Java file")
     p.add_argument("file")
-    p.add_argument("--config")
     p.add_argument("--tokens", action="store_true", help="print structural tokens instead of categories")
     p.set_defaults(func=cmd_summarize_ast)
 
-    p = sub.add_parser("translate", help="translate and iteratively repair a benchmark directory")
-    p.add_argument("--config")
-    p.add_argument("--benchmark", type=Path)
-    p.add_argument("--traces", type=Path)
-    p.add_argument("--no-repair", action="store_true", help="evaluate only the initial candidate")
+    p = sub.add_parser("translate", parents=[repairing], help="translate and iteratively repair a benchmark directory")
+    p.add_argument("--benchmark", dest="paths.benchmark", metavar="DIR")
+    p.add_argument("--traces", dest="paths.traces", metavar="DIR")
+    p.add_argument("--no-repair", action="store_const", const=1, dest="repair.max_iterations",
+                   help="evaluate only the initial candidate")
     p.add_argument("--harvest", action="store_true", help="append harvested repair cases to the repository")
-    p.add_argument("--redact", action="store_true", help="store prompt/reply digests instead of full text")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--jobs", metavar="N", type=int)
     p.set_defaults(func=cmd_translate)
 
-    p = sub.add_parser("repair", help="run the repair loop on an existing candidate")
-    p.add_argument("--config")
+    p = sub.add_parser("repair", parents=[repairing], help="run the repair loop on an existing candidate")
     p.add_argument("--java", required=True)
     p.add_argument("--candidate", required=True)
     p.add_argument("--tests")
     p.add_argument("--out")
-    p.add_argument("--redact", action="store_true")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--max-iterations", type=int, default=None)
     p.set_defaults(func=cmd_repair)
 
     p = sub.add_parser("repo", help="manage the error-repair repository")
@@ -392,14 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--repo", required=True)
     pa.add_argument("--file", required=True)
     pa.set_defaults(func=cmd_repo_add)
-    ps = repo_sub.add_parser("search", help="rank cases against a query error")
-    ps.add_argument("--config")
-    ps.add_argument("--repo")
+    ps = repo_sub.add_parser("search", parents=[configured], help="rank cases against a query error")
+    ps.add_argument("--repo", dest="paths.repository", metavar="FILE")
     ps.add_argument("--error")
     ps.add_argument("--error-file")
     ps.add_argument("--fragment-file")
     ps.add_argument("--tags")
-    ps.add_argument("--top-k", type=int, default=None, help="default: repair.rag_top_k")
+    ps.add_argument("--top-k", dest="repair.rag_top_k", metavar="K", type=int)
     ps.set_defaults(func=cmd_repo_search)
 
     p = sub.add_parser("evaluate", help="compute FE/CSR/CFE/BLEU over an outcomes file")
@@ -416,9 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # The one place where bad input becomes exit 1; only a unit's own files give exit 2.
+    # The one place where bad input, usage errors included, becomes exit 1;
+    # only a unit's own files give exit 2.
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, CompletionError, ToolchainError) as exc:
         return _fail(str(exc))

@@ -64,6 +64,8 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
     "runner": _TOOL,
     "repair": {"threshold": _NUMBER, "max_iterations": _INTEGER, "rag_top_k": _INTEGER, "weights": _NUMBERS},
 }
+# Every setting's dotted key, as load_config's overrides name it: "jobs", "repair.threshold", ...
+SETTINGS = frozenset(f"{section}.{key}".lstrip(".") for section, kinds in _SETTINGS.items() for key in kinds)
 
 
 @dataclass

@@ -328,7 +328,7 @@ def build_corpus(
         for chapter_file in chapter_files:
             try:
                 result = reconstruct_chapter(read_text(chapter_file), llm)
-            except (ValueError, RuntimeError) as exc:
+            except (ValueError, RuntimeError, OSError) as exc:
                 stats["errors"].append(f"{chapter_file.name}: {exc}".splitlines()[0])
                 continue
             dropped += result.dropped
@@ -350,7 +350,7 @@ def build_corpus(
         for snippet_file in sorted(Path(snippets_dir).glob("*.cj")):
             try:
                 snippets.append(read_text(snippet_file))
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 stats["errors"].append(f"{snippet_file.name}: {exc}")
         outcome = filter_snippets(snippets, allowlist)
         samples = []
@@ -377,7 +377,7 @@ def build_corpus(
                 continue
             try:
                 pair_samples.append(build_parallel_sample(read_text(java_file), read_text(target_file), retained))
-            except ValueError as exc:
+            except (ValueError, OSError) as exc:
                 stats["errors"].append(f"{java_file.name}: {exc}")
                 skipped += 1
         write_parallel_dataset(pair_samples, out_dir / "parallel.jsonl")

@@ -374,27 +374,18 @@ class HttpBackend:
             excerpt = " ".join(resp.text[:500].split())  # whitespace runs folded: the error is one line
             if resp.status_code != 200:
                 raise CompletionError(f"endpoint returned {resp.status_code}: {excerpt}")
-            try:
-                body = resp.json()
-            except ValueError as exc:  # not JSON: every JSONDecodeError requests raises is a ValueError
-                raise CompletionError(f"malformed completion response: {excerpt}") from exc
-            reply = self._parse_reply(body)
+            try:  # not JSON: every JSONDecodeError requests raises is a ValueError
+                reply = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError):
+                reply = None
+            if not isinstance(reply, str):
+                raise CompletionError(f"malformed completion response: {excerpt}")
             if self.recorder is not None:
                 self.recorder.add(prompt, reply)
             return reply
         raise CompletionError(
             f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}"
         )
-
-    @staticmethod
-    def _parse_reply(body: dict) -> str:
-        try:
-            content = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            content = None
-        if not isinstance(content, str):
-            raise CompletionError(f"malformed completion response: {body!r}")
-        return content
 
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)

@@ -37,7 +37,6 @@ from .repair_repo import (
     ErrorQuery,
     RepairCase,
     Repository,
-    SimilarityBreakdown,
     SimilarityWeights,
     extract_error_tags,
     retrieve,
@@ -229,10 +228,9 @@ def format_failures(failed_tests: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def format_cases(ranked: list[tuple[RepairCase, SimilarityBreakdown]] | list[RepairCase]) -> str:
+def format_cases(cases: list[RepairCase]) -> str:
     blocks = []
-    for rank, item in enumerate(ranked, 1):
-        case = item[0] if isinstance(item, tuple) else item
+    for rank, case in enumerate(cases, 1):
         blocks.append(
             f"Case {rank}:\n"
             f"Error: {case.error_info}\n"
@@ -278,7 +276,7 @@ def self_analysis_repair(
 def rag_repair(
     candidate: str,
     diagnostics: str,
-    retrieved: list[tuple[RepairCase, SimilarityBreakdown]] | list[RepairCase],
+    retrieved: list[RepairCase],
     llm,
 ) -> tuple[str, list[dict]]:
     """Single-completion repair guided by retrieved cases, in rank order."""
@@ -342,7 +340,7 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
                 return unit
 
         diagnostics = rec.diagnostics if rec.diagnostics.strip() else "<no diagnostics>"
-        ranked: list[tuple[RepairCase, SimilarityBreakdown]] = []
+        ranked = []
         top_score = None
         if rec.compile_status is CompileStatus.FAIL and deps.repo is not None and len(deps.repo) > 0:
             ranked = retrieve(
@@ -359,7 +357,7 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
             return unit
         guidance = None
         if branch is Branch.RAG_REPAIR:
-            candidate, exchanges = rag_repair(rec.candidate, diagnostics, ranked, deps.llm)
+            candidate, exchanges = rag_repair(rec.candidate, diagnostics, [case for case, _ in ranked], deps.llm)
         else:
             evidence = diagnostics if branch is Branch.SELF_ANALYSIS else format_failures(rec.failed_tests)
             guidance, candidate, exchanges = self_analysis_repair(

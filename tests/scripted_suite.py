@@ -90,7 +90,7 @@ def build_transcript(repo: Repository, cfg: RepairConfig) -> Transcript:
         ErrorQuery(DIAG_A, C0_A, extract_error_tags(DIAG_A)), repo, cfg.rag_top_k, cfg.weights
     )
     rag_prompt = RAG_REPAIR_TEMPLATE.render(
-        {"errors": DIAG_A, "cases": format_cases(ranked), "candidate": C0_A}
+        {"errors": DIAG_A, "cases": format_cases([case for case, _ in ranked]), "candidate": C0_A}
     )
     transcript.add(rag_prompt, f"```\n{C1_A}\n```")
 

@@ -16,8 +16,8 @@ from support import transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import build_parser, main
-from j2cj.config import _SETTINGS
+from j2cj.cli import _overrides, build_parser, main
+from j2cj.config import _SETTINGS, load_config
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
 from j2cj.llm import (
@@ -210,6 +210,55 @@ def test_unknown_config_key_rejected(pipeline):
     raw["lmm"] = {"mode": "mock"}
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     assert main(["translate", "--config", str(config_path)]) == 1
+
+
+_REPAIR = ["repair", "--java", "A.java", "--candidate", "c.cj"]
+
+
+@pytest.mark.parametrize("argv,key,value", [
+    (["translate", "--threshold", "0.25"], "repair.threshold", 0.25),
+    (["translate", "--max-iterations", "3"], "repair.max_iterations", 3),
+    (["translate", "--no-repair"], "repair.max_iterations", 1),
+    (["translate", "--max-iterations", "3", "--no-repair"], "repair.max_iterations", 1),
+    (["translate", "--no-repair", "--max-iterations", "3"], "repair.max_iterations", 3),
+    (["translate", "--jobs", "4"], "jobs", 4),
+    (["translate", "--benchmark", "flag"], "paths.benchmark", "flag"),
+    (["translate", "--traces", "flag"], "paths.traces", "flag"),
+    ([*_REPAIR, "--threshold", "0.25"], "repair.threshold", 0.25),
+    ([*_REPAIR, "--max-iterations", "3"], "repair.max_iterations", 3),
+    (["build-corpus", "--chapters", "flag"], "paths.chapters", "flag"),
+    (["build-corpus", "--snippets", "flag"], "paths.snippets", "flag"),
+    (["build-corpus", "--pairs", "flag"], "paths.pairs", "flag"),
+    (["build-corpus", "--out", "flag"], "paths.datasets", "flag"),
+    (["repo", "search", "--repo", "flag"], "paths.repository", "flag"),
+    (["repo", "search", "--top-k", "2"], "repair.rag_top_k", 2),
+])
+def test_a_flag_that_sets_a_setting_overrides_the_config_file(tmp_path, argv, key, value):
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump({
+        "jobs": 2,
+        "paths": dict.fromkeys(_SETTINGS["paths"], "file"),
+        "repair": {"threshold": 0.75, "max_iterations": 7, "rag_top_k": 5},
+    }), encoding="utf-8")
+    args = build_parser().parse_args([*argv, "--config", str(config_path)])
+    config = load_config(args.config, _overrides(args))
+    section, _, name = key.rpartition(".")
+    holder = getattr(config, section) if section else config
+    assert (holder[name] if isinstance(holder, dict) else getattr(holder, name)) == value
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["translate", "--jobs", "x"], "j2cj translate: argument --jobs: invalid int value: 'x'"),
+    ([], "j2cj: the following arguments are required: command"),
+    (["translate", "--bogus"], "j2cj: unrecognized arguments: --bogus"),
+    (["evaluate"], "j2cj evaluate: the following arguments are required: --outcomes"),
+], ids=["jobs-not-an-int", "no-subcommand", "unknown-flag", "evaluate-without-outcomes"])
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    with pytest.raises(SystemExit) as help_exit:
+        main([*argv[:1], "--help"])
+    assert help_exit.value.code == 0
 
 
 def test_summarize_ast_outputs_categories_and_tokens(tmp_path, capsys):
@@ -655,6 +704,10 @@ _MALFORMED_SETUPS = {
         {}, {"reports/outcomes.jsonl": None}, _TRANSLATE,
         "[Errno 21] Is a directory: '{root}/reports/outcomes.jsonl'",
     ),
+    "repo-search-top-k-zero": (
+        {}, {}, ["repo", "search", "--config", "{config}", "--error", "e", "--top-k", "0"],
+        "invalid repair settings: rag_top_k must be positive\n",
+    ),
     "config-retained-category-unknown": (
         {"retained_categories": ["class_decl", "block"]}, {},
         ["summarize-ast", "{root}/bench/unit1.java", "--tokens", "--config", "{config}"],
@@ -754,6 +807,28 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_
     assert result.stderr == "problem: A.java: java source does not parse cleanly\n"
     [sample] = read_jsonl(out_dir / "parallel.jsonl")
     assert sample["java_source"] == JAVA
+
+
+# name -> (a directory where build-corpus reads a file, its flag, the unit the problem names, text in stdout)
+_UNREADABLE_CORPUS_FILES = {
+    "pair-target": ("pairs/B.cj", "--pairs", "B.java", "parallel_skipped: 1"),
+    "snippet": ("snippets/s.cj", "--snippets", "s.cj", "snippets_seen: 0"),
+    "chapter": ("chapters/c.md", "--chapters", "c.md", "entries: 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNREADABLE_CORPUS_FILES))
+def test_build_corpus_reports_an_unreadable_file_and_keeps_the_rest(pipeline, capsys, name):
+    root, config_path = pipeline
+    directory, flag, unit, out_line = _UNREADABLE_CORPUS_FILES[name]
+    (root / "pairs").mkdir()
+    (root / "pairs" / "B.java").write_text(JAVA, encoding="utf-8")
+    (root / directory).mkdir(parents=True)
+    argv = ["build-corpus", "--config", str(config_path), flag, str((root / directory).parent), "--out", str(root / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"problem: {unit}: [Errno 21] Is a directory: '{root / directory}'\n"
+    assert out_line in captured.out
 
 
 @pytest.mark.parametrize("unit_id", ["../x", "a/b", "/abs/x"])

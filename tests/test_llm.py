@@ -288,6 +288,14 @@ def test_http_backend_rejects_a_body_that_is_not_json_without_retry():
     assert len(session.requests) == 1
 
 
+def test_http_backend_quotes_500_characters_of_a_json_body_without_a_reply():
+    response = _FakeResponse(200, {"choices": [], "pad": "x" * 5000})
+    backend = HttpBackend("http://x", "m", session=_FakeSession([response]))
+    with pytest.raises(CompletionError) as err:
+        backend.complete("p")
+    assert str(err.value) == "malformed completion response: " + response.text[:500]
+
+
 @pytest.mark.parametrize("status", [404, 200])
 def test_http_backend_error_quoting_a_multiline_body_is_one_line(status):
     response = _FakeResponse(status)
