@@ -13,6 +13,9 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 from . import ast_summary, corpus, metrics
@@ -71,9 +74,7 @@ def _overrides(args) -> dict:
 def cmd_build_corpus(args) -> int:
     config = load_config(args.config, _overrides(args))
     inputs = {name: config.path(name) for name in ("chapters", "snippets", "pairs")}
-    out_dir = config.path("datasets")
-    if out_dir is None:
-        return _fail("no output directory (use --out or paths.datasets)")
+    out_dir = config.required_path("datasets")
     if not any(inputs.values()):
         return _fail("no input directories configured")
     for name, directory in inputs.items():
@@ -136,82 +137,89 @@ def _build_deps(config: PipelineConfig) -> EngineDeps:
     return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo)
 
 
-def _run_unit(java_file: Path, deps: EngineDeps, config: PipelineConfig):
-    """Read, translate and repair the unit of ``NAME.java``; return it and its reference."""
-    tests_file = java_file.with_name(f"{java_file.stem}.tests.json")
-    ref_file = java_file.with_name(f"{java_file.stem}.ref.cj")
-    java = read_text(java_file)
-    tests = _load_tests(tests_file) if tests_file.exists() else []
-    reference = read_text(ref_file) if ref_file.exists() else ""
-    record = translate(java, deps.llm, retained=config.retained_categories)
-    unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[record], unit_id=java_file.stem)
-    return run_repair_loop(unit, config.repair, deps), reference
+@dataclass(frozen=True)
+class UnitResult:
+    """A finished unit: its status or ``error: ...`` text, outcome row (None on error) and harvest."""
+
+    unit_id: str
+    status: str
+    record: dict | None
+    cases: list[RepairCase]
+
+
+def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redact: bool, harvest: bool) -> UnitResult:
+    """Translate and repair the unit of ``NAME.java`` and write its trace; a failure
+    of the unit's own files, the model or the toolchain is its ``error: ...`` result."""
+    unit_id = java_file.stem
+    tests_file = java_file.with_name(f"{unit_id}.tests.json")
+    ref_file = java_file.with_name(f"{unit_id}.ref.cj")
+    try:
+        java = read_text(java_file)
+        tests = _load_tests(tests_file) if tests_file.exists() else []
+        reference = read_text(ref_file) if ref_file.exists() else ""
+        initial = translate(java, deps.llm, retained=config.retained_categories)
+        unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[initial], unit_id=unit_id)
+        unit = run_repair_loop(unit, config.repair, deps)
+    except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
+        return UnitResult(unit_id, f"error: {type(exc).__name__}: {exc}", None, [])
+    traces_dir = config.path("traces")
+    if traces_dir is not None:
+        write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=redact)
+    final = unit.candidates[-1]
+    accepted = unit.status is UnitStatus.ACCEPTED
+    record = {
+        "unit_id": unit_id,
+        "status": unit.status.value,
+        "compiled": final.compile_status is CompileStatus.SUCCESS,
+        "all_tests_passed": accepted,
+        "candidate": final.candidate,
+        "reference": reference,
+    }
+    return UnitResult(unit_id, unit.status.value, record, harvest_cases(unit) if harvest and accepted else [])
 
 
 def cmd_translate(args) -> int:
     config = load_config(args.config, _overrides(args))
-    benchmark = config.path("benchmark")
-    if benchmark is None or not benchmark.is_dir():
+    benchmark = config.required_path("benchmark")
+    if not benchmark.is_dir():
         return _fail(f"benchmark directory does not exist: {benchmark}")
     traces_dir = config.path("traces")
     reports_dir = config.path("reports")
-    repo_path = config.path("repository")
-    if args.harvest and repo_path is None:
-        return _fail("--harvest needs paths.repository")
+    repo_path = config.required_path("repository") if args.harvest else None
     deps = _build_deps(config)
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
-    java_files = sorted(benchmark.glob("*.java"), key=lambda path: path.stem)
+    java_files = sorted(benchmark.glob("*.java"), key=attrgetter("stem"))
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
     if traces_dir is not None:
         traces_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(java_file):
-        """Finish one unit: write its trace; return its id, status or error, outcome record and harvest."""
-        unit_id = java_file.stem
-        try:
-            unit, reference = _run_unit(java_file, deps, config)
-        except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
-            return unit_id, f"error: {type(exc).__name__}: {exc}", None, []
-        if traces_dir is not None:
-            write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=args.redact)
-        final = unit.candidates[-1]
-        accepted = unit.status is UnitStatus.ACCEPTED
-        record = {
-            "unit_id": unit_id,
-            "status": unit.status.value,
-            "compiled": final.compile_status is CompileStatus.SUCCESS,
-            "all_tests_passed": accepted,
-            "candidate": final.candidate,
-            "reference": reference,
-        }
-        return unit_id, unit.status.value, record, harvest_cases(unit) if args.harvest and accepted else []
-
+    task = partial(run_unit, config=config, deps=deps, redact=args.redact, harvest=args.harvest)
     try:  # map keeps unit order, and an interrupt cancels the units not yet started
         with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            finished = list(pool.map(work, java_files))
+            results = list(pool.map(task, java_files))
     finally:
         save_recording(deps.llm, config)
 
     if reports_dir is not None:
         reports_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(reports_dir / "outcomes.jsonl", (record for _, _, record, _ in finished if record))
+        write_jsonl(reports_dir / "outcomes.jsonl", (result.record for result in results if result.record))
 
     if args.harvest:
         repo = deps.repo if deps.repo is not None else Repository()
         before = len(repo)
-        for _, _, _, cases in finished:
-            for case in cases:
+        for result in results:
+            for case in result.cases:
                 with suppress(DuplicateCaseError):
                     repo.add_case(case)
         repo.save(repo_path)
         print(f"harvested {len(repo) - before} repair case(s) into {repo_path}")
 
     counts = Counter()
-    for unit_id, status, record, _ in finished:
-        print(f"{unit_id}: {status}", file=sys.stdout if record else sys.stderr)
-        counts[status if record else "errored"] += 1
+    for result in results:
+        print(f"{result.unit_id}: {result.status}", file=sys.stdout if result.record else sys.stderr)
+        counts[result.status if result.record else "errored"] += 1
     print(
         f"accepted={counts['accepted']} stagnated={counts['stagnated']} "
         f"budget_exhausted={counts['budget_exhausted']} errored={counts['errored']}"
@@ -258,10 +266,7 @@ def cmd_repo_add(args) -> int:
 
 def cmd_repo_search(args) -> int:
     config = load_config(args.config, _overrides(args))
-    repo_path = config.path("repository")
-    if repo_path is None or not repo_path.exists():
-        return _fail(f"repository file does not exist: {repo_path}")
-    repo = Repository.load(repo_path)
+    repo = Repository.load(config.required_path("repository"))
     error_info = args.error or (read_text(args.error_file) if args.error_file else "")
     if not error_info.strip():
         return _fail("provide --error or --error-file")

@@ -95,6 +95,12 @@ class PipelineConfig:
         value = self.paths.get(name)
         return Path(value) if value else None
 
+    def required_path(self, name: str) -> Path:
+        path = self.path(name)
+        if path is None:
+            raise ConfigError(f"paths.{name} is not set")
+        return path
+
 
 def _given(settings: dict, *keys: str) -> dict:
     """The settings among ``keys`` that ``settings`` sets, as keyword arguments."""

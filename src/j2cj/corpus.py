@@ -15,6 +15,7 @@ import os
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from .ast_summary import (
@@ -299,6 +300,27 @@ def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
 
 # --- directory-level orchestration ------------------------------------------------
 
+def _per_file(work, items, problems: list[str]):
+    """``(name, work(item))`` for each ``(name, item)``, in order; where work raises ValueError,
+    RuntimeError or OSError, one problem line instead: the name and the error's first line."""
+    for name, item in items:
+        try:
+            yield name, work(item)
+        except (ValueError, RuntimeError, OSError) as exc:
+            problems.append(f"{name}: {exc}".splitlines()[0])
+
+
+def _snippet_sample(llm, code: str) -> MonolingualSample:
+    return build_monolingual_sample(code, annotate_snippet(code, llm))
+
+
+def _pair_sample(retained: frozenset[str], java_file: Path) -> ParallelSample:
+    target_file = java_file.with_suffix(".cj")
+    if not target_file.exists():
+        raise ValueError("missing Cangjie counterpart")
+    return build_parallel_sample(read_text(java_file), read_text(target_file), retained)
+
+
 def build_corpus(
     chapters_dir: str | Path | None,
     snippets_dir: str | Path | None,
@@ -322,20 +344,16 @@ def build_corpus(
         chapter_files = sorted(Path(chapters_dir).glob("*.md"))
         if not chapter_files:
             raise ValueError(f"no chapter files (*.md) in {chapters_dir}")
+        chapters = _per_file(read_text, ((f.name, f) for f in chapter_files), stats["errors"])
         entries: list[SyntaxEntry] = []
         seen_ids: set[str] = set()
         dropped = 0
-        for chapter_file in chapter_files:
-            try:
-                result = reconstruct_chapter(read_text(chapter_file), llm)
-            except (ValueError, RuntimeError, OSError) as exc:
-                stats["errors"].append(f"{chapter_file.name}: {exc}".splitlines()[0])
-                continue
+        for name, result in _per_file(partial(reconstruct_chapter, llm=llm), chapters, stats["errors"]):
             dropped += result.dropped
             for entry in result.entries:
                 if entry.id in seen_ids:
                     dropped += 1
-                    stats["errors"].append(f"{chapter_file.name}: duplicate entry id {entry.id!r}")
+                    stats["errors"].append(f"{name}: duplicate entry id {entry.id!r}")
                     continue
                 seen_ids.add(entry.id)
                 entries.append(entry)
@@ -346,43 +364,26 @@ def build_corpus(
         stats["entries_dropped"] = dropped
 
     if snippets_dir is not None:
-        snippets = []
-        for snippet_file in sorted(Path(snippets_dir).glob("*.cj")):
-            try:
-                snippets.append(read_text(snippet_file))
-            except (ValueError, OSError) as exc:
-                stats["errors"].append(f"{snippet_file.name}: {exc}")
-        outcome = filter_snippets(snippets, allowlist)
-        samples = []
-        for code in outcome.retained:
-            try:
-                samples.append(build_monolingual_sample(code, annotate_snippet(code, llm)))
-            except (ValueError, RuntimeError) as exc:
-                stats["errors"].append(f"snippet annotation: {exc}")
+        snippet_files = ((f.name, f) for f in sorted(Path(snippets_dir).glob("*.cj")))
+        texts = dict(_per_file(read_text, snippet_files, stats["errors"]))
+        outcome = filter_snippets(list(texts.values()), allowlist)
+        # The filter judges a snippet by its text alone, so equal texts share a verdict.
+        kept = set(outcome.retained)
+        retained_texts = ((name, code) for name, code in texts.items() if code in kept)
+        samples = [s for _, s in _per_file(partial(_snippet_sample, llm), retained_texts, stats["errors"])]
         write_monolingual_dataset(samples, out_dir / "monolingual.jsonl")
-        stats["snippets_seen"] = len(snippets)
+        stats["snippets_seen"] = len(texts)
         stats["snippets_retained"] = len(outcome.retained)
         stats["snippets_rejected"] = dict(outcome.rejected)
         stats["monolingual_samples"] = len(samples)
 
     if pairs_dir is not None:
-        pair_samples = []
         java_files = sorted(Path(pairs_dir).glob("*.java"))
-        skipped = 0
-        for java_file in java_files:
-            target_file = java_file.with_suffix(".cj")
-            if not target_file.exists():
-                stats["errors"].append(f"{java_file.name}: missing Cangjie counterpart")
-                skipped += 1
-                continue
-            try:
-                pair_samples.append(build_parallel_sample(read_text(java_file), read_text(target_file), retained))
-            except (ValueError, OSError) as exc:
-                stats["errors"].append(f"{java_file.name}: {exc}")
-                skipped += 1
+        pairs = ((f.name, f) for f in java_files)
+        pair_samples = [s for _, s in _per_file(partial(_pair_sample, retained), pairs, stats["errors"])]
         write_parallel_dataset(pair_samples, out_dir / "parallel.jsonl")
         stats["parallel_pairs"] = len(pair_samples)
-        stats["parallel_skipped"] = skipped
+        stats["parallel_skipped"] = len(java_files) - len(pair_samples)
 
     with atomic_write(out_dir / "stats.json") as fh:
         fh.write(json.dumps(stats, ensure_ascii=False, indent=2, sort_keys=True) + "\n")

@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import pickle
 import re
 import types
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ from support import transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import _overrides, build_parser, main
+from j2cj.cli import _build_deps, _overrides, build_parser, main, run_unit
 from j2cj.config import _SETTINGS, load_config
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
@@ -24,6 +26,7 @@ from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
     REPAIR_APPLY_COMPILE_TEMPLATE,
     REPAIR_GUIDANCE_COMPILE_TEMPLATE,
+    SEMANTIC_ANNOTATION_TEMPLATE,
     TRANSLATE_INSTRUCTION,
     Transcript,
 )
@@ -130,6 +133,21 @@ def test_translate_harvest_appends_to_repository(pipeline, capsys):
     case = repo.cases()[0]
     assert case.error_info == DIAG
     assert case.repair_suggestion == GUIDANCE
+
+
+def test_a_unit_task_and_its_result_survive_pickle(pipeline):
+    """What the pool sends with each unit, all but the adapters (``deps``),
+    and the result that comes back, harvested cases included."""
+    tmp_path, config_path = pipeline
+    config = load_config(config_path)
+    task = partial(run_unit, config=config, redact=True, harvest=True)
+    sent = pickle.loads(pickle.dumps(task))
+    assert (sent.func, sent.args, sent.keywords) == (run_unit, (), task.keywords)
+
+    (tmp_path / "traces").mkdir()
+    result = sent(tmp_path / "bench" / "unit1.java", deps=_build_deps(config))
+    assert result.status == "accepted" and len(result.cases) == 1
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_translate_rerun_is_byte_identical(pipeline):
@@ -676,7 +694,15 @@ _MALFORMED_SETUPS = {
         "runner timeout must be a positive finite number of seconds",
     ),
     "translate-harvest-without-repository": (
-        {"paths.repository": None}, {}, _TRANSLATE + ["--harvest"], "--harvest needs paths.repository",
+        {"paths.repository": None}, {}, _TRANSLATE + ["--harvest"], "paths.repository is not set\n",
+    ),
+    "translate-without-benchmark": ({"paths.benchmark": None}, {}, _TRANSLATE, "paths.benchmark is not set\n"),
+    "repo-search-without-repository": (
+        {"paths.repository": None}, {}, ["repo", "search", "--config", "{config}", "--error", "x"],
+        "paths.repository is not set\n",
+    ),
+    "build-corpus-without-datasets": (
+        {}, {}, ["build-corpus", "--config", "{config}", "--pairs", "{root}"], "paths.datasets is not set\n",
     ),
     "config-transcript-an-int": ({"llm.transcript": 5}, {}, _TRANSLATE, "llm.transcript must be a string"),
     "config-llm-mode-unknown": ({"llm.mode": "mokc"}, {}, _TRANSLATE, "llm.mode must be 'mock' or 'http'"),
@@ -809,25 +835,41 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_
     assert sample["java_source"] == JAVA
 
 
-# name -> (a directory where build-corpus reads a file, its flag, the unit the problem names, text in stdout)
-_UNREADABLE_CORPUS_FILES = {
-    "pair-target": ("pairs/B.cj", "--pairs", "B.java", "parallel_skipped: 1"),
-    "snippet": ("snippets/s.cj", "--snippets", "s.cj", "snippets_seen: 0"),
-    "chapter": ("chapters/c.md", "--chapters", "c.md", "entries: 0"),
+SNIPPET = "func add(a: Int64, b: Int64): Int64 {\n    let total = a + b\n    println(total)\n    return total\n}\n"
+
+# name -> (a file build-corpus reads, its text (None: a directory in its place), its flag,
+#          the problem line after "problem: ", text in stdout)
+_FAILING_CORPUS_FILES = {
+    "pair-target": ("pairs/B.cj", None, "--pairs", "B.java: [Errno 21] Is a directory: '{file}'", "parallel_skipped: 1"),
+    "snippet": ("snippets/s.cj", None, "--snippets", "s.cj: [Errno 21] Is a directory: '{file}'", "snippets_seen: 0"),
+    "chapter": ("chapters/c.md", None, "--chapters", "c.md: [Errno 21] Is a directory: '{file}'", "entries: 0"),
+    "snippet-annotation-blank": (
+        "snippets/good.cj", SNIPPET, "--snippets", "good.cj: annotation reply is empty", "monolingual_samples: 0",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_UNREADABLE_CORPUS_FILES))
+@pytest.mark.parametrize("name", sorted(_FAILING_CORPUS_FILES))
 def test_build_corpus_reports_an_unreadable_file_and_keeps_the_rest(pipeline, capsys, name):
+    """A file that cannot be read, or whose text the model annotates with a
+    blank reply, is one problem line naming it; the other files still run."""
     root, config_path = pipeline
-    directory, flag, unit, out_line = _UNREADABLE_CORPUS_FILES[name]
+    file_name, text, flag, problem, out_line = _FAILING_CORPUS_FILES[name]
     (root / "pairs").mkdir()
     (root / "pairs" / "B.java").write_text(JAVA, encoding="utf-8")
-    (root / directory).mkdir(parents=True)
-    argv = ["build-corpus", "--config", str(config_path), flag, str((root / directory).parent), "--out", str(root / "out")]
+    path = root / file_name
+    if text is None:
+        path.mkdir(parents=True)
+    else:
+        path.parent.mkdir(parents=True)
+        path.write_text(text, encoding="utf-8")
+        transcript = Transcript.load(root / "transcript.jsonl")
+        transcript.add(SEMANTIC_ANNOTATION_TEMPLATE.render({"code": text}), " \n")
+        transcript.save(root / "transcript.jsonl")
+    argv = ["build-corpus", "--config", str(config_path), flag, str(path.parent), "--out", str(root / "out")]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"problem: {unit}: [Errno 21] Is a directory: '{root / directory}'\n"
+    assert captured.err == f"problem: {problem.format(file=path)}\n"
     assert out_line in captured.out
 
 
