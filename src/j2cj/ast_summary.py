@@ -4,12 +4,13 @@ A summary is the DFS pre-order sequence of retained internal node
 categories: the control-flow and declaration skeleton of a program with
 all token-level detail discarded. Summaries are discretized into
 structural tokens and embedded into translation prompts between fixed
-boundary markers.
+boundary markers. ``structure_tokens`` reads them off the parser's event
+stream, without building a tree.
 """
 
 from __future__ import annotations
 
-from .javaparse import SyntaxNode
+from .javaparse import SyntaxNode, parse_events
 
 # Control-flow and semantic node kinds kept in summaries by default.
 # class_body is included so type skeletons survive for declaration-only
@@ -69,6 +70,21 @@ def summarize(
     return tuple(
         node.category for node in tree.walk() if not node.is_terminal and node.category in retained
     )
+
+
+def structure_tokens(java: str, retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES) -> list[str]:
+    """``tokenize_structure(summarize(parse(java), retained), default_vocab(retained))``
+    from one pass over ``parse_events(java)``. Raises ValueError when the tree
+    would hold an ERROR node: an ERROR token, or an ERROR node with or without children."""
+    kinds, _, _, events = parse_events(java)
+    # Internal nodes open with their category; childless (terminal) ones are 1-tuples.
+    table = {**default_vocab(retained), "ERROR": None, ("ERROR",): None}
+    tokens = [table[event] for event in events if event in table]
+    if None in tokens or "ERROR" in kinds:
+        raise ValueError("java source does not parse cleanly")
+    if not retained:
+        raise ValueError("retained category set must be non-empty")
+    return tokens
 
 
 def tokenize_structure(summary: tuple[str, ...], vocab: dict[str, str]) -> list[str]:

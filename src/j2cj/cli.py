@@ -186,6 +186,8 @@ def cmd_translate(args) -> int:
     traces_dir = config.path("traces")
     reports_dir = config.path("reports")
     repo_path = config.required_path("repository") if args.harvest else None
+    if repo_path is not None and not repo_path.parent.is_dir():
+        return _fail(f"repository directory does not exist: {repo_path.parent}")
     deps = _build_deps(config)
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").

@@ -18,14 +18,12 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
-from .ast_summary import (
-    DEFAULT_RETAINED_CATEGORIES,
-    default_vocab,
-    ensure_no_markers,
-    summarize,
-    tokenize_structure,
-)
-from .javaparse import parse, tree_has_errors
+from .ast_summary import DEFAULT_RETAINED_CATEGORIES, ensure_no_markers, structure_tokens
+
+# Unused here: the benchmark's tracer (bench/spans.py) still wraps these two
+# names in this module until it looks them up elsewhere (ROADMAP item 5).
+from .ast_summary import summarize  # noqa: F401
+from .javaparse import parse  # noqa: F401
 from .llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
     MONOLINGUAL_INSTRUCTION,
@@ -271,12 +269,9 @@ def build_parallel_sample(
         raise ValueError("java source must be non-empty")
     if not cangjie.strip():
         raise ValueError("cangjie target must be non-empty")
-    tree = parse(java)
-    if tree_has_errors(tree):
-        raise ValueError("java source does not parse cleanly")
+    tokens = structure_tokens(java, retained)
     ensure_no_markers(java, "java source")
     ensure_no_markers(cangjie, "cangjie target")
-    tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
     return ParallelSample(TRANSLATE_INSTRUCTION, tuple(tokens), java, cangjie)
 
 
@@ -321,6 +316,53 @@ def _pair_sample(retained: frozenset[str], java_file: Path) -> ParallelSample:
     return build_parallel_sample(read_text(java_file), read_text(target_file), retained)
 
 
+def _chapter_stage(chapters_dir: Path, out_dir: Path, llm, problems: list[str]) -> dict:
+    chapter_files = sorted(chapters_dir.glob("*.md"))
+    if not chapter_files:
+        raise ValueError(f"no chapter files (*.md) in {chapters_dir}")
+    chapters = _per_file(read_text, ((f.name, f) for f in chapter_files), problems)
+    entries: list[SyntaxEntry] = []
+    seen_ids: set[str] = set()
+    dropped = 0
+    for name, result in _per_file(partial(reconstruct_chapter, llm=llm), chapters, problems):
+        dropped += result.dropped
+        for entry in result.entries:
+            if entry.id in seen_ids:
+                dropped += 1
+                problems.append(f"{name}: duplicate entry id {entry.id!r}")
+                continue
+            seen_ids.add(entry.id)
+            entries.append(entry)
+    write_syntax_entries(entries, out_dir / "syntax_entries.jsonl")
+    write_cpt_dataset(serialize_cpt(entries), out_dir / "cpt.jsonl")
+    return {"chapters": len(chapter_files), "entries": len(entries), "entries_dropped": dropped}
+
+
+def _snippet_stage(snippets_dir: Path, out_dir: Path, llm, allowlist: tuple[str, ...], problems: list[str]) -> dict:
+    snippet_files = ((f.name, f) for f in sorted(snippets_dir.glob("*.cj")))
+    texts = dict(_per_file(read_text, snippet_files, problems))
+    outcome = filter_snippets(list(texts.values()), allowlist)
+    # The filter judges a snippet by its text alone, so equal texts share a verdict.
+    kept = set(outcome.retained)
+    retained_texts = ((name, code) for name, code in texts.items() if code in kept)
+    samples = [s for _, s in _per_file(partial(_snippet_sample, llm), retained_texts, problems)]
+    write_monolingual_dataset(samples, out_dir / "monolingual.jsonl")
+    return {
+        "snippets_seen": len(texts),
+        "snippets_retained": len(outcome.retained),
+        "snippets_rejected": dict(outcome.rejected),
+        "monolingual_samples": len(samples),
+    }
+
+
+def _pair_stage(pairs_dir: Path, out_dir: Path, retained: frozenset[str], problems: list[str]) -> dict:
+    java_files = sorted(pairs_dir.glob("*.java"))
+    pairs = ((f.name, f) for f in java_files)
+    pair_samples = [s for _, s in _per_file(partial(_pair_sample, retained), pairs, problems)]
+    write_parallel_dataset(pair_samples, out_dir / "parallel.jsonl")
+    return {"parallel_pairs": len(pair_samples), "parallel_skipped": len(java_files) - len(pair_samples)}
+
+
 def build_corpus(
     chapters_dir: str | Path | None,
     snippets_dir: str | Path | None,
@@ -334,56 +376,18 @@ def build_corpus(
 
     Per-file failures are recorded in the returned stats and do not abort
     the run. File iteration is sorted, so reruns over identical inputs and
-    transcripts are byte-identical.
+    transcripts are byte-identical. Each dataset is built by its own stage,
+    so a stage's texts and samples are released before the next one starts.
     """
     out_dir = Path(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     stats: dict = {"errors": []}
-
     if chapters_dir is not None:
-        chapter_files = sorted(Path(chapters_dir).glob("*.md"))
-        if not chapter_files:
-            raise ValueError(f"no chapter files (*.md) in {chapters_dir}")
-        chapters = _per_file(read_text, ((f.name, f) for f in chapter_files), stats["errors"])
-        entries: list[SyntaxEntry] = []
-        seen_ids: set[str] = set()
-        dropped = 0
-        for name, result in _per_file(partial(reconstruct_chapter, llm=llm), chapters, stats["errors"]):
-            dropped += result.dropped
-            for entry in result.entries:
-                if entry.id in seen_ids:
-                    dropped += 1
-                    stats["errors"].append(f"{name}: duplicate entry id {entry.id!r}")
-                    continue
-                seen_ids.add(entry.id)
-                entries.append(entry)
-        write_syntax_entries(entries, out_dir / "syntax_entries.jsonl")
-        write_cpt_dataset(serialize_cpt(entries), out_dir / "cpt.jsonl")
-        stats["chapters"] = len(chapter_files)
-        stats["entries"] = len(entries)
-        stats["entries_dropped"] = dropped
-
+        stats.update(_chapter_stage(Path(chapters_dir), out_dir, llm, stats["errors"]))
     if snippets_dir is not None:
-        snippet_files = ((f.name, f) for f in sorted(Path(snippets_dir).glob("*.cj")))
-        texts = dict(_per_file(read_text, snippet_files, stats["errors"]))
-        outcome = filter_snippets(list(texts.values()), allowlist)
-        # The filter judges a snippet by its text alone, so equal texts share a verdict.
-        kept = set(outcome.retained)
-        retained_texts = ((name, code) for name, code in texts.items() if code in kept)
-        samples = [s for _, s in _per_file(partial(_snippet_sample, llm), retained_texts, stats["errors"])]
-        write_monolingual_dataset(samples, out_dir / "monolingual.jsonl")
-        stats["snippets_seen"] = len(texts)
-        stats["snippets_retained"] = len(outcome.retained)
-        stats["snippets_rejected"] = dict(outcome.rejected)
-        stats["monolingual_samples"] = len(samples)
-
+        stats.update(_snippet_stage(Path(snippets_dir), out_dir, llm, allowlist, stats["errors"]))
     if pairs_dir is not None:
-        java_files = sorted(Path(pairs_dir).glob("*.java"))
-        pairs = ((f.name, f) for f in java_files)
-        pair_samples = [s for _, s in _per_file(partial(_pair_sample, retained), pairs, stats["errors"])]
-        write_parallel_dataset(pair_samples, out_dir / "parallel.jsonl")
-        stats["parallel_pairs"] = len(pair_samples)
-        stats["parallel_skipped"] = len(java_files) - len(pair_samples)
+        stats.update(_pair_stage(Path(pairs_dir), out_dir, retained, stats["errors"]))
 
     with atomic_write(out_dir / "stats.json") as fh:
         fh.write(json.dumps(stats, ensure_ascii=False, indent=2, sort_keys=True) + "\n")

@@ -15,14 +15,12 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .ast_summary import (
-    DEFAULT_RETAINED_CATEGORIES,
-    default_vocab,
-    render_structured_prompt,
-    summarize,
-    tokenize_structure,
-)
-from .javaparse import parse, tree_has_errors
+from .ast_summary import DEFAULT_RETAINED_CATEGORIES, render_structured_prompt, structure_tokens
+
+# Unused here: the benchmark's tracer (bench/spans.py) still wraps these two
+# names in this module until it looks them up elsewhere (ROADMAP item 5).
+from .ast_summary import summarize  # noqa: F401
+from .javaparse import parse  # noqa: F401
 from .jsonl import atomic_write, text_digest
 from .llm import (
     RAG_REPAIR_TEMPLATE,
@@ -184,10 +182,7 @@ def translate(
     retained: frozenset[str] = DEFAULT_RETAINED_CATEGORIES,
 ) -> IterationRecord:
     """Produce the initial candidate via the structure-conditioned prompt."""
-    tree = parse(java_source)
-    if tree_has_errors(tree):
-        raise ValueError("java source does not parse cleanly")
-    tokens = tokenize_structure(summarize(tree, retained), default_vocab(retained))
+    tokens = structure_tokens(java_source, retained)
     prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
     candidate, exchange = _code_reply(prompt, llm, "translation completion")
     return IterationRecord(

@@ -652,7 +652,8 @@ def test_malformed_input_exits_1_with_one_line(pipeline, capsys, name):
 _TRANSLATE = ["translate", "--config", "{config}"]
 _COMMAND_COMPILER = {"compiler.mode": "command", "compiler.command": ["cjc", "{source}"]}
 
-# name -> (config settings changed, files written under the fixture root (None: a directory), argv,
+# name -> (config settings changed (a string value may name the fixture root as {root}),
+#          files written under the fixture root (None: a directory), argv,
 #          the start of the stderr line after "error: ")
 _MALFORMED_SETUPS = {
     "config-weights-an-int": ({"repair.weights": 5}, {}, _TRANSLATE, "repair.weights must be a list of numbers"),
@@ -695,6 +696,10 @@ _MALFORMED_SETUPS = {
     ),
     "translate-harvest-without-repository": (
         {"paths.repository": None}, {}, _TRANSLATE + ["--harvest"], "paths.repository is not set\n",
+    ),
+    "translate-harvest-into-missing-directory": (
+        {"paths.repository": "{root}/nodir/repo.jsonl"}, {}, _TRANSLATE + ["--harvest"],
+        "repository directory does not exist: {root}/nodir\n",
     ),
     "translate-without-benchmark": ({"paths.benchmark": None}, {}, _TRANSLATE, "paths.benchmark is not set\n"),
     "repo-search-without-repository": (
@@ -771,7 +776,7 @@ def test_malformed_setup_exits_1_with_one_line(pipeline, capsys, name):
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
     for dotted, value in changes.items():
         *section, key = dotted.split(".")
-        (raw.setdefault(section[0], {}) if section else raw)[key] = value
+        (raw.setdefault(section[0], {}) if section else raw)[key] = value.format(root=root) if isinstance(value, str) else value
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     for file_name, text in files.items():
         path = root / file_name
@@ -801,6 +806,9 @@ CLI_MAIN = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 UNPARSEABLE_JAVA = {
     "stray-semicolon": "class A { static int f(int x) { return g(1;); } }",
     "deep-nesting": "class B { void f() " + "{" * 600 + "}" * 600 + " }",
+    # A childless ERROR node (the missing initializer) and an ERROR token ('#').
+    "empty-initializer": "class A { int x = ; }",
+    "stray-character": "class A { int x = 1 # 2; }",
 }
 
 

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES
-from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, Token, _tokenize, parse, tree_has_errors
+import javaparse_oracle
+from javaparse_oracle import Token
+
+from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES, default_vocab, structure_tokens, summarize, tokenize_structure
+from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, parse, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -291,21 +294,30 @@ def _load_make_synthetic():
 GENERATED_CORPUS_DIGEST = "1291eb81f28e1e0e9b9cb940296bcfa3fe6a2344935b0639105482c2e1cdadec"
 
 
-def test_generated_corpus_trees_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def generated_java(tmp_path_factory) -> list[tuple[str, str]]:
+    """(label, text) of every Java file the generator writes for translate-mix
+    and corpus-build at small size, seeds 1-10."""
     make_synthetic = _load_make_synthetic()
-    digest = hashlib.sha256()
-    files = 0
+    root = tmp_path_factory.mktemp("generated")
+    files = []
     for workload in ("translate-mix", "corpus-build"):
         for seed in range(1, 11):
-            out = tmp_path / workload / str(seed)
+            out = root / workload / str(seed)
             make_synthetic.generate(workload, seed, out, small=True)
             for path in sorted(out.rglob("*.java")):
-                digest.update(f"# {workload} {seed} {path.relative_to(out).as_posix()}\n".encode("utf-8"))
-                for n in parse(path.read_text(encoding="utf-8")).walk():
-                    line = f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]} {len(n.children)}\n"
-                    digest.update(line.encode("utf-8"))
-                files += 1
-    assert files == 180
+                files.append((f"{workload} {seed} {path.relative_to(out).as_posix()}", path.read_text(encoding="utf-8")))
+    return files
+
+
+def test_generated_corpus_trees_are_pinned(generated_java):
+    digest = hashlib.sha256()
+    for label, text in generated_java:
+        digest.update(f"# {label}\n".encode("utf-8"))
+        for n in parse(text).walk():
+            line = f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]} {len(n.children)}\n"
+            digest.update(line.encode("utf-8"))
+    assert len(generated_java) == 180
     assert digest.hexdigest() == GENERATED_CORPUS_DIGEST
 
 
@@ -385,6 +397,49 @@ def test_every_token_lands_in_the_tree_once(lexemes):
 
 def _timeout(signum, frame):
     raise TimeoutError("parse did not return")
+
+
+def assert_matches_oracle(source: str) -> None:
+    """The event parser's tree is the recursive oracle's, and ``structure_tokens``
+    is the tree path's tokens, raising exactly when the tree holds an ERROR node."""
+    tree = parse(source)
+    assert tree == javaparse_oracle.parse(source)
+    for retained in (DEFAULT_RETAINED_CATEGORIES, CATEGORIES):
+        if tree_has_errors(tree):
+            with pytest.raises(ValueError, match="^java source does not parse cleanly$"):
+                structure_tokens(source, retained)
+        else:
+            assert structure_tokens(source, retained) == tokenize_structure(
+                summarize(tree, retained), default_vocab(retained))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(SOUP_LEXEMES), max_size=60))
+@example(["class", "A", "{", "int", "x", "=", ";", "}"])
+def test_event_parser_matches_the_oracle_on_token_soup(lexemes):
+    assert_matches_oracle(" ".join(lexemes))
+
+
+def test_event_parser_matches_the_oracle_on_fixed_sources():
+    from test_ast_summary import GOLDEN, gen_snippet
+
+    rng = random.Random(20240811)  # the fuzz corpus of test_ast_summary
+    sources = [
+        *(source for source, _ in PINNED_TREES),
+        *HANGING_AT_PARENT,
+        *(source for source, _ in GOLDEN),
+        *(gen_snippet(rng) for _ in range(1000)),
+        "class A { int x = ; }",
+        "class A { int x = 1 # 2; }",
+        "",
+    ]
+    for source in sources:
+        assert_matches_oracle(source)
+
+
+def test_event_parser_matches_the_oracle_on_the_generated_corpus(generated_java):
+    for _, text in generated_java:
+        assert_matches_oracle(text)
 
 
 # Oracle: the hand-written scanner that ``_tokenize`` replaced, kept as it
@@ -550,7 +605,7 @@ LEXEMES = st.sampled_from(LEX_EDGES) | st.sampled_from(SOUP_LEXEMES) | st.charac
 @example(["/*", "*", "/"])
 def test_tokenize_matches_the_hand_written_scanner(lexemes):
     source = "".join(lexemes)
-    assert _lexed(_tokenize(source)) == _lexed(_Lexer(source).tokens())
+    assert _lexed(javaparse_oracle.tokens(source)) == _lexed(_Lexer(source).tokens())
 
 
 # (source, the scanner's tokens, tokens now): a numeric character that is
@@ -568,4 +623,4 @@ NUMERIC_NOT_LETTER = [
 @pytest.mark.parametrize("source,before,now", NUMERIC_NOT_LETTER)
 def test_numeric_characters_that_are_not_letters_start_identifiers(source, before, now):
     assert [(t.kind, t.text) for t in _Lexer(source).tokens()] == before
-    assert [(t.kind, t.text) for t in _tokenize(source)] == now
+    assert [(t.kind, t.text) for t in javaparse_oracle.tokens(source)] == now
