@@ -172,6 +172,7 @@ _IMPORT_RE = re.compile(
 )
 _DECLARATION_RE = re.compile(r"\b(?:func|class|struct|enum|interface|init|main)\b")
 _EXTEND_RE = re.compile(r"^\s*(?:public\s+)?extend\b", re.MULTILINE)
+_BRACKET_RE = re.compile(r"[()\[\]{}]")
 
 _PAIRS = {")": "(", "]": "[", "}": "{"}
 
@@ -185,13 +186,11 @@ class FilterOutcome:
 def _balanced(stripped: str) -> bool:
     """Whether the brackets of code with comments and strings blanked out nest."""
     stack: list[str] = []
-    for ch in stripped:
+    for ch in _BRACKET_RE.findall(stripped):
         if ch in "([{":
             stack.append(ch)
-        elif ch in ")]}":
-            if not stack or stack[-1] != _PAIRS[ch]:
-                return False
-            stack.pop()
+        elif not stack or stack.pop() != _PAIRS[ch]:
+            return False
     return not stack
 
 
@@ -210,7 +209,11 @@ def filter_snippets(
             outcome.rejected[REASON_TOO_SHORT] += 1
             continue
         stripped = _CJ_STRING_RE.sub(" ", _CJ_COMMENT_RE.sub(" ", code))
-        if not _balanced(stripped) or _EXTEND_RE.search(stripped) or not _DECLARATION_RE.search(stripped):
+        if (
+            not _balanced(stripped)
+            or "extend" in stripped and _EXTEND_RE.search(stripped)
+            or not _DECLARATION_RE.search(stripped)
+        ):
             outcome.rejected[REASON_INCOMPLETE] += 1
             continue
         imports = [f"{package}.{name}" if package else name for package, name in _IMPORT_RE.findall(stripped)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, chain
 
 
 @dataclass(slots=True)
@@ -85,64 +86,64 @@ CATEGORIES = frozenset(
 )
 
 
-# Each match is the trivia before one token, then the token; the last match
-# is the trivia before the end of input. At each position the first token
-# alternative that matches wins, and one always does, so the engine never
-# backtracks into the trivia. \s, \w and \d are Python's Unicode classes
-# (str.isspace, str.isalnum or "_", str.isdecimal), so a word starts with
-# any \w that is not a decimal digit. '<' and '>' are always lexed alone
-# (except '<=' / '>=') so that nested generics like List<List<String>> are
-# not glued into shift operators.
+# One match per token: the trivia before it (whitespace and comments), then
+# the token; the trivia at the end of input comes with an empty token. The
+# last alternative takes any character, as an ERROR token, so the engine never
+# backtracks into the trivia. The kinds of token start with different
+# characters, so the order of the alternatives matters only within a kind
+# (0x before a decimal, a text block before a string, longer operators first)
+# and for '.': a digit after it makes a number, tried before the operator.
+# \s, \w and \d are Python's Unicode classes (str.isspace, str.isalnum or
+# "_", str.isdecimal). '<' and '>' are lexed alone (except in '<=' and '>='),
+# so that List<List<String>> is not read as a shift.
 _TOKEN_RE = re.compile(
     r"""
-    (?: \s+ | //[^\n]* | /\*.*?(?:\*/|\Z) )*
-    (?: (?P<word> (?!\d)[\w$]+ )
-      | (?P<number> 0[xX][0-9a-fA-F_]*[lL]?
-          | 0[bB][01_]*[fFdDlL]?
-          | (?:\d[\d_]*(?:\.(?!\.\.)[\d_]*)? | \.\d[\d_]*) (?:[eE][+-]?\d+)? [fFdDlL]? )  # 1... is 1 ...
-      | (?P<text_block> \"\"\".*?(?:\"\"\"|\Z) )
-        # A literal ends at its quote, a newline or the end of input.
-      | (?P<string_literal> "(?:[^"\\\n]|\\.)*["\n\\]? )
-      | (?P<character_literal> '(?:[^'\\\n]|\\.)*['\n\\]? )
-      | (?P<operator> \.\.\. | -> | :: | [=!<>]= | && | \|\| | \+\+ | -- | [-+*/%&|^]=
-          | [{}()\[\];,.@?:=+\-*/%&|^!~<>] )
-      | (?P<ERROR> . )
-      | \Z )
+    ( \s* (?: (?: //[^\n]* | /\*.*?(?:\*/|\Z) ) \s* )* )
+    ( [^\W\d][\w$]* | \$[\w$]*                                     # word
+    | 0[xX][0-9a-fA-F_]*[lL]? | 0[bB][01_]*[fFdDlL]?               # number; 1... is 1 ...
+    | (?:\d[\d_]*(?:\.(?!\.\.)[\d_]*)? | \.\d[\d_]*) (?:[eE][+-]?\d+)? [fFdDlL]?
+    | \"\"\".*?(?:\"\"\"|\Z)                                       # text block
+    | "(?:[^"\\\n]|\\.)*["\n\\]? | '(?:[^'\\\n]|\\.)*['\n\\]?       # string, character: up to
+                                                                   # a quote, newline or the end
+    | \.\.\. | -> | :: | [=!<>]= | && | \|\| | \+\+ | -- | [-+*/%&|^]=  # operator
+    | [{}()\[\];,.@?:=+\-*/%&|^!~<>]
+    | . | \Z )                                                     # ERROR; the end of input
     """,
     re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(source: str) -> tuple[list[str], list[int], list[int]]:
-    """The kinds, start and end offsets of the tokens of ``source``; a
-    character no rule takes is an ERROR token."""
-    kinds, starts, ends = [], [], []
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        if kind is None:
-            break
-        start, end = match.span(kind)
-        if kind == "word":
-            text = source[start:end]
-            kind = text if text in KEYWORDS else "identifier"
-        elif kind == "number":
-            kind = _number_kind(source[start:end])
-        elif kind == "operator":
-            kind = source[start:end]
-        kinds.append(kind)
-        starts.append(start)
-        ends.append(end)
-    return kinds, starts, ends
+    """The kinds, start and end offsets of the tokens of ``source``: one
+    ``findall`` of (trivia, token) pairs, the offsets as running sums of
+    their lengths, and the kind of each distinct text told once. A character
+    no rule takes is an ERROR token."""
+    pairs = _TOKEN_RE.findall(source)
+    while pairs and not pairs[-1][1]:  # the trivia before the end of input
+        pairs.pop()
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
+    texts = [text for _, text in pairs]
+    kind_of = {text: _kind(text) for text in set(texts)}
+    return list(map(kind_of.__getitem__, texts)), offsets[0::2], offsets[1::2]
 
 
-def _number_kind(text: str) -> str:
-    if text[:2] in ("0x", "0X"):
-        return "hex_integer_literal"
-    if any(ch in ".eEfFdD" for ch in text):
-        return "decimal_floating_point_literal"
-    if text[:2] in ("0b", "0B"):
-        return "binary_integer_literal"
-    return "decimal_integer_literal"
+def _kind(text: str) -> str:
+    """The kind of a token's text, told by its first character; a keyword or
+    an operator is its own kind."""
+    first = text[0]
+    if first == '"':
+        return "text_block" if text[:3] == '"""' else "string_literal"
+    if first == "'":
+        return "character_literal"
+    if first.isdecimal() or first == "." and text[1:2].isdecimal():
+        if text[:2] in ("0x", "0X"):
+            return "hex_integer_literal"
+        if any(ch in ".eEfFdD" for ch in text):
+            return "decimal_floating_point_literal"
+        return "binary_integer_literal" if text[:2] in ("0b", "0B") else "decimal_integer_literal"
+    if first.isalnum() or first in "_$":
+        return text if text in KEYWORDS else "identifier"
+    return text if len(text) > 1 or text in "{}()[];,.@?:=+-*/%&|^!~<>" else "ERROR"
 
 
 def _byte_offsets(source: str) -> list[int]:
@@ -186,12 +187,6 @@ class _Parser:
         i = self.pos + offset
         return i < self.n and self.kinds[i] == kind
 
-    def at_any(self, kinds: set[str]) -> bool:
-        return self.pos < self.n and self.kinds[self.pos] in kinds
-
-    def eof(self) -> bool:
-        return self.pos >= self.n
-
     def take(self, event: int | None = None) -> int:
         """Append the next token (as ``event`` when given) and return its mark."""
         self.events.append(self.pos if event is None else event)
@@ -199,14 +194,16 @@ class _Parser:
         return len(self.events) - 1
 
     def take_if(self, kind: str) -> int | None:
-        return self.take() if self.at(kind) else None
+        return self.take() if self.pos < self.n and self.kinds[self.pos] == kind else None
 
     def take_until(self, stop: set[str]) -> int | None:
         """Take tokens until a ``stop`` token or EOF."""
-        mark = len(self.events)
-        while not self.eof() and not self.at_any(stop):
-            self.take()
-        return mark if len(self.events) > mark else None
+        kinds, start, end, mark = self.kinds, self.pos, self.pos, len(self.events)
+        while end < self.n and kinds[end] not in stop:
+            end += 1
+        self.events.extend(range(start, end))
+        self.pos = end
+        return mark if end > start else None
 
     def dims(self) -> int | None:
         """Take ``[]`` pairs."""
@@ -235,19 +232,20 @@ class _Parser:
     def error_until(self, sync: set[str], consume_sync: bool = True) -> int:
         """Consume tokens into an ERROR node until a sync token or EOF."""
         first = self.take_until(sync)
-        last = self.take() if consume_sync and not self.eof() else None
+        last = self.take() if consume_sync and self.pos < self.n else None
         return self.node("ERROR", first, last)
 
     def sequence(self, stop: set[str], item, sep: str | None = None) -> None:
         """Parse ``item()``, each followed by an optional ``sep``, until a
         ``stop`` token or EOF. A pass that consumes nothing takes the next
         token as an ERROR node, so every sequence terminates."""
-        while not self.eof() and not self.at_any(stop):
-            before = self.pos
+        kinds, n, events = self.kinds, self.n, self.events
+        while (before := self.pos) < n and kinds[before] not in stop:
             item()
-            if sep is not None and self.at(sep):
-                self.take()
-            if self.pos == before:
+            if (pos := self.pos) < n and kinds[pos] == sep:
+                events.append(pos)
+                self.pos = pos = pos + 1
+            if pos == before:
                 self.node("ERROR", self.take())
 
     def _braced(self, category: str, item, sep: str | None = None) -> int:
@@ -274,7 +272,7 @@ class _Parser:
 
     def parse_modifiers(self) -> int | None:
         mark = len(self.events)
-        while not self.eof():
+        while self.pos < self.n:
             kind = self.kinds[self.pos]
             if kind == "@" and not self.at("interface", 1):
                 self.parse_annotation()
@@ -304,7 +302,7 @@ class _Parser:
         """Consume a balanced delimiter group shallowly (no inner structure)."""
         mark = self.take()
         depth = 1
-        while not self.eof() and depth > 0:
+        while self.pos < self.n and depth > 0:
             if self.at(open_kind):
                 depth += 1
             elif self.at(close_kind):
@@ -363,13 +361,10 @@ class _Parser:
 
     def _type_declaration(self, mods: int | None) -> int | None:
         """A class, interface or enum declaration at the cursor, else None."""
-        if self.at("class"):
-            return self.parse_class_like("class_declaration", mods)
-        if self.at("interface"):
-            return self.parse_class_like("interface_declaration", mods)
-        if self.at("enum"):
-            return self.parse_enum(mods)
-        return None
+        kind = self.peek()
+        if kind in ("class", "interface"):
+            return self.parse_class_like(f"{kind}_declaration", mods)
+        return self.parse_enum(mods) if kind == "enum" else None
 
     def parse_class_like(self, category: str, mods: int | None) -> int:
         first = self.take()  # 'class' / 'interface'
@@ -377,7 +372,7 @@ class _Parser:
         if self.at("<") and self._angle_group("type_parameters") is None:
             self.error_until({"{", ";"}, consume_sync=False)
         # 'extends'/'implements' clauses, plus contextual 'permits'.
-        while self.at_any({"extends", "implements"}) or (self.at("identifier") and self.text() == "permits"):
+        while self.peek() in ("extends", "implements") or (self.at("identifier") and self.text() == "permits"):
             clause = "superclass" if self.at("extends") else "super_interfaces"
             self.node(clause, self.take(), self.take_until({"{", "extends", "implements", ";"}))
         if self.at("{"):
@@ -448,7 +443,7 @@ class _Parser:
 
     def parse_variable_rest(self, mods: int | None, ty: int, first_name: int, category: str) -> int | None:
         """Declarators after `type name`; None if this is not a declaration."""
-        if not self.at_any({"=", ";", ",", "["}):
+        if self.peek() not in ("=", ";", ",", "["):
             return None
         self._declarator(first_name)
         while self.take_if(",") is not None:
@@ -502,7 +497,7 @@ class _Parser:
         """Balanced <...> holding only type-ish tokens; None on mismatch."""
         start, mark = self.pos, self.take()  # '<'
         depth = 1
-        while not self.eof() and depth > 0:
+        while self.pos < self.n and depth > 0:
             k = self.kinds[self.pos]
             if k == "<":
                 depth += 1
@@ -699,7 +694,7 @@ class _Parser:
         )
 
     def _switch_item(self) -> int:
-        if self.at_any({"case", "default"}):
+        if self.peek() in ("case", "default"):
             return self.parse_switch_group()
         return self.parse_statement()
 
@@ -711,7 +706,7 @@ class _Parser:
         self.node("switch_label", label)
         if self.at("->"):
             self.take()
-            if self.at_any({"{", "throw"}):
+            if self.peek() in ("{", "throw"):
                 self.parse_statement()
             else:
                 body = self.parse_expression({";"}, required=True)
@@ -741,14 +736,14 @@ class _Parser:
     def parse_expression(self, stop: set[str], required: bool) -> int:
         """Shallow expression parse: delimiter-aware, surfaces lambdas,
         anonymous classes, switch expressions and nested initializers."""
-        mark = len(self.events)
-        children = 0
-        while not self.eof():
-            k = self.kinds[self.pos]
+        kinds, n, events = self.kinds, self.n, self.events
+        mark, children = len(events), 0
+        while (pos := self.pos) < n:
+            k = kinds[pos]
             if k in stop or k in {";", ")", "]", "}"}:
                 break
             children += 1
-            if k == "identifier" and self.at("->", 1):
+            if k == "identifier" and pos + 1 < n and kinds[pos + 1] == "->":
                 self.node("lambda_expression", self.take(), self.take(), self._lambda_body())
             elif k == "(":
                 if self._paren_starts_lambda():
@@ -764,7 +759,8 @@ class _Parser:
             elif k == "[":
                 children += self._index() - 1
             else:
-                self.take()
+                events.append(pos)
+                self.pos = pos + 1
 
         if not children:
             return self.node("ERROR" if required else "expression")

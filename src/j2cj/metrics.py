@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import repeat
 
 from .jsonl import write_jsonl
 
@@ -87,17 +88,23 @@ def cfe(n_cf: int, n_compiled: int) -> Fraction:
 
 # --- BLEU ---------------------------------------------------------------------
 
+# Whitespace, then one token. Every character that is not whitespace starts
+# a token, so each match skips the whitespace before its token and no text
+# is lost between matches.
 _TOKEN_RE = re.compile(
+    r"\s*("
     r"[A-Za-z_][A-Za-z0-9_]*"      # identifiers and keywords
     r"|\d+\.\d+|\d+"               # numbers
     r"|->|==|!=|<=|>=|&&|\|\||\+\+|--|<<|>>|::|\+=|-=|\*=|/="  # operators
-    r"|[^\sA-Za-z0-9_]"            # any remaining single punctuation
+    r"|[^\sA-Za-z0-9_])"           # any remaining single punctuation
 )
 
 
 def tokenize_code(text: str) -> list[str]:
     """Whitespace/punctuation-boundary split keeping operators as tokens."""
-    return _TOKEN_RE.findall(text)
+    # Trailing whitespace is stripped first: there, \s* would match the rest
+    # of the text and then fail again at every later position (quadratic).
+    return _TOKEN_RE.findall(text.rstrip())
 
 
 def _ngrams(tokens: list[str], order: int) -> Counter:
@@ -114,7 +121,8 @@ def _pair_stats(candidate: str, references: list[str]) -> tuple[list[int], list[
     matches = []
     for order in range(1, BLEU_MAX_ORDER + 1):
         max_ref = reduce(operator.or_, [_ngrams(r, order) for r in refs])
-        matches.append(sum((_ngrams(cand, order) & max_ref).values()))
+        counts = _ngrams(cand, order)
+        matches.append(sum(map(min, counts.values(), map(max_ref.get, counts, repeat(0)))))
     totals = [max(0, len(cand) - order) for order in range(BLEU_MAX_ORDER)]
     ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
     return matches, totals, len(cand), ref_len

@@ -5,12 +5,15 @@ import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from support import transcript_of
 
 from j2cj.ast_summary import default_vocab, summarize, tokenize_structure
 from j2cj.corpus import (
     CPT_BOUNDARY,
+    _balanced,
     AnnotationError,
     MonolingualSample,
     ParallelSample,
@@ -192,6 +195,52 @@ def test_filter_conserves_counts():
     snippets = ["short", FIVE_LINE_SNIPPET, "import x.y\n" + FIVE_LINE_SNIPPET]
     outcome = filter_snippets(snippets)
     assert len(outcome.retained) + sum(outcome.rejected.values()) == len(snippets)
+
+
+# Oracle: the per-character scan ``_balanced`` made before it walked only
+# the brackets, kept as it was.
+_PAIRS = {")": "(", "]": "[", "}": "{"}
+
+
+def _balanced_per_character(stripped: str) -> bool:
+    stack: list[str] = []
+    for ch in stripped:
+        if ch in "([{":
+            stack.append(ch)
+        elif ch in ")]}":
+            if not stack or stack[-1] != _PAIRS[ch]:
+                return False
+            stack.pop()
+    return not stack
+
+
+_nested = st.recursive(
+    st.text(alphabet="ab <>\n\"'", max_size=3),
+    lambda inner: st.tuples(st.sampled_from(["()", "[]", "{}"]), st.lists(inner, max_size=3)).map(
+        lambda t: t[0][0] + "".join(t[1]) + t[0][1]
+    ),
+)
+
+
+@given(st.lists(_nested | st.sampled_from("()[]{}") | st.characters(), max_size=12).map("".join))
+@example("(]")
+@example("a)(b")
+@example("{[()]}x")
+def test_balanced_matches_the_per_character_scan(text):
+    assert _balanced(text) == _balanced_per_character(text)
+
+
+def test_filter_snippets_runs_in_linear_time(run_isolated):
+    # Five lines of 20,001 opening brackets, then five of closing ones: 200 KB
+    # nested over 100,000 deep, with no declaration.
+    code = (
+        "from j2cj.corpus import filter_snippets\n"
+        "print(dict(filter_snippets([sys.stdin.read()]).rejected))\n"
+    )
+    snippet = "\n".join(["({[" * 6_667 + "("] * 5 + [")" + "]})" * 6_667] * 5)
+    result = run_isolated(code, stdin=snippet, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "{'incomplete': 1}\n"
 
 
 def test_braces_inside_strings_do_not_unbalance():

@@ -624,3 +624,25 @@ NUMERIC_NOT_LETTER = [
 def test_numeric_characters_that_are_not_letters_start_identifiers(source, before, now):
     assert [(t.kind, t.text) for t in _Lexer(source).tokens()] == before
     assert [(t.kind, t.text) for t in javaparse_oracle.tokens(source)] == now
+
+
+# Inputs on which a lexer that fails at a position and searches again from
+# the next one takes minutes (each failure scans to the end of input), with
+# (token count, kinds, end of the last token) as lexed in linear time.
+LINEAR_LEXING = [
+    ("x" + " " * 200_000, "1 ['identifier'] 1"),
+    ("/*" * 50_000, "16666 ['*'] 99996"),  # the comment /*/*/, then the token *, repeated
+    ('"' * 100_000, "16667 ['text_block'] 100000"),
+]
+
+
+@pytest.mark.parametrize("source,expected", LINEAR_LEXING, ids=["trailing-whitespace", "comment-opens", "quotes"])
+def test_tokenize_runs_in_linear_time(run_isolated, source, expected):
+    code = (
+        "from j2cj.javaparse import _tokenize\n"
+        "kinds, starts, ends = _tokenize(sys.stdin.read())\n"
+        "print(len(kinds), sorted(set(kinds)), ends[-1])\n"
+    )
+    result = run_isolated(code, stdin=source, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected + "\n"

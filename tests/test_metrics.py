@@ -3,11 +3,12 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from j2cj.metrics import (
     BLEU_MAX_ORDER,
@@ -150,7 +151,21 @@ def test_bleu_values_always_in_unit_interval():
 
 
 # Brute-force oracle: the corpus BLEU statistics as computed before each
-# pair's statistics were counted once, kept verbatim to check the fast path.
+# pair's statistics were counted once, kept verbatim to check the fast path,
+# with the code tokenizer's pattern from before each match skipped the
+# whitespace before its token.
+
+_ORACLE_TOKEN_RE = re.compile(
+    r"[A-Za-z_][A-Za-z0-9_]*"      # identifiers and keywords
+    r"|\d+\.\d+|\d+"               # numbers
+    r"|->|==|!=|<=|>=|&&|\|\||\+\+|--|<<|>>|::|\+=|-=|\*=|/="  # operators
+    r"|[^\sA-Za-z0-9_]"            # any remaining single punctuation
+)
+
+
+def oracle_tokenize(text: str) -> list[str]:
+    return _ORACLE_TOKEN_RE.findall(text)
+
 
 def _oracle_ngram_counts(tokens: list[str], order: int) -> Counter:
     return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
@@ -182,8 +197,8 @@ def oracle_stats(pairs: list[tuple[str, list[str]]]) -> tuple[list[int], list[in
     cand_len = 0
     ref_len = 0
     for candidate, references in pairs:
-        cand_tokens = tokenize_code(candidate)
-        ref_tokens = [tokenize_code(r) for r in references]
+        cand_tokens = oracle_tokenize(candidate)
+        ref_tokens = [oracle_tokenize(r) for r in references]
         if not cand_tokens or all(not r for r in ref_tokens):
             raise ValueError("candidate and references must tokenize to at least one token")
         for order in range(1, BLEU_MAX_ORDER + 1):
@@ -264,6 +279,33 @@ def test_bleu_error_cases_match_the_oracle():
 
 def test_tokenize_code_keeps_operators():
     assert tokenize_code("x->f(a,b)!=0") == ["x", "->", "f", "(", "a", ",", "b", ")", "!=", "0"]
+
+
+# Whitespace that is not ASCII (\x0b, \x1c, \x85, U+3000 are str.isspace),
+# digits and letters that are not ASCII, and the operators' characters.
+_CODE_EDGES = ["\x0b", "\x1c", "\x85", "\u3000", "\u00a0", "\u2028", "٣", "５", "²", "é", "ж", "漢", "1.5", "1.", ".5",
+               "a_b", "_", "->", "<<", ">>", "::", "+=", "&&", "||", "--", "/", "=", "!", "<", ">"]
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u3000"
+
+
+@given(
+    st.lists(st.sampled_from(_CODE_EDGES) | st.sampled_from(_WORDS) | st.characters(), max_size=30).map("".join),
+    st.text(alphabet=_WHITESPACE, max_size=6),
+)
+@example("a \x1c\x85\u3000", "\u3000 ")
+@example("", " ")
+def test_tokenize_code_matches_the_oracle(body, tail):
+    text = body + tail
+    assert tokenize_code(text) == oracle_tokenize(text)
+
+
+def test_tokenize_code_runs_in_linear_time(run_isolated):
+    # Where a match can fail after skipping whitespace, searching again from
+    # each later position makes 200 KB of trailing whitespace take minutes.
+    code = "from j2cj.metrics import tokenize_code\nprint(tokenize_code(sys.stdin.read()))\n"
+    result = run_isolated(code, stdin="x = 1" + " \n\t" * 70_000, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['x', '=', '1']\n"
 
 
 # --- reports ----------------------------------------------------------------------
