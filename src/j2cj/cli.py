@@ -8,7 +8,6 @@ repo add|search, evaluate, report. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ from .config import (
     save_recording,
 )
 from .javaparse import parse as parse_java
-from .jsonl import read_jsonl, read_text, string_fields, write_jsonl
+from .jsonl import read_json, read_jsonl, read_text, string_fields, write_jsonl
 from .llm import CompletionError
 from .repair_engine import (
     Branch,
@@ -111,16 +110,8 @@ def cmd_summarize_ast(args) -> int:
 
 # --- translate / repair --------------------------------------------------------
 
-def _read_json(path) -> object:
-    """A whole-file JSON document; bad JSON raises ValueError naming path:line."""
-    try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-
-
 def _load_tests(path) -> list[TestCase]:
-    records = _read_json(path)
+    records = read_json(path)
     if not isinstance(records, list) or not all(
         isinstance(r, dict) and isinstance(r.get("input"), str) and isinstance(r.get("expected_output"), str)
         for r in records
@@ -258,7 +249,7 @@ def cmd_repair(args) -> int:
 def cmd_repo_add(args) -> int:
     repo_path = Path(args.repo)
     repo = Repository.load(repo_path) if repo_path.exists() else Repository()
-    payload = _read_json(args.file)
+    payload = read_json(args.file)
     for record in payload if isinstance(payload, list) else [payload]:
         repo.add_case(RepairCase.from_record(record))
     repo.save(repo_path)

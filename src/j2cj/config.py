@@ -121,7 +121,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
             raise ConfigError(f"config file not found: {path}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8: {path}") from exc
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:  # nested deeper than the stack
             raise ConfigError(f"config file is not valid YAML: {' '.join(str(exc).split())}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

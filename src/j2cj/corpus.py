@@ -164,14 +164,16 @@ def serialize_cpt(entries: list[SyntaxEntry]) -> list[str]:
 
 # --- snippet filtering ---------------------------------------------------------
 
-_CJ_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+# An unclosed ``/*`` runs to the end of the text, so no ``/*`` is scanned twice.
+_CJ_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
 _CJ_STRING_RE = re.compile(r'"""(?:.|\n)*?"""|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'')
 # (package of a `from ... import`, imported name); an access modifier may lead.
+# Leading blanks stop at a newline, so a run of blank lines is scanned once, not once per line.
 _IMPORT_RE = re.compile(
-    r"^\s*(?:(?:public|protected|internal|private)\s+)?(?:from\s+(\S+)\s+)?import\s+(\S+)", re.MULTILINE
+    r"^[^\S\n]*(?:(?:public|protected|internal|private)\s+)?(?:from\s+(\S+)\s+)?import\s+(\S+)", re.MULTILINE
 )
 _DECLARATION_RE = re.compile(r"\b(?:func|class|struct|enum|interface|init|main)\b")
-_EXTEND_RE = re.compile(r"^\s*(?:public\s+)?extend\b", re.MULTILINE)
+_EXTEND_RE = re.compile(r"^[^\S\n]*(?:public\s+)?extend\b", re.MULTILINE)
 _BRACKET_RE = re.compile(r"[()\[\]{}]")
 
 _PAIRS = {")": "(", "]": "[", "}": "{"}

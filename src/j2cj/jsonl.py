@@ -1,5 +1,5 @@
-"""Input files: one strict text reader, one JSONL reader, one atomic writer
-and the one text digest that keys transcripts, mock scripts and traces.
+"""Input files: one strict text reader, one JSON and one JSONL reader, one atomic
+writer and the one text digest that keys transcripts, mock scripts and traces.
 
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
@@ -38,6 +38,17 @@ def read_text(path) -> str:
         raise ValueError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
+def read_json(path) -> object:
+    """The JSON document that is the whole of ``path``; invalid JSON, or JSON nested
+    deeper than the interpreter's stack, raises ValueError naming ``path[:line]``."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def text_digest(text: str) -> str:
     """Hex SHA-256 of the UTF-8 encoding of ``text``."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -55,9 +66,10 @@ def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
     """Records of ``path`` in file order, skipping blank lines.
 
     ``convert`` maps each record to the caller's value. A line that is not
-    a JSON object, a ``KeyError`` (missing field) and a ``ValueError`` or
-    ``TypeError`` (invalid field) raised by ``convert`` all become a
-    ``JsonlError`` naming the line, and so does a byte that is not UTF-8.
+    a JSON object (or nests deeper than the interpreter's stack), a
+    ``KeyError`` (missing field) and a ``ValueError`` or ``TypeError``
+    (invalid field) raised by ``convert`` all become a ``JsonlError``
+    naming the line, and so does a byte that is not UTF-8.
     """
     values = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -70,7 +82,7 @@ def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise JsonlError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise JsonlError(f"{where}: expected an object")

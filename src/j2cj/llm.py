@@ -8,18 +8,15 @@ the mock backend, every pipeline run is byte-reproducible.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import string
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .jsonl import read_jsonl, string_fields, text_digest, write_jsonl
-
-if TYPE_CHECKING:
-    import requests
 
 
 class TemplateError(ValueError):
@@ -296,6 +293,7 @@ HTTP_TIMEOUT_S = 120.0
 HTTP_MAX_CONCURRENCY = 4
 
 
+@dataclass(eq=False, repr=False)  # no repr: it would print the API key
 class HttpBackend:
     """Chat-completion HTTP client with bounded retry on transient failures.
 
@@ -305,30 +303,18 @@ class HttpBackend:
     a 200 whose body is not JSON or has no reply text, fail immediately.
     Every request carries the backend's decoding settings. An optional
     recorder transcript captures (prompt, reply) pairs for later replay.
-    ``requests`` is imported only here, so the replay backend never pays
-    for it.
+    The standard-library client is imported only when a request is sent,
+    so the replay backend never pays for it.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        api_key: str | None = None,
-        recorder: Transcript | None = None,
-        session: requests.Session | None = None,
-        decoding: DecodingConfig = DecodingConfig(),
-    ):
-        self.endpoint = endpoint
-        self.model = model
-        self.api_key = api_key
-        self.decoding = decoding
-        self.recorder = recorder
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
-        self._slots = threading.BoundedSemaphore(HTTP_MAX_CONCURRENCY)
+    endpoint: str
+    model: str
+    api_key: str | None = None
+    recorder: Transcript | None = None
+    decoding: DecodingConfig = DecodingConfig()
+    _slots: threading.BoundedSemaphore = field(
+        default_factory=lambda: threading.BoundedSemaphore(HTTP_MAX_CONCURRENCY), init=False
+    )
 
     def complete(self, prompt: str) -> str:
         if not prompt:
@@ -337,7 +323,9 @@ class HttpBackend:
             return self._complete_locked(prompt)
 
     def _complete_locked(self, prompt: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload = {
             "model": self.model,
@@ -346,9 +334,11 @@ class HttpBackend:
             "top_p": self.decoding.top_p,
             "max_tokens": self.decoding.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
+        # Some gateways reject the standard library's default User-Agent, Python-urllib/3.x.
+        headers = {"Content-Type": "application/json", "User-Agent": "j2cj"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        request = urllib.request.Request(self.endpoint, json.dumps(payload).encode(), headers)
 
         last_error: Exception | None = None
         retry_after: float | None = None
@@ -358,34 +348,36 @@ class HttpBackend:
                 time.sleep(backoff if retry_after is None else retry_after)
             retry_after = None
             try:
-                resp = self.session.post(
-                    self.endpoint, json=payload, headers=headers, timeout=HTTP_TIMEOUT_S
-                )
-            except requests.RequestException as exc:
+                try:
+                    with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
+                        status, reply_headers, body = resp.status, resp.headers, resp.read()
+                except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply, with its headers and body
+                    with exc:
+                        status, reply_headers, body = exc.code, exc.headers, exc.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = CompletionError(f"endpoint returned {resp.status_code}")
-                if resp.status_code == 429:
-                    seconds = resp.headers.get("Retry-After", "").strip()
+            if status == 429 or status >= 500:
+                last_error = CompletionError(f"endpoint returned {status}")
+                if status == 429:
+                    seconds = reply_headers.get("Retry-After", "").strip()
                     if seconds.isdecimal():
                         retry_after = min(float(seconds), HTTP_TIMEOUT_S)
                 continue
-            excerpt = " ".join(resp.text[:500].split())  # whitespace runs folded: the error is one line
-            if resp.status_code != 200:
-                raise CompletionError(f"endpoint returned {resp.status_code}: {excerpt}")
-            try:  # not JSON: every JSONDecodeError requests raises is a ValueError
-                reply = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, LookupError, TypeError):
+            text = body.decode("utf-8", errors="replace")
+            excerpt = " ".join(text[:500].split())  # whitespace runs folded: the error is one line
+            if status != 200:
+                raise CompletionError(f"endpoint returned {status}: {excerpt}")
+            try:  # a RecursionError is JSON nested deeper than the interpreter's stack
+                reply = json.loads(text)["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError, RecursionError):
                 reply = None
             if not isinstance(reply, str):
                 raise CompletionError(f"malformed completion response: {excerpt}")
             if self.recorder is not None:
                 self.recorder.add(prompt, reply)
             return reply
-        raise CompletionError(
-            f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}"
-        )
+        raise CompletionError(f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}")
 
 
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)

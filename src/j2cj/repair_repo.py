@@ -159,7 +159,8 @@ _SKELETON_KEYWORDS = frozenset(
     lambda defer spawn""".split()
 )
 
-_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/|#[^\n]*", re.DOTALL)
+# An unclosed ``/*`` runs to the end of the text, so no ``/*`` is scanned twice.
+_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|#[^\n]*", re.DOTALL)
 _STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'')
 
 

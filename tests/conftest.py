@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
+from support import ScriptedServer
 
 import j2cj
 from j2cj import repair_engine
@@ -29,3 +31,11 @@ def run_isolated():
         )
 
     return run
+
+
+@pytest.fixture
+def serve():
+    """Start a ``ScriptedServer`` for a list of script steps and return it;
+    every server started is shut down when the test ends."""
+    with ExitStack() as stack:
+        yield lambda steps: stack.enter_context(ScriptedServer(steps))

@@ -4,7 +4,6 @@ import argparse
 import json
 import pickle
 import re
-import types
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -14,7 +13,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import transcript_of
+from support import completion, transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
@@ -477,34 +476,22 @@ def test_repair_command_runs_loop_on_existing_candidate(pipeline, capsys, tmp_pa
     assert C1 in out
 
 
-class _ScriptedSession:
-    """An HTTP session that answers with ``replies`` in order, then refuses with 401."""
-
-    def __init__(self, replies):
-        self.replies = list(replies)
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        if not self.replies:
-            return types.SimpleNamespace(status_code=401, text="denied")
-        payload = {"choices": [{"message": {"content": self.replies.pop(0)}}]}
-        return types.SimpleNamespace(status_code=200, text="", json=lambda: payload)
-
-
-def _record_over_http(config_path, monkeypatch, replies):
-    """Switch the config to a recording http model that answers with ``replies``; return the recording's path."""
+def _record_over_http(config_path, serve, replies):
+    """Switch the config to a recording http model that a loopback server answers
+    with ``replies`` in order, then refuses; return the recording's path."""
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
     record = config_path.parent / "rec.jsonl"
-    raw["llm"] = {"mode": "http", "endpoint": "http://localhost:9/v1", "model": "m", "record": str(record)}
+    server = serve([completion(reply) for reply in replies])
+    raw["llm"] = {"mode": "http", "endpoint": server.url, "model": "m", "record": str(record)}
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
-    monkeypatch.setattr("requests.Session", lambda: _ScriptedSession(replies))
     return record
 
 
 @pytest.mark.parametrize("answered,code", [(2, 0), (1, 2)], ids=["accepted", "completion-error"])
-def test_repair_saves_its_recording(pipeline, monkeypatch, capsys, tmp_path, answered, code):
+def test_repair_saves_its_recording(pipeline, serve, capsys, tmp_path, answered, code):
     _, config_path = pipeline
     replies = [GUIDANCE, f"```\n{C1}\n```"][:answered]
-    record = _record_over_http(config_path, monkeypatch, replies)
+    record = _record_over_http(config_path, serve, replies)
     (tmp_path / "cand.cj").write_text(C0, encoding="utf-8")
     argv = ["repair", "--config", str(config_path), "--java", str(tmp_path / "bench" / "unit1.java"),
             "--candidate", str(tmp_path / "cand.cj"), "--tests", str(tmp_path / "bench" / "unit1.tests.json")]
@@ -512,20 +499,20 @@ def test_repair_saves_its_recording(pipeline, monkeypatch, capsys, tmp_path, ans
     assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
 
 
-def test_translate_keeps_its_recording_when_a_trace_write_fails(pipeline, monkeypatch, capsys):
+def test_translate_keeps_its_recording_when_a_trace_write_fails(pipeline, serve, capsys):
     tmp_path, config_path = pipeline
     replies = [f"```\n{C0}\n```", GUIDANCE, f"```\n{C1}\n```"]
-    record = _record_over_http(config_path, monkeypatch, replies)
+    record = _record_over_http(config_path, serve, replies)
     (tmp_path / "traces" / "unit1.trace.json").mkdir(parents=True)
     assert main(["translate", "--config", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
 
 
-def test_translate_keeps_its_recording_when_interrupted(pipeline, monkeypatch):
+def test_translate_keeps_its_recording_when_interrupted(pipeline, serve, monkeypatch):
     _, config_path = pipeline
     replies = [f"```\n{C0}\n```"]
-    record = _record_over_http(config_path, monkeypatch, replies)
+    record = _record_over_http(config_path, serve, replies)
 
     def interrupt(*args):
         raise KeyboardInterrupt
@@ -539,15 +526,19 @@ def test_translate_keeps_its_recording_when_interrupted(pipeline, monkeypatch):
 def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
     tmp_path, config_path = pipeline
     (tmp_path / "bench" / "unit0.java").write_text(JAVA, encoding="utf-8")
-    (tmp_path / "bench" / "unit0.tests.json").write_text('{"input": "1\\n"}', encoding="utf-8")
-    code = main(["translate", "--config", str(config_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("unit0: error: ValueError: ")
-    assert "unit1: accepted" in captured.out
-    assert (tmp_path / "traces" / "unit1.trace.json").exists()
-    outcomes = (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line)["unit_id"] for line in outcomes] == ["unit1"]
+    tests_file = tmp_path / "bench" / "unit0.tests.json"
+    # Not a list of records; a list nested deeper than the interpreter's stack.
+    for text, reason in [('{"input": "1\\n"}', "expected a list"), ("[" * 200_000 + "]" * 200_000, "invalid JSON")]:
+        tests_file.write_text(text, encoding="utf-8")
+        code = main(["translate", "--config", str(config_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"unit0: error: ValueError: {tests_file}: {reason}")
+        assert captured.err.count("\n") == 1
+        assert "unit1: accepted" in captured.out
+        assert (tmp_path / "traces" / "unit1.trace.json").exists()
+        outcomes = (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["unit_id"] for line in outcomes] == ["unit1"]
 
 
 _AGGREGATE = {"type": "aggregate", "n_total": 3, "n_compiled": 2, "n_cf": 1, "bleu": {"value": 0.5}}
@@ -626,6 +617,9 @@ _MALFORMED_INPUTS = {
         json.dumps({"unit_id": "u", "compiled": True, "all_tests_passed": "no", "reference": "a"}),
         1,
         ["evaluate", "--outcomes", "{file}"],
+    ),
+    "outcomes-line-nested-too-deep": (
+        "outcomes.jsonl", "[" * 200_000 + "]" * 200_000 + "\n", 1, ["evaluate", "--outcomes", "{file}"],
     ),
     "outcome-unit-id-an-int": (
         "outcomes.jsonl",
@@ -721,6 +715,15 @@ _MALFORMED_SETUPS = {
     "config-not-yaml": (
         {}, {"config.yaml": "a: [1"}, _TRANSLATE,
         "config file is not valid YAML: while parsing a flow sequence in \"{root}/config.yaml\", line 1, column 4 ",
+    ),
+    "config-nested-too-deep": (
+        {}, {"config.yaml": "[" * 5_000 + "]" * 5_000}, _TRANSLATE,
+        "config file is not valid YAML: maximum recursion depth exceeded",
+    ),
+    "repo-add-nested-too-deep": (
+        {}, {"case.json": "[" * 200_000 + "]" * 200_000},
+        ["repo", "add", "--repo", "{root}/repo.jsonl", "--file", "{root}/case.json"],
+        "{root}/case.json: invalid JSON: maximum recursion depth exceeded",
     ),
     "config-a-directory": (
         {}, {"conf.d": None}, ["translate", "--config", "{root}/conf.d"], "[Errno 21] Is a directory: '{root}/conf.d'",

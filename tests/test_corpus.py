@@ -2,6 +2,7 @@
 annotation, parallel samples, persistence round trips."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -13,6 +14,8 @@ from support import transcript_of
 from j2cj.ast_summary import default_vocab, summarize, tokenize_structure
 from j2cj.corpus import (
     CPT_BOUNDARY,
+    _EXTEND_RE,
+    _IMPORT_RE,
     _balanced,
     AnnotationError,
     MonolingualSample,
@@ -230,17 +233,43 @@ def test_balanced_matches_the_per_character_scan(text):
     assert _balanced(text) == _balanced_per_character(text)
 
 
+# Oracle: the import and extend patterns as they were before their leading
+# blanks stopped at a newline, kept as they were.
+_IMPORT_ORACLE_RE = re.compile(
+    r"^\s*(?:(?:public|protected|internal|private)\s+)?(?:from\s+(\S+)\s+)?import\s+(\S+)", re.MULTILINE
+)
+_EXTEND_ORACLE_RE = re.compile(r"^\s*(?:public\s+)?extend\b", re.MULTILINE)
+_LINE_PIECES = st.sampled_from(
+    ["import", "from", "public", "private", "extend", "std.math", "x", "\n", " ", "\t", "\r", "\x0b", "\x1c", "\x85",
+     "\u2028", "\u3000", "{"]
+)
+
+
+@given(st.lists(_LINE_PIECES | st.characters(), max_size=16).map("".join))
+@example("\n\n  import std.math\n")
+@example(" \n\t\npublic\n\nfrom std import\n x\n extend")
+def test_import_and_extend_patterns_match_the_oracle(text):
+    assert _IMPORT_RE.findall(text) == _IMPORT_ORACLE_RE.findall(text)
+    assert bool(_EXTEND_RE.search(text)) == bool(_EXTEND_ORACLE_RE.search(text))
+
+
 def test_filter_snippets_runs_in_linear_time(run_isolated):
-    # Five lines of 20,001 opening brackets, then five of closing ones: 200 KB
-    # nested over 100,000 deep, with no declaration.
     code = (
+        "import json\n"
         "from j2cj.corpus import filter_snippets\n"
-        "print(dict(filter_snippets([sys.stdin.read()]).rejected))\n"
+        "outcome = filter_snippets(json.loads(sys.stdin.read()))\n"
+        "print(dict(outcome.rejected), len(outcome.retained))\n"
     )
-    snippet = "\n".join(["({[" * 6_667 + "("] * 5 + [")" + "]})" * 6_667] * 5)
-    result = run_isolated(code, stdin=snippet, timeout=20)
+    snippets = [
+        # Five lines of 20,001 opening brackets, then five of closing ones:
+        # 200 KB nested over 100,000 deep, with no declaration.
+        "\n".join(["({[" * 6_667 + "("] * 5 + [")" + "]})" * 6_667] * 5),
+        FIVE_LINE_SNIPPET + "\n" * 100_000,  # each line start once scanned all the blank lines after it
+        FIVE_LINE_SNIPPET + "/* " * 100_000,  # each unclosed /* once scanned to the end
+    ]
+    result = run_isolated(code, stdin=json.dumps(snippets), timeout=20)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "{'incomplete': 1}\n"
+    assert result.stdout == "{'incomplete': 1} 2\n"
 
 
 def test_braces_inside_strings_do_not_unbalance():

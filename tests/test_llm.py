@@ -2,15 +2,15 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
-from support import transcript_of
+from support import DROP, completion, transcript_of
 
 from j2cj.config import build_llm, load_config
 from j2cj.llm import (
@@ -159,149 +159,134 @@ def test_transcript_file_round_trip(tmp_path):
     assert loaded.prompts == {}
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, payload: dict | None = None, headers: dict | None = None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self._payload = payload or {}
-        self.text = json.dumps(self._payload)
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    """Scripted session: a list of responses or exceptions, in order."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append(json)
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def _ok_response(reply: str) -> _FakeResponse:
-    return _FakeResponse(200, {"choices": [{"message": {"content": reply}}]})
-
-
 @pytest.fixture(autouse=True)
 def _no_backoff(monkeypatch):
     monkeypatch.setattr("j2cj.llm.time.sleep", lambda seconds: None)
 
 
-def test_http_backend_sends_decoding_settings():
-    session = _FakeSession([_ok_response("done")])
-    backend = HttpBackend("http://x/v1/chat", "model-a", session=session, decoding=DecodingConfig(max_tokens=7))
+def test_http_backend_sends_decoding_settings(serve):
+    server = serve([completion("done")])
+    backend = HttpBackend(server.url, "model-a", api_key="k", decoding=DecodingConfig(max_tokens=7))
     assert backend.complete("p") == "done"
-    sent = session.requests[0]
+    sent = server.bodies[0]
     assert sent["temperature"] == 0.0
     assert sent["top_p"] == 1.0
     assert sent["max_tokens"] == 7
     assert sent["messages"] == [{"role": "user", "content": "p"}]
+    assert server.headers[0]["Authorization"] == "Bearer k"
+    assert server.headers[0]["User-Agent"] == "j2cj"
 
 
-def test_build_llm_gives_the_http_backend_the_configured_decoding_settings(tmp_path):
+def test_build_llm_gives_the_http_backend_the_configured_decoding_settings(tmp_path, serve):
+    server = serve([completion("done")])
     config_path = tmp_path / "config.yaml"
     config_path.write_text(
-        "llm: {mode: http, endpoint: 'http://x/v1/chat', model: m}\n"
+        f"llm: {{mode: http, endpoint: '{server.url}', model: m}}\n"
         "decoding: {temperature: 0.3, top_p: 0.9, max_tokens: 64}\n",
         encoding="utf-8",
     )
     backend = build_llm(load_config(config_path))
-    backend.session = session = _FakeSession([_ok_response("done")])
     assert backend.complete("p") == "done"
-    sent = session.requests[0]
+    sent = server.bodies[0]
     assert (sent["temperature"], sent["top_p"], sent["max_tokens"]) == (0.3, 0.9, 64)
 
 
-def test_http_backend_retries_transient_then_succeeds():
-    session = _FakeSession(
-        [requests.ConnectionError("down"), _FakeResponse(503), _ok_response("ok")]
-    )
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_retries_transient_then_succeeds(serve, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("j2cj.llm.time.sleep", sleeps.append)
+    server = serve([DROP, (503, {}, ""), completion("ok")])
+    backend = HttpBackend(server.url, "m")
     assert backend.complete("p") == "ok"
-    assert len(session.requests) == 3
+    assert len(server.bodies) == 3
+    assert sleeps == [0.5, 1.0]
 
 
-def test_http_backend_gives_up_after_budget():
-    session = _FakeSession([_FakeResponse(500)] * 3)
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_gives_up_after_budget(serve):
+    server = serve([(500, {}, "")] * 3)
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError, match="3 attempts"):
         backend.complete("p")
 
 
-def test_http_backend_waits_retry_after_on_429(monkeypatch):
+def test_http_backend_gives_up_on_a_refused_connection():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))  # bound but not listening, so every connection is refused
+        backend = HttpBackend(f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m")
+        with pytest.raises(CompletionError, match="^endpoint unreachable after 3 attempts: "):
+            backend.complete("p")
+
+
+def test_http_backend_waits_retry_after_on_429(serve, monkeypatch):
     sleeps = []
     monkeypatch.setattr("j2cj.llm.time.sleep", sleeps.append)
-    session = _FakeSession([_FakeResponse(429, headers={"Retry-After": "2"}), _ok_response("ok")])
-    backend = HttpBackend("http://x", "m", session=session)
+    server = serve([(429, {"Retry-After": "2"}, ""), completion("ok")])
+    backend = HttpBackend(server.url, "m")
     assert backend.complete("p") == "ok"
     assert sleeps == [2.0]
 
 
-def test_http_backend_gives_up_on_persistent_429():
-    session = _FakeSession([_FakeResponse(429)] * 3)
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_gives_up_on_persistent_429(serve):
+    server = serve([(429, {}, "")] * 3)
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError, match="429"):
         backend.complete("p")
-    assert len(session.requests) == 3
+    assert len(server.bodies) == 3
 
 
-def test_http_backend_client_errors_fail_fast():
-    session = _FakeSession([_FakeResponse(401, {"error": "denied"})])
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_client_errors_fail_fast(serve):
+    server = serve([(401, {}, json.dumps({"error": "denied"}))])
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError, match="401"):
         backend.complete("p")
-    assert len(session.requests) == 1
+    assert len(server.bodies) == 1
 
 
-def test_http_backend_records_replies_for_replay():
+def test_http_backend_records_replies_for_replay(serve):
     recorder = Transcript()
-    session = _FakeSession([_ok_response("recorded")])
-    backend = HttpBackend("http://x", "m", session=session, recorder=recorder)
+    server = serve([completion("recorded")])
+    backend = HttpBackend(server.url, "m", recorder=recorder)
     backend.complete("prompt-a")
     assert recorder.lookup("prompt-a") == "recorded"
 
 
 @pytest.mark.parametrize("content", [None, 7, ["x"]], ids=["null", "int", "list"])
-def test_http_backend_rejects_a_reply_that_is_not_text(content):
-    session = _FakeSession([_FakeResponse(200, {"choices": [{"message": {"content": content}}]})])
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_rejects_a_reply_that_is_not_text(serve, content):
+    server = serve([completion(content)])
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError, match="malformed completion response"):
         backend.complete("p")
 
 
-def test_http_backend_rejects_a_body_that_is_not_json_without_retry():
-    response = _FakeResponse(200)
-    response.text = "<html>" + "x" * 600
-    response.json = lambda: json.loads(response.text)
-    session = _FakeSession([response])
-    backend = HttpBackend("http://x", "m", session=session)
+def test_http_backend_rejects_a_body_that_is_not_json_without_retry(serve):
+    body = "<html>" + "x" * 600
+    server = serve([(200, {}, body)])
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError) as err:
         backend.complete("p")
-    assert str(err.value) == "malformed completion response: " + response.text[:500]
-    assert len(session.requests) == 1
+    assert str(err.value) == "malformed completion response: " + body[:500]
+    assert len(server.bodies) == 1
 
 
-def test_http_backend_quotes_500_characters_of_a_json_body_without_a_reply():
-    response = _FakeResponse(200, {"choices": [], "pad": "x" * 5000})
-    backend = HttpBackend("http://x", "m", session=_FakeSession([response]))
+def test_http_backend_rejects_json_nested_deeper_than_the_stack_without_retry(serve):
+    server = serve([(200, {}, "[" * 100_000 + "]" * 100_000)])
+    backend = HttpBackend(server.url, "m")
     with pytest.raises(CompletionError) as err:
         backend.complete("p")
-    assert str(err.value) == "malformed completion response: " + response.text[:500]
+    assert str(err.value) == "malformed completion response: " + "[" * 500
+    assert len(server.bodies) == 1
+
+
+def test_http_backend_quotes_500_characters_of_a_json_body_without_a_reply(serve):
+    body = json.dumps({"choices": [], "pad": "x" * 5000})
+    backend = HttpBackend(serve([(200, {}, body)]).url, "m")
+    with pytest.raises(CompletionError) as err:
+        backend.complete("p")
+    assert str(err.value) == "malformed completion response: " + body[:500]
 
 
 @pytest.mark.parametrize("status", [404, 200])
-def test_http_backend_error_quoting_a_multiline_body_is_one_line(status):
-    response = _FakeResponse(status)
-    response.text = "<html>\n<body>down</body>\n</html>"
-    response.json = lambda: json.loads(response.text)
-    backend = HttpBackend("http://x", "m", session=_FakeSession([response]))
+def test_http_backend_error_quoting_a_multiline_body_is_one_line(serve, status):
+    backend = HttpBackend(serve([(status, {}, "<html>\n<body>down</body>\n</html>")]).url, "m")
     with pytest.raises(CompletionError) as err:
         backend.complete("p")
     prefix = "endpoint returned 404" if status == 404 else "malformed completion response"
@@ -315,9 +300,9 @@ def test_extract_code_block_variants():
     assert extract_code_block("```\nfirst\n```\n```\nsecond\n```") == "first"
 
 
-def test_replay_pipeline_does_not_import_requests():
+def test_replay_pipeline_does_not_import_the_http_client():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, j2cj.cli; assert 'requests' not in sys.modules, 'requests imported'"
+    probe = "import sys, j2cj.cli; assert not {'urllib.request', 'http.client'} & set(sys.modules), 'client imported'"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

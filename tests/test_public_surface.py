@@ -1,5 +1,6 @@
-"""Every public name in ``src/j2cj`` has a caller outside the tests, and
-every stored attribute a reader (see the second test).
+"""Every public name in ``src/j2cj`` has a caller outside the tests, every
+stored attribute a reader (see the second test), and every imported module
+a source: the standard library, ``j2cj`` or a declared dependency (the third).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -15,7 +16,12 @@ every variable ``record``, and a function ``fe`` by the field ``report.fe``.
 """
 
 import ast
+import importlib.metadata
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,3 +127,34 @@ def test_every_stored_attribute_is_read_in_src_or_bench():
         if name not in attributes and cls not in whole
     ]
     assert not unread, "stored attributes that nothing reads:\n" + "\n".join(unread)
+
+
+def _distribution_key(name: str) -> str:
+    """A distribution name as PEP 503 normalizes it (``PyYAML`` and ``pyyaml`` are one)."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_every_module_src_imports_is_stdlib_j2cj_or_a_declared_dependency():
+    """So that a runtime dependency cannot creep in unnoticed: each module that
+    ``src/j2cj`` imports, lazily inside a function too, is in the standard
+    library, is ``j2cj`` itself, or comes from a distribution that
+    ``pyproject.toml`` lists under ``dependencies``."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {_distribution_key(re.match(r"[\w.-]+", spec).group()) for spec in project["dependencies"]}
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = []
+    for path in sorted((ROOT / "src" / "j2cj").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.partition(".")[0]
+                sources = {_distribution_key(name) for name in distributions.get(top, [])}
+                if top not in sys.stdlib_module_names and top != "j2cj" and not sources & declared:
+                    undeclared.append(f"{path.relative_to(ROOT)}:{node.lineno}: {module}")
+    assert not undeclared, "imports that pyproject.toml does not declare:\n" + "\n".join(undeclared)

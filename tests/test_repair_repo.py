@@ -242,6 +242,14 @@ def test_message_tokens_strip_noise():
     assert "type" in tokens and "mismatch" in tokens
 
 
+def test_fragment_skeleton_runs_in_linear_time(run_isolated):
+    # 100,000 comments that never close: each once scanned to the end of the text.
+    code = "from j2cj.repair_repo import fragment_skeleton\nprint(fragment_skeleton(sys.stdin.read()))\n"
+    result = run_isolated(code, stdin="if (x) { f(); }\n" + "/* while { " * 100_000, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['if', 'block']\n"
+
+
 # --- retrieval -----------------------------------------------------------------------
 
 _WORDS = "alpha beta gamma delta mismatch undefined symbol type brace semicolon value".split()
