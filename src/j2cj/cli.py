@@ -19,15 +19,7 @@ from pathlib import Path
 
 from . import ast_summary, corpus, metrics
 from .adapters import ToolchainError
-from .config import (
-    SETTINGS,
-    PipelineConfig,
-    build_compiler,
-    build_llm,
-    build_runner,
-    load_config,
-    save_recording,
-)
+from .config import SETTINGS, PipelineConfig, build_compiler, build_llm, build_runner, load_config, save_recording
 from .javaparse import parse as parse_java
 from .jsonl import read_json, read_jsonl, read_text, string_fields, write_jsonl
 from .llm import CompletionError

@@ -157,15 +157,8 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Pipel
         repair = RepairConfig(**raw["repair"])
     except ValueError as exc:
         raise ConfigError(f"invalid repair settings: {exc}") from exc
-    return PipelineConfig(
-        paths=raw["paths"],
-        llm=raw["llm"],
-        decoding=decoding,
-        compiler=raw["compiler"],
-        runner=raw["runner"],
-        repair=repair,
-        **_given(raw, *_SETTINGS[""]),
-    )
+    settings = _given(raw, "paths", "llm", "compiler", "runner", *_SETTINGS[""])
+    return PipelineConfig(decoding=decoding, repair=repair, **settings)
 
 
 def build_llm(config: PipelineConfig):
@@ -179,13 +172,9 @@ def build_llm(config: PipelineConfig):
     model = settings.get("model")
     if not endpoint or not model:
         raise ConfigError("llm.endpoint and llm.model are required in http mode")
-    api_key = None
     key_env = settings.get("api_key_env")
-    if key_env:
-        api_key = os.environ.get(key_env)
-    recorder = None
-    if settings.get("record"):
-        recorder = Transcript()
+    api_key = os.environ.get(key_env) if key_env else None
+    recorder = Transcript() if settings.get("record") else None
     return HttpBackend(endpoint, model, api_key=api_key, recorder=recorder, decoding=config.decoding)
 
 

@@ -8,6 +8,7 @@ the mock backend, every pipeline run is byte-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -293,14 +294,31 @@ HTTP_TIMEOUT_S = 120.0
 HTTP_MAX_CONCURRENCY = 4
 
 
+@functools.cache
+def _http_opener():
+    """The standard library's opener, with redirects refused: a redirected
+    request would carry the API key to whatever host the redirect names.
+    Its one TLS context reads the trust store once, not on every request."""
+    import ssl
+    import urllib.request
+
+    class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # the 3xx reply then reaches the caller as an HTTPError
+
+    tls = urllib.request.HTTPSHandler(context=ssl.create_default_context())
+    return urllib.request.build_opener(RefuseRedirects, tls)
+
+
 @dataclass(eq=False, repr=False)  # no repr: it would print the API key
 class HttpBackend:
     """Chat-completion HTTP client with bounded retry on transient failures.
 
     Retries transport errors, 429 and 5xx responses with exponential
     backoff; a 429 whose ``Retry-After`` is a whole number of seconds waits
-    that long instead, at most ``HTTP_TIMEOUT_S``. Other 4xx responses, and
-    a 200 whose body is not JSON or has no reply text, fail immediately.
+    that long instead, at most ``HTTP_TIMEOUT_S``. A redirect, another 4xx
+    response, or a 200 whose body is not JSON or has no reply text fails
+    immediately.
     Every request carries the backend's decoding settings. An optional
     recorder transcript captures (prompt, reply) pairs for later replay.
     The standard-library client is imported only when a request is sent,
@@ -349,7 +367,7 @@ class HttpBackend:
             retry_after = None
             try:
                 try:
-                    with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as resp:
+                    with _http_opener().open(request, timeout=HTTP_TIMEOUT_S) as resp:
                         status, reply_headers, body = resp.status, resp.headers, resp.read()
                 except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply, with its headers and body
                     with exc:

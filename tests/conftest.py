@@ -34,8 +34,10 @@ def run_isolated():
 
 
 @pytest.fixture
-def serve():
+def serve(monkeypatch):
     """Start a ``ScriptedServer`` for a list of script steps and return it;
-    every server started is shut down when the test ends."""
+    every server started is shut down when the test ends. Requests to it
+    bypass any proxy that ``http_proxy`` names."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
     with ExitStack() as stack:
         yield lambda steps: stack.enter_context(ScriptedServer(steps))

@@ -52,12 +52,12 @@ def completion(content) -> tuple[int, dict, str]:
 
 
 class ScriptedServer:
-    """An HTTP server on 127.0.0.1 that answers each POST with the next step of its script.
+    """An HTTP server on 127.0.0.1 that answers each POST or GET with the next step of its script.
 
     A step is ``(status, headers, body)`` or ``DROP``; once the script is
-    spent, every POST gets a 410. ``bodies`` and ``headers`` hold each
-    POST's JSON body and headers in arrival order. Enter it to serve from a
-    thread; leaving shuts it down.
+    spent, every request gets a 410. ``bodies`` and ``headers`` hold each
+    request's JSON body (None for a GET) and headers in arrival order.
+    Enter it to serve from a thread; leaving shuts it down.
     """
 
     def __init__(self, steps):
@@ -69,7 +69,8 @@ class ScriptedServer:
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                length = int(self.headers.get("Content-Length", 0))
+                body = json.loads(self.rfile.read(length)) if length else None
                 with lock:
                     scripted.bodies.append(body)
                     scripted.headers.append(self.headers)
@@ -85,6 +86,8 @@ class ScriptedServer:
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+
+            do_GET = do_POST  # what a client that follows a 302 or 303 sends next
 
             def log_message(self, format, *args):
                 pass

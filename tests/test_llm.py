@@ -3,6 +3,7 @@
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from support import DROP, completion, transcript_of
 
+from j2cj import llm
 from j2cj.config import build_llm, load_config
 from j2cj.llm import (
     DOC_RECONSTRUCTION_TEMPLATE,
@@ -208,7 +210,8 @@ def test_http_backend_gives_up_after_budget(serve):
         backend.complete("p")
 
 
-def test_http_backend_gives_up_on_a_refused_connection():
+def test_http_backend_gives_up_on_a_refused_connection(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # so no proxy answers in the port's place
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))  # bound but not listening, so every connection is refused
         backend = HttpBackend(f"http://127.0.0.1:{sock.getsockname()[1]}/v1", "m")
@@ -239,6 +242,27 @@ def test_http_backend_client_errors_fail_fast(serve):
     with pytest.raises(CompletionError, match="401"):
         backend.complete("p")
     assert len(server.bodies) == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_http_backend_refuses_redirects(serve, status):
+    elsewhere = serve([completion("elsewhere")])
+    server = serve([(status, {"Location": elsewhere.url}, "")])
+    backend = HttpBackend(server.url, "m", api_key="k")
+    with pytest.raises(CompletionError, match=f"^endpoint returned {status}: $"):
+        backend.complete("p")
+    assert len(server.bodies) == 1
+    assert elsewhere.headers == []  # so the Authorization header went nowhere else
+
+
+def test_http_backend_reads_the_trust_store_once_not_per_request(serve, monkeypatch):
+    built = []
+    create = ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context", lambda *a, **k: built.append(1) or create(*a, **k))
+    llm._http_opener.cache_clear()  # the opener, and its one TLS context, is built on the next request
+    backend = HttpBackend(serve([completion("a"), completion("b")]).url, "m")
+    assert [backend.complete("p"), backend.complete("q")] == ["a", "b"]
+    assert len(built) == 1
 
 
 def test_http_backend_records_replies_for_replay(serve):
