@@ -369,7 +369,7 @@ class HttpBackend:
                 try:
                     with _http_opener().open(request, timeout=HTTP_TIMEOUT_S) as resp:
                         status, reply_headers, body = resp.status, resp.headers, resp.read()
-                except urllib.error.HTTPError as exc:  # a 4xx or 5xx reply, with its headers and body
+                except urllib.error.HTTPError as exc:  # a 3xx, 4xx or 5xx reply, with its headers and body
                     with exc:
                         status, reply_headers, body = exc.code, exc.headers, exc.read()
             except (OSError, http.client.HTTPException) as exc:
