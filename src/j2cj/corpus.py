@@ -164,9 +164,12 @@ def serialize_cpt(entries: list[SyntaxEntry]) -> list[str]:
 
 # --- snippet filtering ---------------------------------------------------------
 
-# An unclosed ``/*`` runs to the end of the text, so no ``/*`` is scanned twice.
+# An unclosed ``/*`` runs to the end of the text, and an unclosed quote to the
+# end of its line (a lone backslash may end it), so none is scanned twice.
 _CJ_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)", re.DOTALL)
-_CJ_STRING_RE = re.compile(r'"""(?:.|\n)*?"""|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'')
+_CJ_STRING_RE = re.compile(
+    r'"""(?:.|\n)*?"""|"(?:\\.|[^"\\\n])*(?:"|\\?$)|\'(?:\\.|[^\'\\\n])*(?:\'|\\?$)', re.MULTILINE
+)
 # (package of a `from ... import`, imported name); an access modifier may lead.
 # Leading blanks stop at a newline, so a run of blank lines is scanned once, not once per line.
 _IMPORT_RE = re.compile(

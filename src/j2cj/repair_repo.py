@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .jsonl import read_jsonl, string_fields, write_jsonl
 
@@ -159,22 +159,17 @@ _SKELETON_KEYWORDS = frozenset(
     lambda defer spawn""".split()
 )
 
-# An unclosed ``/*`` runs to the end of the text, so no ``/*`` is scanned twice.
+# An unclosed ``/*`` or quote runs to the end of the text, so none is scanned
+# twice; a lone backslash may end it.
 _COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?(?:\*/|\Z)|#[^\n]*", re.DOTALL)
-_STRING_RE = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'')
+_STRING_RE = re.compile(r'"(?:\\.|[^"\\])*(?:"|\\?\Z)|\'(?:\\.|[^\'\\])*(?:\'|\\?\Z)', re.DOTALL)
+_SKELETON_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\{")
 
 
 def fragment_skeleton(code: str) -> list[str]:
     """Language-neutral structural symbols: control keywords plus blocks."""
-    text = _STRING_RE.sub(" ", _COMMENT_RE.sub(" ", code))
-    symbols: list[str] = []
-    for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_]*|\{", text):
-        tok = m.group(0)
-        if tok == "{":
-            symbols.append("block")
-        elif tok in _SKELETON_KEYWORDS:
-            symbols.append(tok)
-    return symbols
+    tokens = _SKELETON_RE.findall(_STRING_RE.sub(" ", _COMMENT_RE.sub(" ", code)))
+    return ["block" if tok == "{" else tok for tok in tokens if tok == "{" or tok in _SKELETON_KEYWORDS]
 
 
 # --- similarity dimensions ----------------------------------------------------
@@ -199,8 +194,8 @@ class _Features:
 def _jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0
-    union = a | b
-    return len(a & b) / len(union) if union else 1.0
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
 
 
 def _cosine(a: _Features, b: _Features) -> float:
@@ -215,7 +210,7 @@ def _cosine(a: _Features, b: _Features) -> float:
     return dot / (a.token_norm * b.token_norm)
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
+def _lcs_length(a: list[str] | str, b: list[str] | str) -> int:
     """Longest common subsequence length by the bit-parallel algorithm of
     Allison and Dix (IPL 1986) in Hyyrö's form (2004): after each symbol of
     ``b``, the zero bits of ``v`` at positions 0..i count the LCS of
@@ -273,10 +268,11 @@ class _SuffixAutomaton:
         nxt, link, length = self._next, self._link, self._length
         state = run = best = 0
         for ch in other:
-            while state and ch not in nxt[state]:
+            target = nxt[state].get(ch)
+            while target is None and state:
                 state = link[state]
                 run = length[state]
-            target = nxt[state].get(ch)
+                target = nxt[state].get(ch)
             if target is None:
                 run = 0
             else:
@@ -302,22 +298,20 @@ def levenshtein(a: str, b: str) -> int:
     for i, ch in enumerate(a):
         peq[ch] = peq.get(ch, 0) | (1 << i)
     full = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, score = full, 0, len(a)
+    pv, mv = full, 0
     for ch in b:
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)  # negative ints stand for infinitely many high ones
+        # Complements are taken within the mask: negative ints are slow, and
+        # no bit above the mask reaches ``pv`` or ``mv``.
+        ph = mv | (full ^ (xh | pv))
         mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
         ph = (ph << 1) | 1
-        pv = ((mh << 1) | ~(xv | ph)) & full
+        pv = ((mh << 1) | (full ^ (xv | ph))) & full
         mv = ph & xv
-    return score
+    # The last column starts at len(b) in row 0 and adds its vertical deltas.
+    return len(b) + pv.bit_count() - mv.bit_count()
 
 
 def _structure_scores(q: _Features, c: _Features) -> tuple[float, float, float, float]:
@@ -355,16 +349,21 @@ def _edit_score(qa: str, cb: str) -> float:
     return 1.0 - levenshtein(qa, cb) / max(len(qa), len(cb))
 
 
-def _breakdown(raw: tuple[float, ...], w: SimilarityWeights) -> SimilarityBreakdown:
-    """Clamp the six scores and add their weighted sum left to right.
-    Rounding is monotone at every step, so scores that are upper bounds give
-    a total that is an upper bound; ``sum()`` on Python 3.12+ compensates
-    and carries no such guarantee."""
-    scores = tuple(min(1.0, max(0.0, s)) for s in raw)
+def _total(scores: tuple[float, ...], w: SimilarityWeights) -> float:
+    """Weighted sum of the six scores, added left to right. Rounding is
+    monotone at every step, so scores that are upper bounds give a total
+    that is an upper bound; ``sum()`` on Python 3.12+ compensates and
+    carries no such guarantee."""
     total = 0.0
     for wj, sj in zip(w.values, scores):
         total += wj * sj
-    return SimilarityBreakdown(scores, min(1.0, max(0.0, total)))
+    return total
+
+
+def _breakdown(raw: tuple[float, ...], w: SimilarityWeights) -> SimilarityBreakdown:
+    """Clamp the six scores and their weighted total into [0, 1]."""
+    scores = tuple(min(1.0, max(0.0, s)) for s in raw)
+    return SimilarityBreakdown(scores, min(1.0, max(0.0, _total(scores, w))))
 
 
 def similarity(q: ErrorQuery, c: RepairCase, w: SimilarityWeights) -> SimilarityBreakdown:
@@ -414,7 +413,7 @@ class Repository:
         return len(self._cases)
 
     def save(self, path) -> None:
-        write_jsonl(path, (asdict(case) for case in self._cases.values()))
+        write_jsonl(path, (vars(case) for case in self._cases.values()))
 
     @classmethod
     def load(cls, path) -> "Repository":
@@ -436,8 +435,11 @@ def retrieve(
     cases that can still enter the top k pay for dimensions 5-6. Each case
     gets a bound total from its exact dimensions 1-4 and the length bounds
     of 5-6. Cases are scored in descending bound order until a bound falls
-    below the k-th total or ties it with a larger id; a case whose exact
-    dimension 5 already rules it out skips the edit distance.
+    below the k-th total or ties it with a larger id. A case skips the edit
+    distance when its exact dimension 5 rules it out, or when it is ruled
+    out by ``d >= max(la, lb) - LCS``: an alignment matches at most the
+    longest common subsequence. The scores are non-negative, so a bound
+    total needs no clamp to stay at or above the clamped true total.
     """
     cases = repo.cases()
     if not cases:
@@ -452,7 +454,7 @@ def retrieve(
     for case in cases:
         head = _structure_scores(probe, repo._features_of(case))
         bounds = _fragment_bounds(len(qa), len(case.faulty_fragment))
-        pending.append((-_breakdown(head + bounds, weights).total, case.id, case, head, bounds))
+        pending.append((-_total(head + bounds, weights), case.id, case, head, bounds))
     pending.sort(key=lambda item: item[:2])
 
     top: list[tuple[float, str, RepairCase, SimilarityBreakdown]] = []
@@ -467,7 +469,11 @@ def retrieve(
         cb = case.faulty_fragment
         if qa and cb:
             s5 = _substring_score(qa, cb, automaton)
-            if ruled_out(-_breakdown(head + (s5, s6), weights).total, case_id):
+            if ruled_out(-_total(head + (s5, s6), weights), case_id):
+                continue
+            longest = max(len(qa), len(cb))
+            s6 = 1.0 - (longest - _lcs_length(qa, cb)) / longest
+            if ruled_out(-_total(head + (s5, s6), weights), case_id):
                 continue
             s6 = _edit_score(qa, cb)
         breakdown = _breakdown(head + (s5, s6), weights)

@@ -266,10 +266,20 @@ def test_filter_snippets_runs_in_linear_time(run_isolated):
         "\n".join(["({[" * 6_667 + "("] * 5 + [")" + "]})" * 6_667] * 5),
         FIVE_LINE_SNIPPET + "\n" * 100_000,  # each line start once scanned all the blank lines after it
         FIVE_LINE_SNIPPET + "/* " * 100_000,  # each unclosed /* once scanned to the end
+        # Each quote of an unclosed literal once scanned all the escapes after it.
+        FIVE_LINE_SNIPPET + '"' + '\\"' * 100_000,
+        FIVE_LINE_SNIPPET + "'" + "\\'" * 100_000 + "\\",
+        FIVE_LINE_SNIPPET + '"""' + '\\"' * 100_000,
     ]
     result = run_isolated(code, stdin=json.dumps(snippets), timeout=20)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "{'incomplete': 1} 2\n"
+    assert result.stdout == "{'incomplete': 1} 5\n"
+
+
+def test_unclosed_string_runs_to_the_end_of_its_line():
+    # The "{" is blanked out with its literal, and the final "}" is not.
+    snippet = 'func f(): Unit {\n    let s = "{ unclosed\n    println(s)\n    return\n}'
+    assert filter_snippets([snippet]).retained == [snippet]
 
 
 def test_braces_inside_strings_do_not_unbalance():

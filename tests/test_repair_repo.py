@@ -1,6 +1,7 @@
 """Similarity dimensions against hand-computed oracles; retrieval ranking
 against exhaustive scans; repository persistence."""
 
+import json
 import random
 import time
 from dataclasses import fields
@@ -218,6 +219,33 @@ def test_suffix_automaton_matches_brute_force():
     assert _SuffixAutomaton("ab" * 150).longest_common_substring("ba" * 90 + "x") == 180
 
 
+_BOUND_ALPHABET = "ab{};x \n漢字😀𝄞"
+_BOUND_TEXT = st.text(_BOUND_ALPHABET, max_size=80)
+_BOUND_PAIRS = st.one_of(
+    st.tuples(_BOUND_TEXT, _BOUND_TEXT),
+    # the same lines in another order
+    st.lists(st.text(_BOUND_ALPHABET.replace("\n", ""), max_size=12), max_size=8).flatmap(
+        lambda lines: st.tuples(st.just("\n".join(lines)), st.permutations(lines).map("\n".join))
+    ),
+    # the same characters in another order
+    _BOUND_TEXT.flatmap(lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))),
+    # long runs of one character, one of them behind a short prefix
+    st.tuples(st.sampled_from(_BOUND_ALPHABET), st.integers(0, 300), st.integers(0, 300), _BOUND_TEXT).map(
+        lambda t: (t[0] * t[1], t[3][:5] + t[0] * t[2])
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_BOUND_PAIRS)
+def test_lcs_bounds_edit_distance_from_below(pair):
+    # retrieve's LCS tier: an alignment matches at most LCS characters.
+    a, b = pair
+    lcs = _lcs_length(a, b)
+    assert lcs == lcs_brute(a, b)
+    assert max(len(a), len(b)) - lcs <= levenshtein(a, b)
+
+
 def test_bit_parallel_lcs_matches_brute_force():
     rng = random.Random(13)
     symbols = ["if", "block", "for", "return", "while", "match"]
@@ -243,11 +271,30 @@ def test_message_tokens_strip_noise():
 
 
 def test_fragment_skeleton_runs_in_linear_time(run_isolated):
-    # 100,000 comments that never close: each once scanned to the end of the text.
-    code = "from j2cj.repair_repo import fragment_skeleton\nprint(fragment_skeleton(sys.stdin.read()))\n"
-    result = run_isolated(code, stdin="if (x) { f(); }\n" + "/* while { " * 100_000, timeout=20)
+    code = (
+        "import json\n"
+        "from j2cj.repair_repo import fragment_skeleton\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    print(fragment_skeleton(text))\n"
+    )
+    head = "if (x) { f(); }\n"
+    texts = [
+        head + "/* while { " * 100_000,  # each unclosed /* once scanned to the end
+        # Each quote of an unclosed literal once scanned all the escapes after it.
+        head + '"' + '\\"' * 100_000,
+        head + "'" + "\\'" * 100_000 + "\\",
+        head + '"' + '\\"' * 100_000 + "\\\n while {",
+    ]
+    result = run_isolated(code, stdin=json.dumps(texts), timeout=20)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "['if', 'block']\n"
+    assert result.stdout == "['if', 'block']\n" * 4
+
+
+def test_unclosed_string_runs_to_the_end_of_the_text():
+    assert fragment_skeleton('if (a) { s = "} while {"; }') == ["if", "block"]
+    assert fragment_skeleton('if (a) { s = "unclosed; while (b) { }') == ["if", "block"]
+    assert fragment_skeleton('if (a) { s = "a \\\n while {" }') == ["if", "block"]  # an escaped newline
+    assert fragment_skeleton("for (;;) { c = '\\\\'; } else { '") == ["for", "block", "else", "block"]
 
 
 # --- retrieval -----------------------------------------------------------------------
@@ -310,16 +357,25 @@ def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
     """Cases whose fragments and messages repeat, so ties must break by id;
     a few have empty fragments. Ids are not in insertion order. "nested"
     fragments are prefixes of one text, where the length bounds of the
-    fragment dimensions are attained."""
+    fragment dimensions are attained. "reordered" fragments put the same
+    lines in another order under one message, so their lengths and
+    dimensions 1-3 are equal and the LCS bound on dimension 6 tells them
+    apart; "same-message" cases all carry one message."""
     base = code_fragment(rng, 1500)
+    message = " ".join(rng.sample(_WORDS, 5)) if kind in ("reordered", "same-message") else None
     cases = []
     for i in rng.sample(range(100), 30 if kind == "small" else 10):
         if cases and rng.random() < 0.3:
             source = rng.choice(cases)
             error, faulty = source.error_info, source.faulty_fragment
         else:
-            error = " ".join(rng.choice(_WORDS[:4] if kind == "nested" else _WORDS) for _ in range(rng.randint(3, 6)))
-            if rng.random() < 0.15:
+            error = message or " ".join(
+                rng.choice(_WORDS[:4] if kind == "nested" else _WORDS) for _ in range(rng.randint(3, 6))
+            )
+            if kind == "reordered":
+                lines = base.split("\n")
+                faulty = "\n".join(rng.sample(lines, len(lines)))
+            elif rng.random() < 0.15:
                 faulty = ""
             elif kind == "small":
                 faulty = rng.choice(_FRAGS)
@@ -327,12 +383,12 @@ def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
                 faulty = base[: rng.randint(200, 1500)]
             else:
                 faulty = code_fragment(rng, rng.randint(200, 1500))
-        tags = tuple(rng.sample(["E1", "E2", "E3"], rng.randint(0, 2)))
+        tags = () if message else tuple(rng.sample(["E1", "E2", "E3"], rng.randint(0, 2)))
         cases.append(RepairCase(f"case-{i:02d}", tags, error, "fix", faulty, faulty + " // fixed"))
     return cases
 
 
-@pytest.mark.parametrize("kind", ["small", "kilobyte", "nested"])
+@pytest.mark.parametrize("kind", ["small", "kilobyte", "nested", "reordered", "same-message"])
 def test_retrieve_equals_exhaustive_sort(kind):
     rng = random.Random(kind)
     cases = equivalence_repository(rng, kind)
@@ -343,6 +399,7 @@ def test_retrieve_equals_exhaustive_sort(kind):
         ErrorQuery(source.error_info, source.faulty_fragment[: len(source.faulty_fragment) // 2], source.error_tags),
         ErrorQuery(rng.choice(cases).error_info, "", ()),
         ErrorQuery("type mismatch here", rng.choice(_FRAGS) if kind == "small" else code_fragment(rng, 700), ("E2",)),
+        ErrorQuery(source.error_info, "\n".join(reversed(source.faulty_fragment.splitlines())), source.error_tags),
     ]
     for query in queries:
         for w in (UNIFORM, SimilarityWeights((1, 1, 1, 1, 0, 0)), SimilarityWeights((0, 0, 0, 1, 1, 1))):
@@ -372,6 +429,34 @@ def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
     assert ranked[0][0] is target
     assert ranked[0][1].total == pytest.approx(1.0, abs=1e-12)
     assert 0 < len(calls) < len(repo)
+
+
+def test_retrieve_prunes_edit_distance_on_the_lcs_bound(monkeypatch):
+    # One message and equal-sized fragments: dimensions 1-3 and the length
+    # bounds are nearly equal for every case, and no exact dimension 5 rules
+    # a case out. Each case that reaches the LCS bound calls _lcs_length on
+    # the fragments; every such call not followed by the edit distance is a
+    # case that the bound pruned.
+    rng = random.Random(40)
+    message = " ".join(rng.sample(_WORDS, 6))
+    cases = [
+        RepairCase(f"case-{i:03d}", (), message, "fix", code_fragment(rng, rng.randint(900, 1100)), "fixed")
+        for i in range(40)
+    ]
+    repo = Repository(cases)
+    lines = rng.choice(cases).faulty_fragment.splitlines()
+    query = ErrorQuery(message, "\n".join(reversed(lines)))
+    lev_calls, lcs_calls = [], []
+    monkeypatch.setattr("j2cj.repair_repo.levenshtein", lambda a, b: lev_calls.append(1) or levenshtein(a, b))
+    monkeypatch.setattr(
+        "j2cj.repair_repo._lcs_length", lambda a, b: isinstance(a, str) and lcs_calls.append(1) or _lcs_length(a, b)
+    )
+    for k in (1, 3):
+        expected = exhaustive_top_k(query, repo, k, UNIFORM)
+        lev_calls.clear()
+        lcs_calls.clear()
+        assert retrieve(query, repo, k, UNIFORM) == expected
+        assert 0 < len(lev_calls) < len(lcs_calls)
 
 
 def test_retrieve_orders_desc_with_stable_id_tiebreak():
