@@ -840,8 +840,9 @@ def parse_events(source: str) -> tuple[list[str], list[int], list[int], list]:
     Never raises or hangs on malformed input: broken stretches become ERROR
     nodes and parsing resumes at the next statement boundary. A source nested
     too deeply to parse recursively (at the default recursion limit, beyond 245
-    blocks, 325 parentheses or 81 anonymous classes in method bodies) becomes
-    a program whose only child is one ERROR node holding every token.
+    blocks, 325 parentheses, 81 anonymous classes in method bodies or 485
+    ``else if`` arms) becomes a program whose only child is one ERROR node
+    holding every token.
     """
     kinds, starts, ends = _tokenize(source)
     parser = _Parser(source, kinds, starts, ends)

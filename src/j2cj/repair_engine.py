@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass, field
 
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES, render_structured_prompt, structure_tokens
@@ -37,6 +36,7 @@ from .repair_repo import (
     Repository,
     SimilarityWeights,
     extract_error_tags,
+    normalize_diagnostic,
     retrieve,
 )
 
@@ -132,21 +132,6 @@ class EngineDeps:
 
 # --- normalization ----------------------------------------------------------
 
-_HEX_RE = re.compile(r"0x[0-9a-fA-F]+")
-_PATHLIKE_RE = re.compile(r"\S*[/\\]\S*")
-_LINECOL_RE = re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s*\d+\b", re.I)
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_signature(diagnostics: str) -> str:
-    """Diagnostics with paths, line/column numbers and hex addresses removed,
-    lowercased and whitespace-collapsed: the loop's stagnation key."""
-    text = _HEX_RE.sub(" ", diagnostics)
-    text = _LINECOL_RE.sub(" ", text)
-    text = _PATHLIKE_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text.lower()).strip()
-
-
 def normalize_output(text: str) -> str:
     """Trailing-whitespace and final-newline normalization for test outputs."""
     lines = [line.rstrip() for line in text.split("\n")]
@@ -157,7 +142,7 @@ def normalize_output(text: str) -> str:
 
 def _record_signature(rec: IterationRecord) -> str:
     if rec.compile_status is CompileStatus.FAIL:
-        return "compile|" + normalize_signature(rec.diagnostics)
+        return "compile|" + normalize_diagnostic(rec.diagnostics)
     parts = [
         f"{normalize_output(f['input'])}=>{normalize_output(f['actual'])}"
         for f in rec.failed_tests
@@ -339,7 +324,7 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
         top_score = None
         if rec.compile_status is CompileStatus.FAIL and deps.repo is not None and len(deps.repo) > 0:
             ranked = retrieve(
-                ErrorQuery(diagnostics, rec.candidate, extract_error_tags(diagnostics)),
+                ErrorQuery(diagnostics, rec.candidate),
                 deps.repo,
                 cfg.rag_top_k,
                 cfg.weights,

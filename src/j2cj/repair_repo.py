@@ -100,9 +100,14 @@ class SimilarityBreakdown:
 
 # --- diagnostic normalization ------------------------------------------------
 
-_PATH_RE = re.compile(r"\S*[/\\]\S*")
-_FILE_RE = re.compile(r"\b\S+\.(?:cj|java|class|jar)\b")
-_LINECOL_RE = re.compile(r"\b\d+:\d+\b|\bline\s+\d+(?:\s*,?\s*col(?:umn)?\s+\d+)?\b", re.I)
+# Compiler locations, removed in this order by ``normalize_diagnostic``.
+_LOCATION_RES = [
+    re.compile(r"0x[0-9a-fA-F]+"),
+    re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s*\d+\b", re.I),
+    re.compile(r"\b\S+\.(?:cj|java|class|jar)\b"),
+    re.compile(r"\S*[/\\]\S*"),
+]
+_WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-z0-9_]+")
 
 _STOP_WORDS = frozenset(
@@ -139,15 +144,19 @@ def extract_error_tags(diagnostic: str) -> tuple[str, ...]:
     return tuple(tags)
 
 
-def _strip_locations(diagnostic: str) -> str:
-    text = _LINECOL_RE.sub(" ", diagnostic)
-    text = _FILE_RE.sub(" ", text)
-    return _PATH_RE.sub(" ", text)
+def normalize_diagnostic(text: str) -> str:
+    """A diagnostic without hex addresses, ``N:M``, ``line N``/``col N``/
+    ``column N``, file names ending ``.cj/.java/.class/.jar`` and path-like
+    words, lowercased and whitespace-collapsed. It is the repair loop's
+    stagnation key and the text ``message_tokens`` splits."""
+    for pattern in _LOCATION_RES:
+        text = pattern.sub(" ", text)
+    return _WS_RE.sub(" ", text.lower()).strip()
 
 
 def message_tokens(diagnostic: str) -> list[str]:
-    """Alphanumeric diagnostic tokens minus stop words, paths and numbers."""
-    words = _WORD_RE.findall(_strip_locations(diagnostic).lower())
+    """Alphanumeric words of the normalized diagnostic minus stop words and numbers."""
+    words = _WORD_RE.findall(normalize_diagnostic(diagnostic))
     return [w for w in words if w not in _STOP_WORDS and not w.isdigit()]
 
 

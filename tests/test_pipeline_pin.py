@@ -27,8 +27,8 @@ from j2cj.cli import main
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 PIPELINE_DIGESTS = {
-    "translate-mix": "6c9f31221ed980b96be386ce4468247328353953ea6d7998ffb9dfd54e1394cc",
-    "translate-rag": "58eea1bb564342da24a154d34c2ee74e6a7dde4a7d6c986d225d97cb0af7507f",
+    "translate-mix": "05a6d98ab5d3ce4ec646af261fdb960697c0f81fcc8dc4d61aa1b98b1f9ba6a2",
+    "translate-rag": "53001b992fd64608b0a7a56daa15cb3027ed07c41e338077e900fd9b062f1218",
     "corpus-build": "743c2a06f996ca5b988aa9183b3ec645ebf69aeabd6a5edbc5dbaa0de1f4a5b1",
 }
 

@@ -1,6 +1,7 @@
 """Every public name in ``src/j2cj`` has a caller outside the tests, every
-stored attribute a reader (see the second test), and every imported module
-a source: the standard library, ``j2cj`` or a declared dependency (the third).
+stored attribute a reader (see the second test), one module the patterns
+that strip compiler locations (the third), and every imported module a
+source: the standard library, ``j2cj`` or a declared dependency (the fourth).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -127,6 +128,20 @@ def test_every_stored_attribute_is_read_in_src_or_bench():
         if name not in attributes and cls not in whole
     ]
     assert not unread, "stored attributes that nothing reads:\n" + "\n".join(unread)
+
+
+def test_one_module_holds_a_line_column_pattern():
+    """Compiler locations are stripped by one normalizer: exactly one module
+    in ``src/j2cj`` has a string constant containing ``\\d+:\\d+``."""
+    holders = sorted(
+        path.name
+        for path in (ROOT / "src" / "j2cj").glob("*.py")
+        if any(
+            isinstance(node, ast.Constant) and isinstance(node.value, str) and r"\d+:\d+" in node.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert holders == ["repair_repo.py"]
 
 
 def _distribution_key(name: str) -> str:

@@ -33,14 +33,13 @@ from j2cj.repair_engine import (
     format_cases,
     harvest_cases,
     normalize_output,
-    normalize_signature,
     rag_repair,
     run_repair_loop,
     select_branch,
     translate,
     unit_to_trace,
 )
-from j2cj.repair_repo import RepairCase, Repository
+from j2cj.repair_repo import RepairCase, Repository, normalize_diagnostic
 
 
 # --- scripted in-test adapters ----------------------------------------------------
@@ -168,15 +167,15 @@ def test_threshold_sweep_monotone_gating():
 # --- normalization --------------------------------------------------------------------
 
 def test_signature_strips_locations_case_and_spacing():
-    a = normalize_signature("Error: expected ';' at /src/Main.cj:3:14 (0xDEADBEEF)")
-    b = normalize_signature("ERROR:   expected ';' at C:\\work\\main.cj:7:2 (0x1234)")
+    a = normalize_diagnostic("Error: expected ';' at /src/Main.cj:3:14 (0xDEADBEEF)")
+    b = normalize_diagnostic("ERROR:   expected ';' at C:\\work\\main.cj:7:2 (0x1234)")
     assert a == b
     assert "deadbeef" not in a
     assert "3:14" not in a
 
 
 def test_signature_keeps_error_codes():
-    assert "e1001" in normalize_signature("error E1001: bad type at x.cj:1:1")
+    assert "e1001" in normalize_diagnostic("error E1001: bad type at x.cj:1:1")
 
 
 def test_output_normalization_rules():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from support import query_from_case
 
 from j2cj.jsonl import JsonlError, read_jsonl
+from j2cj.repair_engine import Branch, CompileStatus, IterationRecord, _record_signature
 from j2cj.repair_repo import (
     DuplicateCaseError,
     ErrorQuery,
@@ -22,6 +23,7 @@ from j2cj.repair_repo import (
     fragment_skeleton,
     levenshtein,
     message_tokens,
+    normalize_diagnostic,
     retrieve,
     similarity,
     _lcs_length,
@@ -268,6 +270,44 @@ def test_message_tokens_strip_noise():
     assert "10" not in tokens
     assert "the" not in tokens
     assert "type" in tokens and "mismatch" in tokens
+
+
+_NUMBER = st.integers(0, 99_999).map(str)
+_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+# One strategy per kind of compiler location.
+_LOCATIONS = {
+    "hex": st.from_regex(r"0x[0-9a-fA-F]{1,8}", fullmatch=True),
+    "line:col": st.builds("{}:{}".format, _NUMBER, _NUMBER),
+    "line, col": st.builds("line {}, col {}".format, _NUMBER, _NUMBER),
+    "col": st.builds("{} {}".format, st.sampled_from(["col", "Col", "column", "COLUMN"]), _NUMBER),
+    "file": _NAME.map(lambda name: name + ".cj"),
+    "path": st.builds(
+        lambda sep, parts: sep + sep.join(parts), st.sampled_from("/\\"), st.lists(_NAME, min_size=1, max_size=3)
+    ),
+}
+_BODY_WORDS = ["error", "Error:", "E1001", "expected", "';'", "type", "mismatch", "Int64", "at", "near", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.lists(st.sampled_from(_BODY_WORDS), max_size=4),
+    tail=st.lists(st.sampled_from(_BODY_WORDS), max_size=4),
+    kinds=st.lists(st.sampled_from(sorted(_LOCATIONS)), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_one_normalizer_ignores_where_an_error_is(head, tail, kinds, data):
+    """One body with two locations of the same kinds: the stagnation key and
+    the retrieval tokens agree, and no location adds a token."""
+    a, b = (
+        " ".join([*head, *(data.draw(_LOCATIONS[kind]) for kind in kinds), *tail])
+        for _ in range(2)
+    )
+    assert normalize_diagnostic(a) == normalize_diagnostic(b)
+    assert message_tokens(a) == message_tokens(b) == message_tokens(" ".join(head + tail))
+    signatures = {
+        _record_signature(IterationRecord(0, "", Branch.INITIAL, CompileStatus.FAIL, text)) for text in (a, b)
+    }
+    assert len(signatures) == 1
 
 
 def test_fragment_skeleton_runs_in_linear_time(run_isolated):
