@@ -3,14 +3,19 @@
 Subcommands: build-corpus, summarize-ast, translate, repair,
 repo add|search, evaluate, report. Exit codes: 0 success,
 1 configuration/input error, 2 partial failures (some units errored).
+
+``translate --jobs N`` runs its units in up to N worker processes. With one job
+they run in this process: starting a worker, and building its adapters
+again, would only add to a run that has nothing to run beside it, so the
+pool module is imported only when N > 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
@@ -77,7 +82,7 @@ def cmd_build_corpus(args) -> int:
             *inputs.values(), out_dir, llm, allowlist=config.allowlist, retained=config.retained_categories
         )
     finally:
-        save_recording(llm, config)
+        save_recording(config, getattr(llm, "recorder", None))
     for key in sorted(stats):
         if key != "errors":
             print(f"{key}: {stats[key]}")
@@ -122,17 +127,34 @@ def _build_deps(config: PipelineConfig) -> EngineDeps:
 
 @dataclass(frozen=True)
 class UnitResult:
-    """A finished unit: its status or ``error: ...`` text, outcome row (None on error) and harvest."""
+    """A finished unit: its status or ``error: ...`` text, outcome row (None on error),
+    harvest and the (prompt, reply) pairs it recorded in ``llm.record`` mode, in call order."""
 
     unit_id: str
     status: str
     record: dict | None
     cases: list[RepairCase]
+    exchanges: list[tuple[str, str]]
 
 
 def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redact: bool, harvest: bool) -> UnitResult:
     """Translate and repair the unit of ``NAME.java`` and write its trace; a failure
-    of the unit's own files, the model or the toolchain is its ``error: ...`` result."""
+    of the unit's own files, the model or the toolchain is its ``error: ...`` result.
+    An exception that escapes carries the unit's recorded pairs as ``exchanges``."""
+    exchanges: list[tuple[str, str]] = []
+    if getattr(deps.llm, "recorder", None) is not None:
+        deps.llm.recorder = exchanges  # a recording backend records into this unit's own list
+    try:
+        status, record, cases = _run_unit(java_file, config, deps, redact, harvest)
+    except BaseException as exc:  # the parent saves what the unit paid for all the same
+        exc.exchanges = exchanges
+        raise
+    return UnitResult(java_file.stem, status, record, cases, exchanges)
+
+
+def _run_unit(
+    java_file: Path, config: PipelineConfig, deps: EngineDeps, redact: bool, harvest: bool
+) -> tuple[str, dict | None, list[RepairCase]]:
     unit_id = java_file.stem
     tests_file = java_file.with_name(f"{unit_id}.tests.json")
     ref_file = java_file.with_name(f"{unit_id}.ref.cj")
@@ -144,7 +166,7 @@ def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redac
         unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[initial], unit_id=unit_id)
         unit = run_repair_loop(unit, config.repair, deps)
     except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
-        return UnitResult(unit_id, f"error: {type(exc).__name__}: {exc}", None, [])
+        return f"error: {type(exc).__name__}: {exc}", None, []
     traces_dir = config.path("traces")
     if traces_dir is not None:
         write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=redact)
@@ -158,7 +180,74 @@ def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redac
         "candidate": final.candidate,
         "reference": reference,
     }
-    return UnitResult(unit_id, unit.status.value, record, harvest_cases(unit) if harvest and accepted else [])
+    return unit.status.value, record, harvest_cases(unit) if harvest and accepted else []
+
+
+# In a worker process: run_unit bound to the worker's own adapters, or the
+# error that building them raised, which each task raises again.
+_worker_unit = None
+# Units per pool task, at most: each task is a round trip through the parent,
+# which shares the cores with the workers. A run too small to give each worker
+# this many tasks gets smaller ones, so that the workers finish close together.
+_TASK_UNITS = 8
+
+
+def _start_worker(config: PipelineConfig, redact: bool, harvest: bool) -> None:
+    """Build a worker's adapters once. Ctrl-C reaches a worker only while it runs units."""
+    global _worker_unit
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        _worker_unit = partial(run_unit, config=config, deps=_build_deps(config), redact=redact, harvest=harvest)
+    except Exception as exc:
+        _worker_unit = exc
+
+
+def _run_in_worker(java_files: list[Path]) -> list:
+    """The results of a task's units, in order, until one raises: its exception ends the list."""
+    if isinstance(_worker_unit, Exception):
+        raise _worker_unit
+    outcomes = []
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        for java_file in java_files:
+            outcomes.append(_worker_unit(java_file))
+    except BaseException as exc:  # handed back with the results before it
+        outcomes.append(exc)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    return outcomes
+
+
+def _pooled(java_files: list[Path], config: PipelineConfig, redact: bool, harvest: bool):
+    """Each unit's result, in unit order, from ``min(jobs, units)`` worker processes.
+
+    An exception ends the run once the units already running have finished,
+    and carries the recorded pairs of the units not yet handed on as
+    ``exchanges``. A worker that dies is a ``ChildProcessError``."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(config.jobs, len(java_files))
+    size = max(1, min(_TASK_UNITS, len(java_files) // (_TASK_UNITS * workers)))
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(config, redact, harvest))
+    futures, handed_on = [], 0
+    try:
+        futures += (pool.submit(_run_in_worker, java_files[i:i + size]) for i in range(0, len(java_files), size))
+        for future in futures:
+            for outcome in future.result():
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                handed_on += 1
+                yield outcome
+    except BaseException as exc:
+        pool.shutdown(cancel_futures=True)
+        finished = [o for f in futures if not f.cancelled() and not f.exception() for o in f.result()]
+        if isinstance(exc, BrokenProcessPool):
+            exc = ChildProcessError(str(exc))
+        exc.exchanges = [pair for outcome in finished[handed_on:] for pair in getattr(outcome, "exchanges", [])]
+        raise exc
+    finally:
+        pool.shutdown()
 
 
 def cmd_translate(args) -> int:
@@ -171,7 +260,7 @@ def cmd_translate(args) -> int:
     repo_path = config.required_path("repository") if args.harvest else None
     if repo_path is not None and not repo_path.parent.is_dir():
         return _fail(f"repository directory does not exist: {repo_path.parent}")
-    deps = _build_deps(config)
+    deps = _build_deps(config) if config.jobs == 1 else None  # each worker builds its own
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
     java_files = sorted(benchmark.glob("*.java"), key=attrgetter("stem"))
@@ -180,19 +269,27 @@ def cmd_translate(args) -> int:
     if traces_dir is not None:
         traces_dir.mkdir(parents=True, exist_ok=True)
 
-    task = partial(run_unit, config=config, deps=deps, redact=args.redact, harvest=args.harvest)
-    try:  # map keeps unit order, and an interrupt cancels the units not yet started
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(task, java_files))
-    finally:
-        save_recording(deps.llm, config)
+    if deps is None:
+        units = _pooled(java_files, config, args.redact, args.harvest)
+    else:
+        units = map(partial(run_unit, config=config, deps=deps, redact=args.redact, harvest=args.harvest), java_files)
+    results: list[UnitResult] = []
+    unfinished: list[tuple[str, str]] = []  # recorded by the unit that raised, and by units running beside it
+    try:
+        for result in units:
+            results.append(result)
+    except BaseException as exc:
+        unfinished = getattr(exc, "exchanges", [])
+        raise
+    finally:  # the one writer of the recording, in unit order
+        save_recording(config, [pair for result in results for pair in result.exchanges] + unfinished)
 
     if reports_dir is not None:
         reports_dir.mkdir(parents=True, exist_ok=True)
         write_jsonl(reports_dir / "outcomes.jsonl", (result.record for result in results if result.record))
 
     if args.harvest:
-        repo = deps.repo if deps.repo is not None else Repository()
+        repo = Repository.load(repo_path) if repo_path.exists() else Repository()
         before = len(repo)
         for result in results:
             for case in result.cases:
@@ -227,7 +324,7 @@ def cmd_repair(args) -> int:
         print(f"{unit.unit_id}: error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
     finally:
-        save_recording(deps.llm, config)
+        save_recording(config, getattr(deps.llm, "recorder", None))
     if args.out:
         write_trace(unit, args.out, redact=args.redact)
     print(f"{unit.unit_id}: {unit.status.value}")

@@ -174,16 +174,19 @@ def build_llm(config: PipelineConfig):
         raise ConfigError("llm.endpoint and llm.model are required in http mode")
     key_env = settings.get("api_key_env")
     api_key = os.environ.get(key_env) if key_env else None
-    recorder = Transcript() if settings.get("record") else None
+    recorder = [] if settings.get("record") else None
     return HttpBackend(endpoint, model, api_key=api_key, recorder=recorder, decoding=config.decoding)
 
 
-def save_recording(llm, config: PipelineConfig) -> None:
-    """Persist replies captured during a --record run, if any."""
+def save_recording(config: PipelineConfig, exchanges) -> None:
+    """Write the (prompt, reply) pairs of a run in record mode, in the order
+    given and one line per prompt digest, to ``llm.record``, if there are any."""
     record_path = config.llm.get("record")
-    recorder = getattr(llm, "recorder", None)
-    if record_path and recorder is not None and recorder.entries:
-        recorder.save(record_path)
+    if record_path and exchanges:
+        transcript = Transcript()
+        for prompt, reply in exchanges:
+            transcript.add(prompt, reply)
+        transcript.save(record_path)
 
 
 def build_compiler(config: PipelineConfig):

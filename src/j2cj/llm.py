@@ -13,7 +13,6 @@ import json
 import math
 import re
 import string
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -290,8 +289,6 @@ class MockBackend:
 HTTP_MAX_ATTEMPTS = 3
 HTTP_BACKOFF_BASE_S = 0.5  # doubled after each further failed attempt
 HTTP_TIMEOUT_S = 120.0
-# Per-endpoint request budget: bounds in-flight calls under --jobs.
-HTTP_MAX_CONCURRENCY = 4
 
 
 @functools.cache
@@ -320,7 +317,8 @@ class HttpBackend:
     response, or a 200 whose body is not JSON or has no reply text fails
     immediately.
     Every request carries the backend's decoding settings. An optional
-    recorder transcript captures (prompt, reply) pairs for later replay.
+    recorder list receives each (prompt, reply) pair, in call order, for
+    later replay.
     The standard-library client is imported only when a request is sent,
     so the replay backend never pays for it.
     """
@@ -328,19 +326,12 @@ class HttpBackend:
     endpoint: str
     model: str
     api_key: str | None = None
-    recorder: Transcript | None = None
+    recorder: list[tuple[str, str]] | None = None
     decoding: DecodingConfig = DecodingConfig()
-    _slots: threading.BoundedSemaphore = field(
-        default_factory=lambda: threading.BoundedSemaphore(HTTP_MAX_CONCURRENCY), init=False
-    )
 
     def complete(self, prompt: str) -> str:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        with self._slots:
-            return self._complete_locked(prompt)
-
-    def _complete_locked(self, prompt: str) -> str:
         import http.client
         import urllib.error
         import urllib.request
@@ -393,7 +384,7 @@ class HttpBackend:
             if not isinstance(reply, str):
                 raise CompletionError(f"malformed completion response: {excerpt}")
             if self.recorder is not None:
-                self.recorder.add(prompt, reply)
+                self.recorder.append((prompt, reply))
             return reply
         raise CompletionError(f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}")
 

@@ -102,8 +102,8 @@ class SimilarityBreakdown:
 
 # Compiler locations, removed in this order by ``normalize_diagnostic``.
 _LOCATION_RES = [
-    re.compile(r"0x[0-9a-fA-F]+"),
-    re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s*\d+\b", re.I),
+    re.compile(r"\b0x[0-9a-fA-F]+"),
+    re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I),
     re.compile(r"\b\S+\.(?:cj|java|class|jar)\b"),
     re.compile(r"\S*[/\\]\S*"),
 ]
@@ -147,7 +147,9 @@ def extract_error_tags(diagnostic: str) -> tuple[str, ...]:
 def normalize_diagnostic(text: str) -> str:
     """A diagnostic without hex addresses, ``N:M``, ``line N``/``col N``/
     ``column N``, file names ending ``.cj/.java/.class/.jar`` and path-like
-    words, lowercased and whitespace-collapsed. It is the repair loop's
+    words, lowercased and whitespace-collapsed. A hex address starts a word
+    and ``line``/``col`` is followed by a space, so the identifiers
+    ``buf0xff`` and ``line2`` stay. It is the repair loop's
     stagnation key and the text ``message_tokens`` splits."""
     for pattern in _LOCATION_RES:
         text = pattern.sub(" ", text)

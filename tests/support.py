@@ -55,15 +55,21 @@ class ScriptedServer:
     """An HTTP server on 127.0.0.1 that answers each POST or GET with the next step of its script.
 
     A step is ``(status, headers, body)`` or ``DROP``; once the script is
-    spent, every request gets a 410. ``bodies`` and ``headers`` hold each
-    request's JSON body (None for a GET) and headers in arrival order.
+    spent, every request gets a 410. ``steps`` may instead be a function
+    from a request's JSON body to its step. ``bodies`` and ``headers`` hold
+    each request's JSON body (None for a GET) and headers in arrival order.
     Enter it to serve from a thread; leaving shuts it down.
     """
 
     def __init__(self, steps):
         self.bodies: list = []
         self.headers: list = []
-        steps = list(steps)
+        if not callable(steps):
+            script = list(steps)
+
+            def steps(body):
+                return script.pop(0) if script else (410, {}, "script spent")
+
         lock = threading.Lock()
         scripted = self
 
@@ -74,7 +80,7 @@ class ScriptedServer:
                 with lock:
                     scripted.bodies.append(body)
                     scripted.headers.append(self.headers)
-                    step = steps.pop(0) if steps else (410, {}, "script spent")
+                    step = steps(body)
                 if step is DROP:
                     self.close_connection = True
                     return

@@ -4,8 +4,7 @@ import argparse
 import json
 import pickle
 import re
-from dataclasses import asdict
-from functools import partial
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from support import completion, transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import _build_deps, _overrides, build_parser, main, run_unit
+from j2cj.cli import _build_deps, _overrides, _run_in_worker, build_parser, main, run_unit
 from j2cj.config import _SETTINGS, load_config
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
@@ -36,6 +35,7 @@ C0 = "func f(x: Int64): Int64 { x - 1 }"
 C1 = "func f(x: Int64): Int64 { x + 1 }"
 DIAG = "error: operator mismatch in body"
 GUIDANCE = "Flip the subtraction to an addition."
+CLI_MAIN = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 
 
 def translation_prompt(java: str) -> str:
@@ -135,18 +135,28 @@ def test_translate_harvest_appends_to_repository(pipeline, capsys):
 
 
 def test_a_unit_task_and_its_result_survive_pickle(pipeline):
-    """What the pool sends with each unit, all but the adapters (``deps``),
-    and the result that comes back, harvested cases included."""
+    """What the pool sends, once per worker (the config a worker builds its
+    adapters from) and with each unit, and the result that comes back,
+    harvested cases and recorded exchanges included."""
     tmp_path, config_path = pipeline
     config = load_config(config_path)
-    task = partial(run_unit, config=config, redact=True, harvest=True)
-    sent = pickle.loads(pickle.dumps(task))
-    assert (sent.func, sent.args, sent.keywords) == (run_unit, (), task.keywords)
+    initargs = (config, True, True)
+    assert pickle.loads(pickle.dumps(initargs)) == initargs
+    java_file = tmp_path / "bench" / "unit1.java"
+    assert pickle.loads(pickle.dumps((_run_in_worker, [java_file]))) == (_run_in_worker, [java_file])
 
     (tmp_path / "traces").mkdir()
-    result = sent(tmp_path / "bench" / "unit1.java", deps=_build_deps(config))
+    result = run_unit(java_file, config=config, deps=_build_deps(config), redact=True, harvest=True)
     assert result.status == "accepted" and len(result.cases) == 1
+    result = replace(result, exchanges=[("prompt", "reply"), ("prompt 2", "reply 2")])
     assert pickle.loads(pickle.dumps(result)) == result
+
+
+def test_importing_the_cli_imports_no_process_pool(run_isolated):
+    """A one-job run starts no process, so the CLI does not import the pool modules."""
+    code = "import j2cj.cli\nprint(sorted({'multiprocessing', 'concurrent.futures.process'} & sys.modules.keys()))\n"
+    result = run_isolated(code)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
 def test_translate_rerun_is_byte_identical(pipeline):
@@ -167,6 +177,44 @@ def test_translate_parallel_jobs_match_serial_output(pipeline):
     main(["translate", "--config", str(config_path), "--jobs", "4"])
     assert (tmp_path / "traces" / "unit1.trace.json").read_bytes() == serial_trace
     assert (tmp_path / "reports" / "outcomes.jsonl").read_bytes() == serial_outcomes
+
+
+def _copy_unit(root: Path, stem: str) -> None:
+    for suffix in (".java", ".tests.json", ".ref.cj"):
+        (root / "bench" / f"{stem}{suffix}").write_bytes((root / "bench" / f"unit1{suffix}").read_bytes())
+
+
+def _outputs(root: Path) -> dict[str, bytes]:
+    """The traces, outcomes and report of a run, by path, removed once read."""
+    files = sorted(p for name in ("traces", "reports") for p in (root / name).rglob("*") if p.is_file())
+    outputs = {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+    for p in files:
+        p.unlink()
+    return outputs
+
+
+START_METHOD_MAIN = "import multiprocessing\nmultiprocessing.set_start_method(sys.argv.pop(1))\n" + CLI_MAIN
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_worker_processes_write_what_one_job_writes_under_each_start_method(pipeline, run_isolated, method):
+    """Workers build their adapters from the config alone, so a start method
+    that copies nothing from the parent gives the same outputs."""
+    tmp_path, config_path = pipeline
+    for stem in ("unit2", "unit3", "unit4"):
+        _copy_unit(tmp_path, stem)
+    report = ["evaluate", "--outcomes", str(tmp_path / "reports" / "outcomes.jsonl"),
+              "--out", str(tmp_path / "reports" / "report.jsonl")]
+    assert main(["translate", "--config", str(config_path)]) == 0
+    assert main(report) == 0
+    serial = _outputs(tmp_path)
+    assert len(serial) == 6
+
+    result = run_isolated(START_METHOD_MAIN, method, "translate", "--config", str(config_path), "--jobs", "2")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[:4] == [f"unit{i}: accepted" for i in range(1, 5)]
+    assert main(report) == 0
+    assert _outputs(tmp_path) == serial
 
 
 def test_translate_orders_units_by_stem_not_path(pipeline, capsys):
@@ -499,17 +547,20 @@ def test_repair_saves_its_recording(pipeline, serve, capsys, tmp_path, answered,
     assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
 
 
-def test_translate_keeps_its_recording_when_a_trace_write_fails(pipeline, serve, capsys):
+# With --jobs 2 the unit runs in a worker process; a fork start copies this process's patches into it.
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_keeps_its_recording_when_a_trace_write_fails(pipeline, serve, capsys, jobs):
     tmp_path, config_path = pipeline
     replies = [f"```\n{C0}\n```", GUIDANCE, f"```\n{C1}\n```"]
     record = _record_over_http(config_path, serve, replies)
     (tmp_path / "traces" / "unit1.trace.json").mkdir(parents=True)
-    assert main(["translate", "--config", str(config_path)]) == 1
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(Transcript.load(record).entries.values()) == sorted(replies)
 
 
-def test_translate_keeps_its_recording_when_interrupted(pipeline, serve, monkeypatch):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_keeps_its_recording_when_interrupted(pipeline, serve, monkeypatch, jobs):
     _, config_path = pipeline
     replies = [f"```\n{C0}\n```"]
     record = _record_over_http(config_path, serve, replies)
@@ -519,8 +570,74 @@ def test_translate_keeps_its_recording_when_interrupted(pipeline, serve, monkeyp
 
     monkeypatch.setattr("j2cj.cli.run_repair_loop", interrupt)
     with pytest.raises(KeyboardInterrupt):
-        main(["translate", "--config", str(config_path)])
+        main(["translate", "--config", str(config_path), "--jobs", jobs])
     assert list(Transcript.load(record).entries.values()) == replies
+
+
+def _serve_units_over_http(root: Path, config_path: Path, serve, count: int) -> list[str]:
+    """Add ``count`` units, each translated right the first time, and switch the
+    config to a recording http model whose server answers by prompt digest, from
+    the fixture's transcript and the new units' replies; return the digests of
+    the prompts in unit order (the new units sort before ``unit1``)."""
+    transcript = Transcript.load(root / "transcript.jsonl")
+    unit1 = list(transcript.entries)
+    for i in range(count):
+        java = f"class B{i} {{ static int g(int x) {{ return x + 1; }} }}"
+        (root / "bench" / f"unit0_{i:02d}.java").write_text(java, encoding="utf-8")
+        for suffix in (".tests.json", ".ref.cj"):
+            (root / "bench" / f"unit0_{i:02d}{suffix}").write_bytes((root / "bench" / f"unit1{suffix}").read_bytes())
+        transcript.add(translation_prompt(java), f"```\n{C1}\n```")
+    server = serve(lambda body: completion(transcript.lookup(body["messages"][0]["content"])))
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["llm"] = {"mode": "http", "endpoint": server.url, "model": "m", "record": str(root / "rec.jsonl")}
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return [*list(transcript.entries)[len(unit1):], *unit1]
+
+
+def test_translate_records_the_same_bytes_for_any_jobs(pipeline, serve):
+    """The parent writes the recording from the units' results, in unit order,
+    whichever unit's replies arrive first; 40 units make pool tasks of several units."""
+    tmp_path, config_path = pipeline
+    in_unit_order = _serve_units_over_http(tmp_path, config_path, serve, 40)
+    recordings = []
+    for jobs in ("1", "2", "3"):
+        assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 0
+        recordings.append((tmp_path / "rec.jsonl").read_bytes())
+        (tmp_path / "rec.jsonl").unlink()
+    assert recordings[0] == recordings[1] == recordings[2]
+    digests = [json.loads(line)["digest"] for line in recordings[0].splitlines()]
+    assert digests == in_unit_order
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_records_what_every_unit_received_when_one_fails(pipeline, serve, capsys, jobs):
+    tmp_path, config_path = pipeline
+    in_unit_order = _serve_units_over_http(tmp_path, config_path, serve, 40)
+    (tmp_path / "traces" / "unit0_17.trace.json").mkdir(parents=True)
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+    recorded = list(Transcript.load(tmp_path / "rec.jsonl").entries)
+    assert recorded == in_unit_order[:len(recorded)]  # none skipped
+    assert len(recorded) >= 18  # up to the unit whose trace could not be written, and any finished beside it
+
+
+FORKED_MAIN = """import multiprocessing, os
+multiprocessing.set_start_method("fork")
+import j2cj.cli
+j2cj.cli.run_repair_loop = lambda *args: os._exit(3)
+code = j2cj.cli.main(sys.argv[1:])
+print(multiprocessing.active_children())
+sys.exit(code)
+"""
+
+
+def test_a_worker_that_dies_gives_one_error_line(pipeline, run_isolated):
+    tmp_path, config_path = pipeline
+    _copy_unit(tmp_path, "unit2")
+    result = run_isolated(FORKED_MAIN, "translate", "--config", str(config_path), "--jobs", "2")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
@@ -805,7 +922,6 @@ def test_unreadable_unit_file_errors_only_its_own_unit(pipeline, capsys):
     assert "unit1: accepted" in captured.out
 
 
-CLI_MAIN = "from j2cj.cli import main\nsys.exit(main(sys.argv[1:]))\n"
 UNPARSEABLE_JAVA = {
     "stray-semicolon": "class A { static int f(int x) { return g(1;); } }",
     "deep-nesting": "class B { void f() " + "{" * 600 + "}" * 600 + " }",

@@ -266,11 +266,12 @@ def test_http_backend_reads_the_trust_store_once_not_per_request(serve, monkeypa
 
 
 def test_http_backend_records_replies_for_replay(serve):
-    recorder = Transcript()
-    server = serve([completion("recorded")])
+    recorder = []
+    server = serve([completion("recorded"), completion("again")])
     backend = HttpBackend(server.url, "m", recorder=recorder)
     backend.complete("prompt-a")
-    assert recorder.lookup("prompt-a") == "recorded"
+    backend.complete("prompt-a")
+    assert recorder == [("prompt-a", "recorded"), ("prompt-a", "again")]
 
 
 @pytest.mark.parametrize("content", [None, 7, ["x"]], ids=["null", "int", "list"])

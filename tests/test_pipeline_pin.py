@@ -58,9 +58,10 @@ def _run_plan(out: Path, monkeypatch, jobs: str | None = None) -> str:
     return f"{worker.digest(out)} {transcript}"
 
 
-# translate-mix runs with --jobs 2; with --jobs 1 its outputs must not change.
+# translate-mix runs with --jobs 2; with --jobs 1 or 4 its outputs must not change.
 @pytest.mark.parametrize("workload,jobs", [
-    ("translate-mix", None), ("translate-mix", "1"), ("translate-rag", None), ("corpus-build", None),
+    ("translate-mix", None), ("translate-mix", "1"), ("translate-mix", "4"), ("translate-rag", None),
+    ("corpus-build", None),
 ])
 def test_pipeline_outputs_are_pinned(workload, jobs, tmp_path, monkeypatch):
     digest = hashlib.sha256()
@@ -72,7 +73,8 @@ def test_pipeline_outputs_are_pinned(workload, jobs, tmp_path, monkeypatch):
 
 
 def test_translate_keeps_no_finished_unit(tmp_path, monkeypatch):
-    """Each unit is finished where it runs, so none is alive when the run saves its recording."""
+    """Each unit is finished where it runs, so none is alive when the run saves its recording.
+    With one job the units run in this process, where the check can see them."""
     units, alive = [], []
     run_repair_loop, save_recording = cli.run_repair_loop, cli.save_recording
 
@@ -89,6 +91,6 @@ def test_translate_keeps_no_finished_unit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_repair_loop", run_and_watch)
     monkeypatch.setattr(cli, "save_recording", count_and_save)
     make_synthetic.generate("translate-mix", 3, tmp_path, small=True)
-    _run_plan(tmp_path, monkeypatch)
+    _run_plan(tmp_path, monkeypatch, "1")
     assert len(units) == 14
     assert alive == [0]

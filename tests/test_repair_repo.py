@@ -272,6 +272,23 @@ def test_message_tokens_strip_noise():
     assert "type" in tokens and "mismatch" in tokens
 
 
+def test_the_normalizer_keeps_identifiers_that_look_like_locations():
+    """``line2``, ``col7`` and ``buf0xff`` are names, not locations: they stay in
+    the stagnation key and the retrieval tokens, while real locations go."""
+    assert normalize_diagnostic("error: undefined symbol 'line2' at 0x1f, line 12, col 3") == (
+        "error: undefined symbol 'line2' at , ,"
+    )
+    assert normalize_diagnostic("bad 'buf0xff' and 'col7'") == "bad 'buf0xff' and 'col7'"
+    assert message_tokens("undefined symbol buf0xff at line 12 col 3 (0x1f)") == ["undefined", "symbol", "buf0xff"]
+
+    def signature(text):
+        return _record_signature(IterationRecord(0, "", Branch.INITIAL, CompileStatus.FAIL, text))
+
+    moved = [signature(f"error: undefined symbol '{name}'") for name in ("line2", "col7", "buf0xff", "buf0x1f")]
+    assert len(set(moved)) == 4
+    assert signature("error: undefined symbol at line 12, col 3") == signature("error: undefined symbol at line 4, col 9")
+
+
 _NUMBER = st.integers(0, 99_999).map(str)
 _NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
 # One strategy per kind of compiler location.
