@@ -169,6 +169,7 @@ def _run_unit(
         return f"error: {type(exc).__name__}: {exc}", None, []
     traces_dir = config.path("traces")
     if traces_dir is not None:
+        traces_dir.mkdir(parents=True, exist_ok=True)
         write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=redact)
     final = unit.candidates[-1]
     accepted = unit.status is UnitStatus.ACCEPTED
@@ -255,7 +256,6 @@ def cmd_translate(args) -> int:
     benchmark = config.required_path("benchmark")
     if not benchmark.is_dir():
         return _fail(f"benchmark directory does not exist: {benchmark}")
-    traces_dir = config.path("traces")
     reports_dir = config.path("reports")
     repo_path = config.required_path("repository") if args.harvest else None
     if repo_path is not None and not repo_path.parent.is_dir():
@@ -266,8 +266,6 @@ def cmd_translate(args) -> int:
     java_files = sorted(benchmark.glob("*.java"), key=attrgetter("stem"))
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
-    if traces_dir is not None:
-        traces_dir.mkdir(parents=True, exist_ok=True)
 
     if deps is None:
         units = _pooled(java_files, config, args.redact, args.harvest)
@@ -314,7 +312,7 @@ def cmd_repair(args) -> int:
     unit = TranslationUnit(
         java_source=read_text(args.java),
         test_suite=_load_tests(args.tests) if args.tests else [],
-        candidates=[IterationRecord(k=0, candidate=read_text(args.candidate), branch=Branch.INITIAL)],
+        candidates=[IterationRecord(candidate=read_text(args.candidate), branch=Branch.INITIAL)],
         unit_id=Path(args.candidate).stem,
     )
     deps = _build_deps(config)

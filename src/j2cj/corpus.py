@@ -21,7 +21,7 @@ from pathlib import Path
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES, ensure_no_markers, structure_tokens
 
 # Unused here: the benchmark's tracer (bench/spans.py) still wraps these two
-# names in this module until it looks them up elsewhere (ROADMAP item 5).
+# names in this module until it looks them up elsewhere (ROADMAP item 3).
 from .ast_summary import summarize  # noqa: F401
 from .javaparse import parse  # noqa: F401
 from .llm import (

@@ -62,7 +62,7 @@ def string_fields(record: dict, *names: str) -> list[str]:
     return [record[name] for name in names]
 
 
-def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
+def read_jsonl(path, convert: Callable[[dict], object]) -> list:
     """Records of ``path`` in file order, skipping blank lines.
 
     ``convert`` maps each record to the caller's value. A line that is not
@@ -86,9 +86,6 @@ def read_jsonl(path, convert: Callable[[dict], object] | None = None) -> list:
                 raise JsonlError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise JsonlError(f"{where}: expected an object")
-            if convert is None:
-                values.append(record)
-                continue
             try:
                 values.append(convert(record))
             except KeyError as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES, render_structured_prompt, structure_tokens
 
 # Unused here: the benchmark's tracer (bench/spans.py) still wraps these two
-# names in this module until it looks them up elsewhere (ROADMAP item 5).
+# names in this module until it looks them up elsewhere (ROADMAP item 3).
 from .ast_summary import summarize  # noqa: F401
 from .javaparse import parse  # noqa: F401
 from .jsonl import atomic_write, text_digest
@@ -83,7 +83,6 @@ class TestCase:
 class IterationRecord:
     """Evaluation of one candidate plus how the candidate was produced."""
 
-    k: int
     candidate: str
     branch: Branch
     compile_status: CompileStatus | None = None
@@ -171,7 +170,6 @@ def translate(
     prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
     candidate, exchange = _code_reply(prompt, llm, "translation completion")
     return IterationRecord(
-        k=0,
         candidate=candidate,
         branch=Branch.INITIAL,
         exchanges=[exchange],
@@ -272,9 +270,10 @@ def rag_repair(
 def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) -> TranslationUnit:
     """Drive the unit to a terminal status within cfg.max_iterations.
 
-    One iteration = one candidate evaluation (compile, then tests on compile
-    success). Stagnation is two consecutive identical error signatures; the
-    budget bounds the number of evaluated candidates, so no candidate is ever
+    One iteration = one evaluation of the unit's last candidate (compile, then
+    tests on compile success); ``unit.candidates`` is the loop's only state.
+    Stagnation is two consecutive identical error signatures; the budget
+    bounds the number of evaluated candidates, so no candidate is ever
     produced that cannot be evaluated.
     """
     if not unit.candidates:
@@ -282,40 +281,33 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
     if unit.status is not UnitStatus.PENDING:
         raise ValueError(f"unit already has terminal status {unit.status.value}")
 
-    prev_signature: str | None = None
-    k = 0
     while True:
-        rec = unit.candidates[k]
+        rec = unit.candidates[-1]
         outcome = deps.compiler.compile(rec.candidate)
         rec.compile_status = CompileStatus.SUCCESS if outcome.ok else CompileStatus.FAIL
         rec.diagnostics = outcome.diagnostics
 
         if outcome.ok:
-            failed = []
+            rec.failed_tests = []
             for tc in unit.test_suite:
                 result = deps.runner.run(outcome.artifact, tc.input)
-                if result.timed_out:
-                    failed.append(
-                        {"input": tc.input, "expected": tc.expected_output, "actual": "<timeout>"}
+                actual = "<timeout>" if result.timed_out else result.output
+                if result.timed_out or normalize_output(actual) != normalize_output(tc.expected_output):
+                    rec.failed_tests.append(
+                        {"input": tc.input, "expected": tc.expected_output, "actual": actual}
                     )
-                elif normalize_output(result.output) != normalize_output(tc.expected_output):
-                    failed.append(
-                        {"input": tc.input, "expected": tc.expected_output, "actual": result.output}
-                    )
-            rec.failed_tests = failed
-            rec.test_result = TestResult.PASS if not failed else TestResult.FAIL
+            rec.test_result = TestResult.FAIL if rec.failed_tests else TestResult.PASS
         else:
             rec.test_result = TestResult.NOT_RUN
 
         # A failed candidate ends the loop on a repeated error signature or
-        # a spent budget before any retrieval is paid for.
+        # a spent budget, in that order, before any retrieval is paid for.
         if rec.test_result is not TestResult.PASS:
             rec.error_signature = _record_signature(rec)
-            if rec.error_signature == prev_signature:
+            if len(unit.candidates) > 1 and unit.candidates[-2].error_signature == rec.error_signature:
                 unit.status = UnitStatus.STAGNATED
                 return unit
-            prev_signature = rec.error_signature
-            if k + 1 >= cfg.max_iterations:
+            if len(unit.candidates) >= cfg.max_iterations:
                 unit.status = UnitStatus.BUDGET_EXHAUSTED
                 return unit
 
@@ -346,14 +338,12 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
 
         unit.candidates.append(
             IterationRecord(
-                k=k + 1,
                 candidate=candidate,
                 branch=branch,
                 guidance=guidance,
                 exchanges=exchanges,
             )
         )
-        k += 1
 
 
 def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
@@ -362,7 +352,7 @@ def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
     if unit.status is not UnitStatus.ACCEPTED:
         raise ValueError("only accepted units are harvested")
     cases = []
-    for rec, nxt in zip(unit.candidates, unit.candidates[1:]):
+    for k, (rec, nxt) in enumerate(zip(unit.candidates, unit.candidates[1:]), 1):
         if (
             rec.compile_status is CompileStatus.FAIL
             and nxt.branch is Branch.SELF_ANALYSIS
@@ -372,7 +362,7 @@ def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
             prefix = unit.unit_id or "unit"
             cases.append(
                 RepairCase(
-                    id=f"{prefix}-k{nxt.k}",
+                    id=f"{prefix}-k{k}",
                     error_tags=extract_error_tags(rec.diagnostics),
                     error_info=rec.diagnostics,
                     repair_suggestion=nxt.guidance or "",
@@ -393,7 +383,6 @@ def record_to_dict(rec: IterationRecord, redact: bool = False) -> dict:
         for e in rec.exchanges
     ]
     return {
-        "k": rec.k,
         "branch": rec.branch.value,
         "candidate": rec.candidate,
         "compile_status": rec.compile_status.value if rec.compile_status else None,
@@ -412,7 +401,7 @@ def unit_to_trace(unit: TranslationUnit, redact: bool = False) -> dict:
         "status": unit.status.value,
         "java_source": unit.java_source,
         "test_count": len(unit.test_suite),
-        "iterations": [record_to_dict(rec, redact) for rec in unit.candidates],
+        "iterations": [{"k": i, **record_to_dict(rec, redact)} for i, rec in enumerate(unit.candidates)],
     }
 
 

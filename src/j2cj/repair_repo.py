@@ -409,7 +409,7 @@ class Repository:
     def _features_of(self, case: RepairCase) -> _Features:
         """The case's similarity features, derived on the first retrieval
         that reads them. Ids are unique and cases frozen, so an entry never
-        goes stale; two threads filling one entry store equal values."""
+        goes stale; each process fills its own copy of the cache."""
         features = self._features.get(case.id)
         if features is None:
             features = self._features[case.id] = _Features(

@@ -167,7 +167,7 @@ def _unit(unit_id: str, java: str, c0: str, tests: list[TestCase]) -> Translatio
     return TranslationUnit(
         java_source=java,
         test_suite=tests,
-        candidates=[IterationRecord(k=0, candidate=c0, branch=Branch.INITIAL)],
+        candidates=[IterationRecord(candidate=c0, branch=Branch.INITIAL)],
         unit_id=unit_id,
     )
 

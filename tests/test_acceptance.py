@@ -183,7 +183,7 @@ def _fresh_unit() -> TranslationUnit:
     return TranslationUnit(
         java_source="class A {}",
         test_suite=[TestCase("1\n", "1\n")],
-        candidates=[IterationRecord(k=0, candidate="c0", branch=Branch.INITIAL)],
+        candidates=[IterationRecord(candidate="c0", branch=Branch.INITIAL)],
         unit_id="adversarial",
     )
 
@@ -377,7 +377,7 @@ def test_criterion_9_harvest_soundness(tmp_path):
         unit = TranslationUnit(
             java_source="class H { static int f(int x) { return x; } }",
             test_suite=[TestCase("1\n", "right\n")],
-            candidates=[IterationRecord(k=0, candidate="c0", branch=Branch.INITIAL)],
+            candidates=[IterationRecord(candidate="c0", branch=Branch.INITIAL)],
             unit_id="harvest-unit",
         )
         deps = EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo)

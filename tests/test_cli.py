@@ -236,12 +236,18 @@ def test_translate_redact_hides_prompt_bodies(pipeline):
     assert TRANSLATE_INSTRUCTION not in trace
 
 
-def test_translate_missing_toolchain_script_is_config_error(pipeline, capsys):
-    _, config_path = pipeline
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_missing_toolchain_script_is_config_error(pipeline, capsys, jobs):
+    """Adapters that fail to build end the run with one line, at any job count,
+    and leave no traces directory: only a unit that writes a trace makes it."""
+    tmp_path, config_path = pipeline
     raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
     del raw["compiler"]["script"]
     config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
-    assert main(["translate", "--config", str(config_path)]) == 1
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "traces").exists()
 
 
 def test_translate_mock_miss_marks_unit_errored(pipeline, capsys):
@@ -492,7 +498,7 @@ def test_build_corpus_structure_block_follows_retained_categories(tmp_path, caps
     assert tokens == ["<STRUCT:IF_STATEMENT>"]
     out_dir = tmp_path / "datasets"
     assert main(["build-corpus", "--config", str(config_path), "--pairs", str(pairs), "--out", str(out_dir)]) == 0
-    [sample] = read_jsonl(out_dir / "parallel.jsonl")
+    [sample] = read_jsonl(out_dir / "parallel.jsonl", dict)
     assert sample["structure_block"] == tokens
 
 
@@ -958,7 +964,7 @@ def test_build_corpus_reports_unparseable_pair_and_keeps_the_rest(tmp_path, run_
     result = run_isolated(CLI_MAIN, *argv, timeout=60)
     assert result.returncode == 2, result.stderr
     assert result.stderr == "problem: A.java: java source does not parse cleanly\n"
-    [sample] = read_jsonl(out_dir / "parallel.jsonl")
+    [sample] = read_jsonl(out_dir / "parallel.jsonl", dict)
     assert sample["java_source"] == JAVA
 
 

@@ -363,7 +363,7 @@ def test_dataset_round_trips(tmp_path):
     entries_path = tmp_path / "entries.jsonl"
     write_syntax_entries(entries, entries_path)
     assert read_jsonl(entries_path, SyntaxEntry.from_record) == entries
-    assert list(read_jsonl(entries_path)[0]) == [f.name for f in fields(SyntaxEntry)]
+    assert list(read_jsonl(entries_path, dict)[0]) == [f.name for f in fields(SyntaxEntry)]
 
     records = serialize_cpt(entries)
     cpt_path = tmp_path / "cpt.jsonl"
@@ -376,7 +376,7 @@ def test_dataset_round_trips(tmp_path):
     mono_path = tmp_path / "mono.jsonl"
     write_monolingual_dataset(samples, mono_path)
     assert read_jsonl(mono_path, lambda r: MonolingualSample(r["instruction"], r["input"], r["output"])) == samples
-    assert list(read_jsonl(mono_path)[0]) == [f.name for f in fields(MonolingualSample)]
+    assert list(read_jsonl(mono_path, dict)[0]) == [f.name for f in fields(MonolingualSample)]
 
     parallel = [build_parallel_sample(JAVA_METHOD, "func f() {}")]
     par_path = tmp_path / "par.jsonl"
@@ -384,7 +384,7 @@ def test_dataset_round_trips(tmp_path):
     assert read_jsonl(par_path, lambda r: ParallelSample(
         r["instruction"], tuple(r["structure_block"]), r["java_source"], r["cangjie_target"]
     )) == parallel
-    assert list(read_jsonl(par_path)[0]) == [f.name for f in fields(ParallelSample)]
+    assert list(read_jsonl(par_path, dict)[0]) == [f.name for f in fields(ParallelSample)]
 
 
 # --- directory orchestration ------------------------------------------------------------------
@@ -473,7 +473,7 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     cpt_path = tmp_path / "cpt.jsonl"
     write_cpt_dataset(serialize_cpt(entries), cpt_path)
-    assert len(read_jsonl(cpt_path)) == 6779
+    assert len(read_jsonl(cpt_path, dict)) == 6779
 
     mono = [
         build_monolingual_sample(FIVE_LINE_SNIPPET, f"Add two integers, case {i}.")
@@ -481,7 +481,7 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     mono_path = tmp_path / "mono.jsonl"
     write_monolingual_dataset(mono, mono_path)
-    assert len(read_jsonl(mono_path)) == 3241
+    assert len(read_jsonl(mono_path, dict)) == 3241
 
     parallel = [
         build_parallel_sample(JAVA_METHOD, f"func f(x: Int64): Int64 {{ x + {i} }}")
@@ -489,4 +489,4 @@ def test_scale_sanity_paper_sized_datasets(tmp_path):
     ]
     par_path = tmp_path / "par.jsonl"
     write_parallel_dataset(parallel, par_path)
-    assert len(read_jsonl(par_path)) == 2140
+    assert len(read_jsonl(par_path, dict)) == 2140
