@@ -4,16 +4,12 @@ Subcommands: build-corpus, summarize-ast, translate, repair,
 repo add|search, evaluate, report. Exit codes: 0 success,
 1 configuration/input error, 2 partial failures (some units errored).
 
-``translate --jobs N`` runs its units in up to N worker processes. With one job
-they run in this process: starting a worker, and building its adapters
-again, would only add to a run that has nothing to run beside it, so the
-pool module is imported only when N > 1.
+``translate --jobs N`` runs its units on ``pool.ordered_map``, in this process or N workers.
 """
 
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
 from collections import Counter
 from contextlib import suppress
@@ -28,6 +24,7 @@ from .config import SETTINGS, PipelineConfig, build_compiler, build_llm, build_r
 from .javaparse import parse as parse_java
 from .jsonl import read_json, read_jsonl, read_text, string_fields, write_jsonl
 from .llm import CompletionError
+from .pool import ordered_map
 from .repair_engine import (
     Branch,
     CompileStatus,
@@ -141,114 +138,46 @@ def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redac
     """Translate and repair the unit of ``NAME.java`` and write its trace; a failure
     of the unit's own files, the model or the toolchain is its ``error: ...`` result.
     An exception that escapes carries the unit's recorded pairs as ``exchanges``."""
+    unit_id = java_file.stem
+    tests_file = java_file.with_name(f"{unit_id}.tests.json")
+    ref_file = java_file.with_name(f"{unit_id}.ref.cj")
     exchanges: list[tuple[str, str]] = []
     if getattr(deps.llm, "recorder", None) is not None:
         deps.llm.recorder = exchanges  # a recording backend records into this unit's own list
     try:
-        status, record, cases = _run_unit(java_file, config, deps, redact, harvest)
+        try:
+            java = read_text(java_file)
+            tests = _load_tests(tests_file) if tests_file.exists() else []
+            reference = read_text(ref_file) if ref_file.exists() else ""
+            initial = translate(java, deps.llm, retained=config.retained_categories)
+            unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[initial], unit_id=unit_id)
+            unit = run_repair_loop(unit, config.repair, deps)
+        except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
+            return UnitResult(unit_id, f"error: {type(exc).__name__}: {exc}", None, [], exchanges)
+        traces_dir = config.path("traces")
+        if traces_dir is not None:
+            traces_dir.mkdir(parents=True, exist_ok=True)
+            write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=redact)
+        final = unit.candidates[-1]
+        accepted = unit.status is UnitStatus.ACCEPTED
+        record = {
+            "unit_id": unit_id,
+            "status": unit.status.value,
+            "compiled": final.compile_status is CompileStatus.SUCCESS,
+            "all_tests_passed": accepted,
+            "candidate": final.candidate,
+            "reference": reference,
+        }
+        cases = harvest_cases(unit) if harvest and accepted else []
     except BaseException as exc:  # the parent saves what the unit paid for all the same
         exc.exchanges = exchanges
         raise
-    return UnitResult(java_file.stem, status, record, cases, exchanges)
+    return UnitResult(unit_id, unit.status.value, record, cases, exchanges)
 
 
-def _run_unit(
-    java_file: Path, config: PipelineConfig, deps: EngineDeps, redact: bool, harvest: bool
-) -> tuple[str, dict | None, list[RepairCase]]:
-    unit_id = java_file.stem
-    tests_file = java_file.with_name(f"{unit_id}.tests.json")
-    ref_file = java_file.with_name(f"{unit_id}.ref.cj")
-    try:
-        java = read_text(java_file)
-        tests = _load_tests(tests_file) if tests_file.exists() else []
-        reference = read_text(ref_file) if ref_file.exists() else ""
-        initial = translate(java, deps.llm, retained=config.retained_categories)
-        unit = TranslationUnit(java_source=java, test_suite=tests, candidates=[initial], unit_id=unit_id)
-        unit = run_repair_loop(unit, config.repair, deps)
-    except (ToolchainError, RepairEngineError, CompletionError, ValueError, OSError) as exc:
-        return f"error: {type(exc).__name__}: {exc}", None, []
-    traces_dir = config.path("traces")
-    if traces_dir is not None:
-        traces_dir.mkdir(parents=True, exist_ok=True)
-        write_trace(unit, traces_dir / f"{unit_id}.trace.json", redact=redact)
-    final = unit.candidates[-1]
-    accepted = unit.status is UnitStatus.ACCEPTED
-    record = {
-        "unit_id": unit_id,
-        "status": unit.status.value,
-        "compiled": final.compile_status is CompileStatus.SUCCESS,
-        "all_tests_passed": accepted,
-        "candidate": final.candidate,
-        "reference": reference,
-    }
-    return unit.status.value, record, harvest_cases(unit) if harvest and accepted else []
-
-
-# In a worker process: run_unit bound to the worker's own adapters, or the
-# error that building them raised, which each task raises again.
-_worker_unit = None
-# Units per pool task, at most: each task is a round trip through the parent,
-# which shares the cores with the workers. A run too small to give each worker
-# this many tasks gets smaller ones, so that the workers finish close together.
-_TASK_UNITS = 8
-
-
-def _start_worker(config: PipelineConfig, redact: bool, harvest: bool) -> None:
-    """Build a worker's adapters once. Ctrl-C reaches a worker only while it runs units."""
-    global _worker_unit
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        _worker_unit = partial(run_unit, config=config, deps=_build_deps(config), redact=redact, harvest=harvest)
-    except Exception as exc:
-        _worker_unit = exc
-
-
-def _run_in_worker(java_files: list[Path]) -> list:
-    """The results of a task's units, in order, until one raises: its exception ends the list."""
-    if isinstance(_worker_unit, Exception):
-        raise _worker_unit
-    outcomes = []
-    signal.signal(signal.SIGINT, signal.default_int_handler)
-    try:
-        for java_file in java_files:
-            outcomes.append(_worker_unit(java_file))
-    except BaseException as exc:  # handed back with the results before it
-        outcomes.append(exc)
-    finally:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    return outcomes
-
-
-def _pooled(java_files: list[Path], config: PipelineConfig, redact: bool, harvest: bool):
-    """Each unit's result, in unit order, from ``min(jobs, units)`` worker processes.
-
-    An exception ends the run once the units already running have finished,
-    and carries the recorded pairs of the units not yet handed on as
-    ``exchanges``. A worker that dies is a ``ChildProcessError``."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    workers = min(config.jobs, len(java_files))
-    size = max(1, min(_TASK_UNITS, len(java_files) // (_TASK_UNITS * workers)))
-    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(config, redact, harvest))
-    futures, handed_on = [], 0
-    try:
-        futures += (pool.submit(_run_in_worker, java_files[i:i + size]) for i in range(0, len(java_files), size))
-        for future in futures:
-            for outcome in future.result():
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                handed_on += 1
-                yield outcome
-    except BaseException as exc:
-        pool.shutdown(cancel_futures=True)
-        finished = [o for f in futures if not f.cancelled() and not f.exception() for o in f.result()]
-        if isinstance(exc, BrokenProcessPool):
-            exc = ChildProcessError(str(exc))
-        exc.exchanges = [pair for outcome in finished[handed_on:] for pair in getattr(outcome, "exchanges", [])]
-        raise exc
-    finally:
-        pool.shutdown()
+def _unit_runner(config: PipelineConfig, redact: bool, harvest: bool):
+    """``run_unit`` bound to adapters built for the process that runs it."""
+    return partial(run_unit, config=config, deps=_build_deps(config), redact=redact, harvest=harvest)
 
 
 def cmd_translate(args) -> int:
@@ -260,24 +189,19 @@ def cmd_translate(args) -> int:
     repo_path = config.required_path("repository") if args.harvest else None
     if repo_path is not None and not repo_path.parent.is_dir():
         return _fail(f"repository directory does not exist: {repo_path.parent}")
-    deps = _build_deps(config) if config.jobs == 1 else None  # each worker builds its own
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
     java_files = sorted(benchmark.glob("*.java"), key=attrgetter("stem"))
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
 
-    if deps is None:
-        units = _pooled(java_files, config, args.redact, args.harvest)
-    else:
-        units = map(partial(run_unit, config=config, deps=deps, redact=args.redact, harvest=args.harvest), java_files)
     results: list[UnitResult] = []
-    unfinished: list[tuple[str, str]] = []  # recorded by the unit that raised, and by units running beside it
+    unfinished: list[tuple[str, str]] = []  # recorded by the unit that raised, and by units that finished beside it
     try:
-        for result in units:
+        for result in ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs):
             results.append(result)
     except BaseException as exc:
-        unfinished = getattr(exc, "exchanges", [])
+        unfinished = [pair for o in (exc, *getattr(exc, "finished", ())) for pair in getattr(o, "exchanges", [])]
         raise
     finally:  # the one writer of the recording, in unit order
         save_recording(config, [pair for result in results for pair in result.exchanges] + unfinished)

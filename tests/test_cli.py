@@ -16,7 +16,7 @@ from support import completion, transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import _build_deps, _overrides, _run_in_worker, build_parser, main, run_unit
+from j2cj.cli import _overrides, _unit_runner, build_parser, main
 from j2cj.config import _SETTINGS, load_config
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
@@ -28,6 +28,7 @@ from j2cj.llm import (
     TRANSLATE_INSTRUCTION,
     Transcript,
 )
+from j2cj.pool import _run_task
 from j2cj.repair_repo import RepairCase, Repository
 
 JAVA = "class A { static int f(int x) { return x + 1; } }"
@@ -140,13 +141,13 @@ def test_a_unit_task_and_its_result_survive_pickle(pipeline):
     harvested cases and recorded exchanges included."""
     tmp_path, config_path = pipeline
     config = load_config(config_path)
-    initargs = (config, True, True)
+    initargs = (_unit_runner, (config, True, True))
     assert pickle.loads(pickle.dumps(initargs)) == initargs
     java_file = tmp_path / "bench" / "unit1.java"
-    assert pickle.loads(pickle.dumps((_run_in_worker, [java_file]))) == (_run_in_worker, [java_file])
+    assert pickle.loads(pickle.dumps((_run_task, [java_file]))) == (_run_task, [java_file])
 
     (tmp_path / "traces").mkdir()
-    result = run_unit(java_file, config=config, deps=_build_deps(config), redact=True, harvest=True)
+    result = _unit_runner(config, True, True)(java_file)
     assert result.status == "accepted" and len(result.cases) == 1
     result = replace(result, exchanges=[("prompt", "reply"), ("prompt 2", "reply 2")])
     assert pickle.loads(pickle.dumps(result)) == result
@@ -248,6 +249,20 @@ def test_translate_missing_toolchain_script_is_config_error(pipeline, capsys, jo
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "traces").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_checks_its_inputs_before_it_builds_adapters(pipeline, capsys, jobs):
+    """A benchmark with no units is the one error, at any job count, even when
+    the adapters could not be built either."""
+    tmp_path, config_path = pipeline
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw["llm"]["transcript"] = str(tmp_path / "missing.jsonl")
+    raw["paths"]["benchmark"] = str(tmp_path / "bench_empty")
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    (tmp_path / "bench_empty").mkdir()
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: no units (*.java) in {tmp_path / 'bench_empty'}\n"
 
 
 def test_translate_mock_miss_marks_unit_errored(pipeline, capsys):

@@ -1,7 +1,8 @@
 """Every public name in ``src/j2cj`` has a caller outside the tests, every
 stored attribute a reader (see the second test), one module the patterns
-that strip compiler locations (the third), and every imported module a
-source: the standard library, ``j2cj`` or a declared dependency (the fourth).
+that strip compiler locations (the third), one module the process pool (the
+fourth), and every imported module a source: the standard library, ``j2cj``
+or a declared dependency (the fifth).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -144,6 +145,26 @@ def test_one_module_holds_a_line_column_pattern():
     assert holders == ["repair_repo.py"]
 
 
+def _imports(path: Path):
+    """(line, module) for each absolute import in a file, inside functions too."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_one_module_holds_the_process_pool():
+    """Commands share one pool: exactly one module in ``src/j2cj`` imports
+    ``concurrent.futures`` or ``multiprocessing``, lazily inside a function too."""
+    holders = sorted(
+        path.name
+        for path in (ROOT / "src" / "j2cj").glob("*.py")
+        if any(f"{module}.".startswith(("multiprocessing.", "concurrent.futures.")) for _, module in _imports(path))
+    )
+    assert holders == ["pool.py"]
+
+
 def _distribution_key(name: str) -> str:
     """A distribution name as PEP 503 normalizes it (``PyYAML`` and ``pyyaml`` are one)."""
     return re.sub(r"[-_.]+", "-", name).lower()
@@ -160,16 +181,9 @@ def test_every_module_src_imports_is_stdlib_j2cj_or_a_declared_dependency():
     distributions = importlib.metadata.packages_distributions()
     undeclared = []
     for path in sorted((ROOT / "src" / "j2cj").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            for module in modules:
-                top = module.partition(".")[0]
-                sources = {_distribution_key(name) for name in distributions.get(top, [])}
-                if top not in sys.stdlib_module_names and top != "j2cj" and not sources & declared:
-                    undeclared.append(f"{path.relative_to(ROOT)}:{node.lineno}: {module}")
+        for line, module in _imports(path):
+            top = module.partition(".")[0]
+            sources = {_distribution_key(name) for name in distributions.get(top, [])}
+            if top not in sys.stdlib_module_names and top != "j2cj" and not sources & declared:
+                undeclared.append(f"{path.relative_to(ROOT)}:{line}: {module}")
     assert not undeclared, "imports that pyproject.toml does not declare:\n" + "\n".join(undeclared)
