@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from contextlib import suppress
-from dataclasses import dataclass
+from contextlib import ExitStack, suppress
+from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -22,7 +22,7 @@ from . import ast_summary, corpus, metrics
 from .adapters import ToolchainError
 from .config import SETTINGS, PipelineConfig, build_compiler, build_llm, build_runner, load_config, save_recording
 from .javaparse import parse as parse_java
-from .jsonl import read_json, read_jsonl, read_text, string_fields, write_jsonl
+from .jsonl import atomic_write, jsonl_line, read_json, read_jsonl, read_text, string_fields
 from .llm import CompletionError
 from .pool import ordered_map
 from .repair_engine import (
@@ -195,35 +195,41 @@ def cmd_translate(args) -> int:
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
 
-    results: list[UnitResult] = []
-    unfinished: list[tuple[str, str]] = []  # recorded by the unit that raised, and by units that finished beside it
+    # Of each unit the run keeps its id, status or error, whether it wrote a row, harvest and exchanges.
+    units: list[tuple[str, str, bool]] = []
+    cases: list[RepairCase] = []
+    recorded: list[tuple[str, str]] = []  # in unit order
+    outcomes = None  # opened at the first result, so that adapters that fail to build leave no reports/
     try:
-        for result in ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs):
-            results.append(result)
-    except BaseException as exc:
-        unfinished = [pair for o in (exc, *getattr(exc, "finished", ())) for pair in getattr(o, "exchanges", [])]
+        with ExitStack() as stack:
+            for result in ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs):
+                if outcomes is None and reports_dir is not None:
+                    reports_dir.mkdir(parents=True, exist_ok=True)
+                    outcomes = stack.enter_context(atomic_write(reports_dir / "outcomes.jsonl"))
+                if result.record and outcomes is not None:
+                    outcomes.write(jsonl_line(result.record))
+                units.append((result.unit_id, result.status, result.record is not None))
+                cases += result.cases
+                recorded += result.exchanges
+    except BaseException as exc:  # the unit that raised, and units that finished beside it
+        recorded += [pair for o in (exc, *getattr(exc, "finished", ())) for pair in getattr(o, "exchanges", [])]
         raise
     finally:  # the one writer of the recording, in unit order
-        save_recording(config, [pair for result in results for pair in result.exchanges] + unfinished)
-
-    if reports_dir is not None:
-        reports_dir.mkdir(parents=True, exist_ok=True)
-        write_jsonl(reports_dir / "outcomes.jsonl", (result.record for result in results if result.record))
+        save_recording(config, recorded)
 
     if args.harvest:
         repo = Repository.load(repo_path) if repo_path.exists() else Repository()
         before = len(repo)
-        for result in results:
-            for case in result.cases:
-                with suppress(DuplicateCaseError):
-                    repo.add_case(case)
+        for case in cases:
+            with suppress(DuplicateCaseError):
+                repo.add_case(case)
         repo.save(repo_path)
         print(f"harvested {len(repo) - before} repair case(s) into {repo_path}")
 
     counts = Counter()
-    for result in results:
-        print(f"{result.unit_id}: {result.status}", file=sys.stdout if result.record else sys.stderr)
-        counts[result.status if result.record else "errored"] += 1
+    for unit_id, status, has_row in units:
+        print(f"{unit_id}: {status}", file=sys.stdout if has_row else sys.stderr)
+        counts[status if has_row else "errored"] += 1
     print(
         f"accepted={counts['accepted']} stagnated={counts['stagnated']} "
         f"budget_exhausted={counts['budget_exhausted']} errored={counts['errored']}"
@@ -287,6 +293,7 @@ def cmd_repo_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     refs_dir = Path(args.refs) if args.refs else None
+    stats, unscorable = [], []  # a unit's texts are scored as its row is read, and not kept
 
     def outcome(record: dict) -> metrics.UnitOutcome:
         unit_id, candidate, reference = string_fields(
@@ -303,16 +310,17 @@ def cmd_evaluate(args) -> int:
                 reference = read_text(ref_file)
         if not reference:
             raise ValueError(f"no reference for unit {unit_id!r}")
-        return metrics.UnitOutcome(
-            unit_id=unit_id,
-            compiled=record["compiled"],
-            all_tests_passed=record["all_tests_passed"],
-            candidate=candidate,
-            reference=reference,
-        )
+        with_texts = metrics.UnitOutcome(unit_id, record["compiled"], record["all_tests_passed"], candidate, reference)
+        try:
+            stats.append(metrics.score(with_texts))
+        except ValueError as exc:  # raised after the read, so that a malformed later line comes first
+            unscorable.append(exc)
+        return replace(with_texts, candidate="", reference="")
 
     outcomes = read_jsonl(args.outcomes, outcome)
-    report = metrics.evaluate(outcomes)
+    if unscorable:
+        raise unscorable[0]
+    report = metrics.evaluate(outcomes, stats)
     if args.out:
         metrics.write_report(args.out, outcomes, report)
     print(metrics.render_table(report))

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES, ensure_no_markers, structure_tokens
 
@@ -297,8 +298,8 @@ def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
     write_jsonl(path, [asdict(s) for s in samples])
 
 
-def write_parallel_dataset(samples: list[ParallelSample], path) -> None:
-    write_jsonl(path, [asdict(s) for s in samples])
+def write_parallel_dataset(samples: Iterable[ParallelSample], path) -> int:
+    return write_jsonl(path, (asdict(s) for s in samples))
 
 
 # --- directory-level orchestration ------------------------------------------------
@@ -366,9 +367,9 @@ def _snippet_stage(snippets_dir: Path, out_dir: Path, llm, allowlist: tuple[str,
 def _pair_stage(pairs_dir: Path, out_dir: Path, retained: frozenset[str], problems: list[str]) -> dict:
     java_files = sorted(pairs_dir.glob("*.java"))
     pairs = ((f.name, f) for f in java_files)
-    pair_samples = [s for _, s in _per_file(partial(_pair_sample, retained), pairs, problems)]
-    write_parallel_dataset(pair_samples, out_dir / "parallel.jsonl")
-    return {"parallel_pairs": len(pair_samples), "parallel_skipped": len(java_files) - len(pair_samples)}
+    samples = (s for _, s in _per_file(partial(_pair_sample, retained), pairs, problems))
+    written = write_parallel_dataset(samples, out_dir / "parallel.jsonl")
+    return {"parallel_pairs": written, "parallel_skipped": len(java_files) - written}
 
 
 def build_corpus(

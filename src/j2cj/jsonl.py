@@ -3,10 +3,10 @@ writer and the one text digest that keys transcripts, mock scripts and traces.
 
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
-``write_jsonl``, so all of them report malformed input the same way
-(``path:line: reason``). Those files, traces and corpus statistics are all
-written through ``atomic_write``, so each is replaced whole, never left
-half-written.
+``write_jsonl`` (or ``jsonl_line``, for rows written as they come), so all of
+them report malformed input the same way (``path:line: reason``). Those
+files, traces and corpus statistics are all written through
+``atomic_write``, so each is replaced whole, never left half-written.
 """
 
 from __future__ import annotations
@@ -101,22 +101,35 @@ def atomic_write(path) -> Iterator[TextIO]:
 
     The text goes to a sibling temp file that then replaces ``path``, so a
     reader never sees a partial file and a block that raises leaves the old
-    file untouched. An ``OSError`` names ``path``, not the temp file.
+    file untouched. An ``OSError`` in opening, closing or replacing the file
+    names ``path``, not the temp file; one that the block raises passes unchanged.
     """
     tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    in_block = False
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
+            in_block = True
             yield fh
+            in_block = False
         os.replace(tmp_path, path)
     except OSError as exc:
+        if in_block:
+            raise
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
 
 
-def write_jsonl(path, records: Iterable[dict]) -> None:
-    """Write one ``json.dumps(record, ensure_ascii=False)`` line per record, atomically."""
+def jsonl_line(record: dict) -> str:
+    """``record`` as one line of a JSONL file: ``json.dumps(record, ensure_ascii=False)``."""
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
+def write_jsonl(path, records: Iterable[dict]) -> int:
+    """Write one ``jsonl_line`` per record, atomically, as the records come; return how many."""
+    count = 0
     with atomic_write(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for count, record in enumerate(records, 1):
+            fh.write(jsonl_line(record))
+    return count

@@ -169,16 +169,21 @@ def corpus_bleu(pairs: list[tuple[str, list[str]]]) -> float:
 
 # --- reports ------------------------------------------------------------------
 
-def evaluate(outcomes: list[UnitOutcome]) -> EvalReport:
-    """Counts, corpus BLEU and every unit's BLEU; an unscorable pair's ValueError names its unit."""
+def score(outcome: UnitOutcome) -> tuple[list[int], list[int], int, int]:
+    """The BLEU statistics of an outcome's pair; an unscorable pair's ValueError names its unit."""
+    try:
+        return _pair_stats(outcome.candidate, [outcome.reference])
+    except ValueError as exc:
+        raise ValueError(f"unit {outcome.unit_id!r}: {exc}") from None
+
+
+def evaluate(outcomes: list[UnitOutcome], stats: list | None = None) -> EvalReport:
+    """Counts, corpus BLEU and every unit's BLEU. A caller that scored each outcome
+    already passes the scores as ``stats``, and its outcomes need hold no texts."""
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
-    stats = []
-    for o in outcomes:
-        try:
-            stats.append(_pair_stats(o.candidate, [o.reference]))
-        except ValueError as exc:
-            raise ValueError(f"unit {o.unit_id!r}: {exc}") from None
+    if stats is None:
+        stats = [score(o) for o in outcomes]
     return EvalReport.from_counts(
         n_total=len(outcomes),
         n_compiled=sum(1 for o in outcomes if o.compiled),

@@ -11,6 +11,7 @@ that finished (an item's exception is its outcome). A dead worker is a
 """
 
 import signal
+from collections import deque
 
 # Items per task, at most: each task is a round trip through the parent, which shares the
 # cores with the workers. Smaller maps get smaller tasks, so that the workers finish together.
@@ -56,21 +57,22 @@ def ordered_map(start, args: tuple, items: list, jobs: int):
     workers = min(jobs, len(items))
     size = max(1, min(_TASK_ITEMS, len(items) // (_TASK_ITEMS * workers)))
     pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(start, args))
-    futures, handed_on = [], 0  # outcomes yielded or raised
+    # The tasks, and the current task's outcomes, not yet handed on: no other is held here.
+    futures, rest = deque(), deque()
     try:
         futures += (pool.submit(_run_task, items[i:i + size]) for i in range(0, len(items), size))
-        for future in futures:
-            for outcome in future.result():
-                handed_on += 1
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                yield outcome
+        while futures:
+            rest = deque(futures.popleft().result())
+            while rest:
+                if isinstance(rest[0], BaseException):
+                    raise rest.popleft()
+                yield rest.popleft()
     except BaseException as exc:
         pool.shutdown(cancel_futures=True)
         finished = [o for f in futures if not f.cancelled() and not f.exception() for o in f.result()]
         if isinstance(exc, BrokenProcessPool):
             exc = ChildProcessError(str(exc))
-        exc.finished = finished[handed_on:]
+        exc.finished = [*rest, *finished]
         raise exc
     finally:
         pool.shutdown()

@@ -226,17 +226,25 @@ def _lcs_length(a: list[str] | str, b: list[str] | str) -> int:
     Allison and Dix (IPL 1986) in Hyyrö's form (2004): after each symbol of
     ``b``, the zero bits of ``v`` at positions 0..i count the LCS of
     ``a[:i + 1]`` with the part of ``b`` read so far."""
-    if not a or not b:
-        return 0
+    return _lcs_with(_lcs_masks(a), len(a), b)
+
+
+def _lcs_masks(a: list[str] | str) -> dict[str, int]:
+    """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all that ``_lcs_with`` reads of ``a``."""
     peq: dict[str, int] = {}
     for i, sym in enumerate(a):
         peq[sym] = peq.get(sym, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    return peq
+
+
+def _lcs_with(peq: dict[str, int], la: int, b: list[str] | str) -> int:
+    """``_lcs_length(a, b)`` from ``_lcs_masks(a)`` and ``len(a)``."""
+    full = (1 << la) - 1
     v = full
     for sym in b:
         u = v & peq.get(sym, 0)
         v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return la - v.bit_count()
 
 
 class _SuffixAutomaton:
@@ -325,14 +333,15 @@ def levenshtein(a: str, b: str) -> int:
     return len(b) + pv.bit_count() - mv.bit_count()
 
 
-def _structure_scores(q: _Features, c: _Features) -> tuple[float, float, float, float]:
-    """Dimensions 1-4: tags, keywords, term-frequency cosine, skeleton LCS."""
+def _structure_scores(q: _Features, c: _Features, q_masks: dict[str, int]) -> tuple[float, float, float, float]:
+    """Dimensions 1-4: tags, keywords, term-frequency cosine, skeleton LCS;
+    ``q_masks`` is ``_lcs_masks(q.skeleton)``."""
     if not q.skeleton and not c.skeleton:
         s4 = 1.0
     elif not q.skeleton or not c.skeleton:
         s4 = 0.0
     else:
-        s4 = _lcs_length(q.skeleton, c.skeleton) / max(len(q.skeleton), len(c.skeleton))
+        s4 = _lcs_with(q_masks, len(q.skeleton), c.skeleton) / max(len(q.skeleton), len(c.skeleton))
     return _jaccard(q.tags, c.tags), _jaccard(q.tokens, c.tokens), _cosine(q, c), s4
 
 
@@ -379,9 +388,9 @@ def _breakdown(raw: tuple[float, ...], w: SimilarityWeights) -> SimilarityBreakd
 
 def similarity(q: ErrorQuery, c: RepairCase, w: SimilarityWeights) -> SimilarityBreakdown:
     """Weighted six-dimension similarity between a query and a stored case."""
+    probe = _Features(q.error_info, q.error_tags, q.faulty_fragment)
     head = _structure_scores(
-        _Features(q.error_info, q.error_tags, q.faulty_fragment),
-        _Features(c.error_info, c.error_tags, c.faulty_fragment),
+        probe, _Features(c.error_info, c.error_tags, c.faulty_fragment), _lcs_masks(probe.skeleton)
     )
     qa, cb = q.faulty_fragment, c.faulty_fragment
     s5, s6 = _fragment_bounds(len(qa), len(cb))
@@ -460,10 +469,11 @@ def retrieve(
     weights = w or SimilarityWeights.uniform()
     probe = _Features(q.error_info, q.error_tags, q.faulty_fragment)
     qa = q.faulty_fragment
+    skeleton_masks, fragment_masks = _lcs_masks(probe.skeleton), _lcs_masks(qa)
 
     pending = []
     for case in cases:
-        head = _structure_scores(probe, repo._features_of(case))
+        head = _structure_scores(probe, repo._features_of(case), skeleton_masks)
         bounds = _fragment_bounds(len(qa), len(case.faulty_fragment))
         pending.append((-_total(head + bounds, weights), case.id, case, head, bounds))
     pending.sort(key=lambda item: item[:2])
@@ -483,7 +493,7 @@ def retrieve(
             if ruled_out(-_total(head + (s5, s6), weights), case_id):
                 continue
             longest = max(len(qa), len(cb))
-            s6 = 1.0 - (longest - _lcs_length(qa, cb)) / longest
+            s6 = 1.0 - (longest - _lcs_with(fragment_masks, len(qa), cb)) / longest
             if ruled_out(-_total(head + (s5, s6), weights), case_id):
                 continue
             s6 = _edit_score(qa, cb)

@@ -4,6 +4,7 @@ import argparse
 import json
 import pickle
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -249,6 +250,7 @@ def test_translate_missing_toolchain_script_is_config_error(pipeline, capsys, jo
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "traces").exists()
+    assert not (tmp_path / "reports").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -275,6 +277,33 @@ def test_translate_mock_miss_marks_unit_errored(pipeline, capsys):
     code = main(["translate", "--config", str(config_path)])
     assert code == 2
     assert "errored=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_run_in_which_every_unit_errors_writes_an_empty_outcomes_file(pipeline, capsys, jobs):
+    tmp_path, config_path = pipeline
+    _copy_unit(tmp_path, "unit2")
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    Transcript().save(tmp_path / "empty.jsonl")
+    raw["llm"]["transcript"] = str(tmp_path / "empty.jsonl")
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 2
+    assert "errored=2" in capsys.readouterr().out
+    assert (tmp_path / "reports" / "outcomes.jsonl").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_run_that_raises_after_some_results_writes_no_outcomes_file(pipeline, capsys, jobs):
+    """The rows of the units before the one that raised are written as they come,
+    to a temp file that the error removes; the error names its own file."""
+    tmp_path, config_path = pipeline
+    _copy_unit(tmp_path, "unit2")
+    trace = tmp_path / "traces" / "unit2.trace.json"
+    trace.mkdir(parents=True)
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{trace}'\n"
+    assert (tmp_path / "traces" / "unit1.trace.json").exists()
+    assert list(tmp_path.glob("reports/*")) == []  # reports/ itself may be left
 
 
 def test_compiler_timeout_errors_the_unit_without_traceback(pipeline, capsys):
@@ -457,6 +486,28 @@ def test_evaluate_untokenizable_pair_names_unit(tmp_path, capsys, field, text):
     err = capsys.readouterr().err
     assert err == "error: unit 'b': candidate and references must tokenize to at least one token\n"
     assert not report_path.exists()
+
+
+def test_evaluate_scores_each_row_as_it_reads_it(tmp_path, capsys):
+    """200 rows of about 50 KB of text: the texts of one row at a time are held,
+    so the peak is a small fraction of the file (the whole file, read first, is more)."""
+    # Long names keep the tokens few: tracemalloc slows every allocation.
+    block = "accumulatedTotalOfTheWholeRun = accumulatedTotalOfTheWholeRun + stepSizeForThisIteration;\n"
+    text = block * (25_000 // len(block))
+    outcomes_path = tmp_path / "outcomes.jsonl"
+    outcomes_path.write_text("".join(
+        json.dumps({"unit_id": f"u{i}", "compiled": True, "all_tests_passed": i % 2 == 0,
+                    "candidate": f"{text}x{i}", "reference": text}) + "\n"
+        for i in range(200)
+    ), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code = main(["evaluate", "--outcomes", str(outcomes_path), "--out", str(tmp_path / "report.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "units" in capsys.readouterr().out
+    assert peak < outcomes_path.stat().st_size / 5
 
 
 def test_build_corpus_cli(tmp_path, capsys):

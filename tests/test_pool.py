@@ -1,6 +1,8 @@
 """The ordered map that runs a command's items in this process or in worker processes."""
 
+import gc
 import time
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -15,6 +17,17 @@ def _scale(factor: int):
 
 def _times(factor: int, item: int) -> int:
     return factor * item
+
+
+class _Box:
+    """An outcome that a weak reference can watch."""
+
+    def __init__(self, item: int):
+        self.item = item
+
+
+def _boxes():
+    return _Box
 
 
 def _no_state():
@@ -41,6 +54,17 @@ def test_outcomes_come_in_item_order(jobs):
     """At two jobs, 41 items make tasks of two items and a last one of one."""
     items = list(range(41))
     assert list(ordered_map(_scale, (3,), items, jobs)) == [3 * i for i in items]
+
+
+def test_an_outcome_handed_on_is_held_by_the_consumer_alone():
+    """At two jobs, 41 items make tasks of two items: once the consumer holds
+    the first outcome of the second task, the first task's are garbage."""
+    outcomes = ordered_map(_boxes, (), list(range(41)), 2)
+    first_task = [weakref.ref(next(outcomes)) for _ in range(2)]
+    third = next(outcomes)
+    gc.collect()
+    assert [ref() for ref in first_task] == [None, None]
+    assert [third.item] + [box.item for box in outcomes] == list(range(2, 41))
 
 
 def test_no_items_start_no_worker():

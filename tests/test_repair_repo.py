@@ -27,6 +27,7 @@ from j2cj.repair_repo import (
     retrieve,
     similarity,
     _lcs_length,
+    _lcs_with,
     _SuffixAutomaton,
 )
 
@@ -491,7 +492,7 @@ def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
 def test_retrieve_prunes_edit_distance_on_the_lcs_bound(monkeypatch):
     # One message and equal-sized fragments: dimensions 1-3 and the length
     # bounds are nearly equal for every case, and no exact dimension 5 rules
-    # a case out. Each case that reaches the LCS bound calls _lcs_length on
+    # a case out. Each case that reaches the LCS bound calls _lcs_with on
     # the fragments; every such call not followed by the edit distance is a
     # case that the bound pruned.
     rng = random.Random(40)
@@ -506,7 +507,8 @@ def test_retrieve_prunes_edit_distance_on_the_lcs_bound(monkeypatch):
     lev_calls, lcs_calls = [], []
     monkeypatch.setattr("j2cj.repair_repo.levenshtein", lambda a, b: lev_calls.append(1) or levenshtein(a, b))
     monkeypatch.setattr(
-        "j2cj.repair_repo._lcs_length", lambda a, b: isinstance(a, str) and lcs_calls.append(1) or _lcs_length(a, b)
+        "j2cj.repair_repo._lcs_with",
+        lambda masks, la, b: isinstance(b, str) and lcs_calls.append(1) or _lcs_with(masks, la, b),
     )
     for k in (1, 3):
         expected = exhaustive_top_k(query, repo, k, UNIFORM)
