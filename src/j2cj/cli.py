@@ -195,27 +195,30 @@ def cmd_translate(args) -> int:
     if not java_files:
         return _fail(f"no units (*.java) in {benchmark}")
 
-    # Of each unit the run keeps its id, status or error, whether it wrote a row, harvest and exchanges.
-    units: list[tuple[str, str, bool]] = []
+    units: list[tuple[str, str, bool]] = []  # of each unit, its id, status or error, and whether it wrote a row
     cases: list[RepairCase] = []
     recorded: list[tuple[str, str]] = []  # in unit order
     outcomes = None  # opened at the first result, so that adapters that fail to build leave no reports/
-    try:
-        with ExitStack() as stack:
-            for result in ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs):
-                if outcomes is None and reports_dir is not None:
-                    reports_dir.mkdir(parents=True, exist_ok=True)
-                    outcomes = stack.enter_context(atomic_write(reports_dir / "outcomes.jsonl"))
-                if result.record and outcomes is not None:
-                    outcomes.write(jsonl_line(result.record))
+    results = ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs)
+    with ExitStack() as stack:  # the recording is saved first, so an error of this file cannot lose it
+        try:
+            for result in results:
                 units.append((result.unit_id, result.status, result.record is not None))
                 cases += result.cases
                 recorded += result.exchanges
-    except BaseException as exc:  # the unit that raised, and units that finished beside it
-        recorded += [pair for o in (exc, *getattr(exc, "finished", ())) for pair in getattr(o, "exchanges", [])]
-        raise
-    finally:  # the one writer of the recording, in unit order
-        save_recording(config, recorded)
+                try:
+                    if outcomes is None and reports_dir is not None:
+                        reports_dir.mkdir(parents=True, exist_ok=True)
+                        outcomes = stack.enter_context(atomic_write(reports_dir / "outcomes.jsonl"))
+                    if result.record and outcomes is not None:
+                        outcomes.write(jsonl_line(result.record))
+                except BaseException as exc:  # ends the map, which names the units that finished beside it
+                    results.throw(exc)
+        except BaseException as exc:  # the unit that raised, and units that finished beside it
+            recorded += [pair for o in (exc, *getattr(exc, "finished", ())) for pair in getattr(o, "exchanges", [])]
+            raise
+        finally:  # the one writer of the recording, in unit order
+            save_recording(config, recorded)
 
     if args.harvest:
         repo = Repository.load(repo_path) if repo_path.exists() else Repository()

@@ -101,19 +101,16 @@ def atomic_write(path) -> Iterator[TextIO]:
 
     The text goes to a sibling temp file that then replaces ``path``, so a
     reader never sees a partial file and a block that raises leaves the old
-    file untouched. An ``OSError`` in opening, closing or replacing the file
-    names ``path``, not the temp file; one that the block raises passes unchanged.
+    file untouched. An ``OSError`` of the temp file names ``path`` instead;
+    one that names another file, or has no errno, passes unchanged.
     """
     tmp_path = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
-    in_block = False
     try:
         with open(tmp_path, "w", encoding="utf-8", newline="\n") as fh:
-            in_block = True
             yield fh
-            in_block = False
         os.replace(tmp_path, path)
     except OSError as exc:
-        if in_block:
+        if exc.errno is None or exc.filename not in (None, tmp_path):  # not the temp file's
             raise
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:

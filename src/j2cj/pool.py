@@ -62,7 +62,8 @@ def ordered_map(start, args: tuple, items: list, jobs: int):
     try:
         futures += (pool.submit(_run_task, items[i:i + size]) for i in range(0, len(items), size))
         while futures:
-            rest = deque(futures.popleft().result())
+            rest = deque(futures[0].result())  # popped once in hand: an interrupt in the wait keeps it
+            futures.popleft()
             while rest:
                 if isinstance(rest[0], BaseException):
                     raise rest.popleft()

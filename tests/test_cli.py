@@ -693,6 +693,24 @@ def test_translate_records_what_every_unit_received_when_one_fails(pipeline, ser
     assert len(recorded) >= 18  # up to the unit whose trace could not be written, and any finished beside it
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_translate_records_what_every_unit_received_when_its_reports_cannot_be_written(pipeline, serve, capsys, jobs):
+    """The outcomes file is opened at the first result: its error ends the map like a
+    unit's, and the recording keeps that unit and those that finished beside it."""
+    tmp_path, config_path = pipeline
+    in_unit_order = _serve_units_over_http(tmp_path, config_path, serve, 40)
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    reports = tmp_path / "reports"
+    reports.write_text("", encoding="utf-8")
+    raw["paths"]["reports"] = str(reports)
+    config_path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["translate", "--config", str(config_path), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{reports}'\n"
+    recorded = list(Transcript.load(tmp_path / "rec.jsonl").entries)
+    assert recorded == in_unit_order[:len(recorded)]  # none skipped
+    assert len(recorded) >= int(jobs)  # the first unit, and at two jobs the rest of its task
+
+
 FORKED_MAIN = """import multiprocessing, os
 multiprocessing.set_start_method("fork")
 import j2cj.cli

@@ -1,6 +1,8 @@
 """The ordered map that runs a command's items in this process or in worker processes."""
 
 import gc
+import os
+import signal
 import time
 import weakref
 from functools import partial
@@ -49,6 +51,20 @@ def _fail_after_later_items(bad: int, done_dir: Path, item: int) -> int:
     return 10 * item
 
 
+def _interrupting(parent: int):
+    return partial(_interrupt_parent, parent)
+
+
+def _interrupt_parent(parent: int, item: int) -> int:
+    """Item 0 sends SIGINT to the parent once it has had time to submit every task
+    and wait on item 0's."""
+    if item == 0:
+        time.sleep(0.5)
+        os.kill(parent, signal.SIGINT)
+        time.sleep(0.2)
+    return 10 * item
+
+
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_outcomes_come_in_item_order(jobs):
     """At two jobs, 41 items make tasks of two items and a last one of one."""
@@ -82,6 +98,16 @@ def test_an_item_that_raises_carries_the_later_finished_outcomes(tmp_path):
     finished = info.value.finished
     assert finished[:2] == [60, 70]
     assert finished == [10 * i for i in range(6, 6 + len(finished))]
+
+
+def test_an_interrupt_in_the_wait_for_a_task_carries_that_tasks_outcomes():
+    """Tasks hold two items each here: the parent is interrupted while it waits on
+    the first task, whose outcomes are then the first that ``finished`` holds."""
+    with pytest.raises(KeyboardInterrupt) as info:
+        next(ordered_map(_interrupting, (os.getpid(),), list(range(41)), 2))
+    finished = info.value.finished
+    assert finished[:2] == [0, 10]
+    assert finished == [10 * i for i in range(len(finished))]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
