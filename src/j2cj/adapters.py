@@ -19,7 +19,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass
 
-from .jsonl import read_jsonl, string_fields, text_digest, write_jsonl
+from .jsonl import STRING, fields, read_jsonl, text_digest, write_jsonl
 
 
 class ToolchainError(RuntimeError):
@@ -125,6 +125,9 @@ class CommandRunner:
         return RunOutcome(stdout, False)
 
 
+_STATUS = ('"success" or "fail"', lambda v: v in ("success", "fail"))
+
+
 class MockCompiler:
     """Replay compile outcomes from a digest-keyed script.
 
@@ -139,9 +142,9 @@ class MockCompiler:
     @classmethod
     def load(cls, path) -> "MockCompiler":
         def entry(record: dict):
-            digest, status, diagnostics = string_fields({"diagnostics": "", **record}, "digest", "status", "diagnostics")
-            if status not in ("success", "fail"):
-                raise ValueError("field 'status' must be \"success\" or \"fail\"")
+            digest, status, diagnostics = fields(
+                {"diagnostics": "", **record}, digest=STRING, status=_STATUS, diagnostics=STRING
+            )
             return digest, {"status": status, "diagnostics": diagnostics}
 
         return cls(dict(read_jsonl(path, entry)))
@@ -173,10 +176,8 @@ class MockRunner:
 
     @classmethod
     def load(cls, path) -> "MockRunner":
-        return cls({
-            (digest, stdin_text): output
-            for digest, stdin_text, output in read_jsonl(path, lambda r: string_fields(r, "digest", "input", "output"))
-        })
+        entries = read_jsonl(path, lambda r: fields(r, digest=STRING, input=STRING, output=STRING))
+        return cls({(digest, stdin_text): output for digest, stdin_text, output in entries})
 
     def save(self, path) -> None:
         write_jsonl(path, (

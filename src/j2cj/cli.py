@@ -13,7 +13,7 @@ import argparse
 import sys
 from collections import Counter
 from contextlib import ExitStack, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
@@ -22,7 +22,7 @@ from . import ast_summary, corpus, metrics
 from .adapters import ToolchainError
 from .config import SETTINGS, PipelineConfig, build_compiler, build_llm, build_runner, load_config, save_recording
 from .javaparse import parse as parse_java
-from .jsonl import atomic_write, jsonl_line, read_json, read_jsonl, read_text, string_fields
+from .jsonl import BOOLEAN, STRING, atomic_write, fields, jsonl_line, read_json, read_jsonl, read_text
 from .llm import CompletionError
 from .pool import ordered_map
 from .repair_engine import (
@@ -296,15 +296,13 @@ def cmd_repo_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     refs_dir = Path(args.refs) if args.refs else None
-    stats, unscorable = [], []  # a unit's texts are scored as its row is read, and not kept
+    unscorable = []  # a unit's texts are scored as its row is read, and not kept
 
-    def outcome(record: dict) -> metrics.UnitOutcome:
-        unit_id, candidate, reference = string_fields(
-            {"candidate": "", "reference": "", **record}, "unit_id", "candidate", "reference"
+    def outcome(record: dict) -> metrics.UnitOutcome | None:
+        unit_id, candidate, reference, compiled, passed = fields(
+            {"candidate": "", "reference": "", **record},
+            unit_id=STRING, candidate=STRING, reference=STRING, compiled=BOOLEAN, all_tests_passed=BOOLEAN,
         )
-        for flag in ("compiled", "all_tests_passed"):
-            if not isinstance(record[flag], bool):
-                raise ValueError(f"field {flag!r} must be a boolean")
         if not reference and refs_dir is not None:
             if "/" in unit_id or unit_id in ("", ".", ".."):
                 raise ValueError(f"unit id {unit_id!r} is not a file name in --refs")
@@ -313,17 +311,15 @@ def cmd_evaluate(args) -> int:
                 reference = read_text(ref_file)
         if not reference:
             raise ValueError(f"no reference for unit {unit_id!r}")
-        with_texts = metrics.UnitOutcome(unit_id, record["compiled"], record["all_tests_passed"], candidate, reference)
         try:
-            stats.append(metrics.score(with_texts))
-        except ValueError as exc:  # raised after the read, so that a malformed later line comes first
+            return metrics.score(unit_id, compiled, passed, candidate, reference)
+        except metrics.UnscorableError as exc:  # raised after the read, so that a malformed later line comes first
             unscorable.append(exc)
-        return replace(with_texts, candidate="", reference="")
 
     outcomes = read_jsonl(args.outcomes, outcome)
     if unscorable:
         raise unscorable[0]
-    report = metrics.evaluate(outcomes, stats)
+    report = metrics.evaluate(outcomes)
     if args.out:
         metrics.write_report(args.out, outcomes, report)
     print(metrics.render_table(report))
@@ -331,17 +327,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    def aggregate(record: dict) -> metrics.EvalReport | None:
-        if record.get("type") != "aggregate":
-            return None
-        return metrics.EvalReport.from_counts(
-            record["n_total"], record["n_compiled"], record["n_cf"], record["bleu"]["value"]
-        )
-
-    reports = [r for r in read_jsonl(args.report, aggregate) if r is not None]
-    if not reports:
-        return _fail(f"no aggregate record in {args.report}")
-    print(metrics.render_table(reports[-1]))
+    print(metrics.render_table(metrics.read_report(args.report)))
     return EXIT_OK
 
 

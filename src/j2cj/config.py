@@ -18,6 +18,7 @@ from .adapters import CommandCompiler, CommandRunner, MockCompiler, MockRunner
 from .ast_summary import DEFAULT_RETAINED_CATEGORIES
 from .corpus import DEFAULT_IMPORT_ALLOWLIST
 from .javaparse import CATEGORIES
+from .jsonl import INTEGER, STRINGS
 from .llm import DecodingConfig, HttpBackend, MockBackend, Transcript
 from .repair_engine import RepairConfig
 from .repair_repo import SimilarityWeights
@@ -31,12 +32,11 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# Each kind of setting: its name in error messages and the test a value
-# passes. Nothing is converted; null (None) means unset only for strings.
+# Each kind of setting, in the shape of the field kinds of ``jsonl``: its name
+# in error messages and the test a value passes. Nothing is converted; null
+# (None) means unset only for strings.
 _STRING = ("a string", lambda v: v is None or isinstance(v, str))
-_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _NUMBER = ("a number", _number)
-_STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
 _NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v)))
 
 
@@ -45,13 +45,13 @@ def _choice(*names: str) -> tuple:
     return (" or ".join(map(repr, names)), lambda v: v in names)
 
 
-_TOOL = {"mode": _choice("mock", "command"), "script": _STRING, "command": _STRINGS, "timeout": _NUMBER}
+_TOOL = {"mode": _choice("mock", "command"), "script": _STRING, "command": STRINGS, "timeout": _NUMBER}
 
 # Every setting, by section ("" is the top level, whose keys are also the
 # other sections), and its kind. A setting left out takes the default of
 # the class that uses it.
 _SETTINGS: dict[str, dict[str, tuple]] = {
-    "": {"retained_categories": _STRINGS, "allowlist": _STRINGS, "jobs": _INTEGER},
+    "": {"retained_categories": STRINGS, "allowlist": STRINGS, "jobs": INTEGER},
     "paths": dict.fromkeys(
         ("datasets", "chapters", "snippets", "pairs", "repository", "benchmark", "reports", "traces"), _STRING
     ),
@@ -59,10 +59,10 @@ _SETTINGS: dict[str, dict[str, tuple]] = {
         "mode": _choice("mock", "http"),
         **dict.fromkeys(("transcript", "endpoint", "model", "api_key_env", "record"), _STRING),
     },
-    "decoding": {"temperature": _NUMBER, "top_p": _NUMBER, "max_tokens": _INTEGER},
+    "decoding": {"temperature": _NUMBER, "top_p": _NUMBER, "max_tokens": INTEGER},
     "compiler": _TOOL,
     "runner": _TOOL,
-    "repair": {"threshold": _NUMBER, "max_iterations": _INTEGER, "rag_top_k": _INTEGER, "weights": _NUMBERS},
+    "repair": {"threshold": _NUMBER, "max_iterations": INTEGER, "rag_top_k": INTEGER, "weights": _NUMBERS},
 }
 # Every setting's dotted key, as load_config's overrides name it: "jobs", "repair.threshold", ...
 SETTINGS = frozenset(f"{section}.{key}".lstrip(".") for section, kinds in _SETTINGS.items() for key in kinds)

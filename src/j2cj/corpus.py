@@ -32,7 +32,7 @@ from .llm import (
     TRANSLATE_INSTRUCTION,
     extract_code_block,
 )
-from .jsonl import atomic_write, read_text, string_fields, write_jsonl
+from .jsonl import STRING, STRINGS, atomic_write, fields, read_text, write_jsonl
 
 CPT_BOUNDARY = "<<<PARA>>>"
 
@@ -74,20 +74,11 @@ class SyntaxEntry:
     def from_record(cls, record: dict) -> "SyntaxEntry":
         if not isinstance(record, dict):
             raise ValueError(f"entry record must be an object, got {type(record).__name__}")
-        def str_list(key: str) -> tuple[str, ...]:
-            value = record.get(key, [])
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ValueError(f"field {key!r} must be a list of strings")
-            return tuple(value)
-        entry_id, title, description = string_fields(record, "id", "title", "description")
-        return cls(
-            id=entry_id,
-            title=title,
-            tags=str_list("tags"),
-            typical_questions=str_list("typical_questions"),
-            description=description,
-            code_examples=str_list("code_examples"),
+        entry_id, title, description, tags, questions, examples = fields(
+            {"tags": [], "typical_questions": [], "code_examples": [], **record},
+            id=STRING, title=STRING, description=STRING, tags=STRINGS, typical_questions=STRINGS, code_examples=STRINGS,
         )
+        return cls(entry_id, title, tuple(tags), tuple(questions), description, tuple(examples))
 
 
 @dataclass(frozen=True)

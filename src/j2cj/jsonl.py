@@ -1,12 +1,14 @@
-"""Input files: one strict text reader, one JSON and one JSONL reader, one atomic
-writer and the one text digest that keys transcripts, mock scripts and traces.
+"""Input files: one strict text reader, one JSON and one JSONL reader, one row
+field checker, one atomic writer and the one text digest that keys
+transcripts, mock scripts and traces.
 
 Every JSONL file the pipeline reads or writes (transcripts, mock scripts,
 repositories, datasets, outcomes, reports) goes through ``read_jsonl`` and
-``write_jsonl`` (or ``jsonl_line``, for rows written as they come), so all of
-them report malformed input the same way (``path:line: reason``). Those
-files, traces and corpus statistics are all written through
-``atomic_write``, so each is replaced whole, never left half-written.
+``write_jsonl`` (or ``jsonl_line``, for rows written as they come), and its
+rows' fields through ``fields``, so all of them report malformed input the
+same way (``path:line: reason``). Those files, traces and corpus statistics
+are all written through ``atomic_write``, so each is replaced whole, never
+left half-written.
 """
 
 from __future__ import annotations
@@ -54,22 +56,33 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def string_fields(record: dict, *names: str) -> list[str]:
-    """The values of ``names`` in ``record``; one that is missing or not a string raises ValueError."""
-    for name in names:
-        if not isinstance(record.get(name), str):
-            raise ValueError(f"field {name!r} must be a string" if name in record else f"missing field {name!r}")
-    return [record[name] for name in names]
+# Each kind of field: its name in error messages and the test a value passes.
+STRING = ("a string", lambda v: isinstance(v, str))
+STRINGS = ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+BOOLEAN = ("a boolean", lambda v: isinstance(v, bool))
+INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+
+
+def fields(record: dict, **kinds: tuple) -> list:
+    """The values of the fields named in ``kinds``, in that order; one that is
+    missing, or fails its kind's test, raises ValueError naming it."""
+    for name, (kind, valid) in kinds.items():
+        if name not in record:
+            raise ValueError(f"missing field {name!r}")
+        if not valid(record[name]):
+            raise ValueError(f"field {name!r} must be {kind}")
+    return [record[name] for name in kinds]
 
 
 def read_jsonl(path, convert: Callable[[dict], object]) -> list:
     """Records of ``path`` in file order, skipping blank lines.
 
     ``convert`` maps each record to the caller's value. A line that is not
-    a JSON object (or nests deeper than the interpreter's stack), a
-    ``KeyError`` (missing field) and a ``ValueError`` or ``TypeError``
-    (invalid field) raised by ``convert`` all become a ``JsonlError``
-    naming the line, and so does a byte that is not UTF-8.
+    a JSON object (or nests deeper than the interpreter's stack), and a
+    ``ValueError`` or ``TypeError`` raised by ``convert`` (a missing or
+    invalid field: see ``fields``), become a ``JsonlError`` naming the line,
+    and so does a byte that is not UTF-8.
     """
     values = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -88,8 +101,6 @@ def read_jsonl(path, convert: Callable[[dict], object]) -> list:
                 raise JsonlError(f"{where}: expected an object")
             try:
                 values.append(convert(record))
-            except KeyError as exc:
-                raise JsonlError(f"{where}: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise JsonlError(f"{where}: {exc}") from exc
     return values

@@ -16,7 +16,7 @@ import string
 import time
 from dataclasses import dataclass, field
 
-from .jsonl import read_jsonl, string_fields, text_digest, write_jsonl
+from .jsonl import STRING, fields, read_jsonl, text_digest, write_jsonl
 
 
 class TemplateError(ValueError):
@@ -267,7 +267,7 @@ class Transcript:
         transcript = cls()
 
         def keep_reply(record: dict) -> None:
-            digest, reply, _ = string_fields({"prompt": "", **record}, "digest", "reply", "prompt")
+            digest, reply, _ = fields({"prompt": "", **record}, digest=STRING, reply=STRING, prompt=STRING)
             transcript.entries[digest] = reply
 
         read_jsonl(path, keep_reply)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 
-from .jsonl import write_jsonl
+from .jsonl import INTEGER, OBJECT, fields, read_jsonl, write_jsonl
 
 BLEU_MAX_ORDER = 4
 BLEU_EPSILON = 1e-9
@@ -25,17 +25,12 @@ BLEU_EPSILON = 1e-9
 
 @dataclass(frozen=True)
 class UnitOutcome:
-    """Final result of one benchmark unit."""
+    """Final result of one benchmark unit and the BLEU statistics of its pair (see ``score``)."""
 
     unit_id: str
     compiled: bool
     all_tests_passed: bool
-    candidate: str = ""
-    reference: str = ""
-
-    def __post_init__(self):
-        if self.all_tests_passed and not self.compiled:
-            raise ValueError(f"unit {self.unit_id}: passed tests without compiling")
+    stats: tuple[list[int], list[int], int, int]
 
 
 @dataclass(frozen=True)
@@ -48,10 +43,9 @@ class EvalReport:
     cfe: Fraction
     cfe_defined: bool
     bleu: float
-    unit_bleu: tuple[float, ...] = ()  # each unit's own BLEU, in outcome order
 
     @classmethod
-    def from_counts(cls, n_total: int, n_compiled: int, n_cf: int, bleu: float, unit_bleu=()) -> "EvalReport":
+    def from_counts(cls, n_total: int, n_compiled: int, n_cf: int, bleu: float) -> "EvalReport":
         """The report for unit counts; raises ValueError unless
         0 <= n_cf <= n_compiled <= n_total and n_total > 0."""
         return cls(
@@ -64,7 +58,6 @@ class EvalReport:
             fe=Fraction(n_cf, n_total),
             cfe_defined=n_compiled > 0,
             bleu=bleu,
-            unit_bleu=unit_bleu,
         )
 
 
@@ -111,13 +104,17 @@ def _ngrams(tokens: list[str], order: int) -> Counter:
     return Counter(zip(*[tokens[i:] for i in range(order)]))
 
 
+class UnscorableError(ValueError):
+    """A pair whose candidate, or every reference, has no tokens."""
+
+
 def _pair_stats(candidate: str, references: list[str]) -> tuple[list[int], list[int], int, int]:
     """One pair's clipped n-gram matches and candidate n-gram counts for
     orders 1-4, its candidate length and its closest reference length."""
     cand = tokenize_code(candidate)
     refs = [tokenize_code(r) for r in references]
     if not cand or all(not r for r in refs):
-        raise ValueError("candidate and references must tokenize to at least one token")
+        raise UnscorableError("candidate and references must tokenize to at least one token")
     matches = []
     for order in range(1, BLEU_MAX_ORDER + 1):
         max_ref = reduce(operator.or_, [_ngrams(r, order) for r in refs])
@@ -169,27 +166,27 @@ def corpus_bleu(pairs: list[tuple[str, list[str]]]) -> float:
 
 # --- reports ------------------------------------------------------------------
 
-def score(outcome: UnitOutcome) -> tuple[list[int], list[int], int, int]:
-    """The BLEU statistics of an outcome's pair; an unscorable pair's ValueError names its unit."""
+def score(unit_id: str, compiled: bool, all_tests_passed: bool, candidate: str, reference: str) -> UnitOutcome:
+    """A unit's outcome with its pair's BLEU statistics. Passing tests without compiling
+    raises ValueError, and then an unscorable pair UnscorableError, each naming the unit."""
+    if all_tests_passed and not compiled:
+        raise ValueError(f"unit {unit_id}: passed tests without compiling")
     try:
-        return _pair_stats(outcome.candidate, [outcome.reference])
-    except ValueError as exc:
-        raise ValueError(f"unit {outcome.unit_id!r}: {exc}") from None
+        stats = _pair_stats(candidate, [reference])
+    except UnscorableError as exc:
+        raise UnscorableError(f"unit {unit_id!r}: {exc}") from None
+    return UnitOutcome(unit_id, compiled, all_tests_passed, stats)
 
 
-def evaluate(outcomes: list[UnitOutcome], stats: list | None = None) -> EvalReport:
-    """Counts, corpus BLEU and every unit's BLEU. A caller that scored each outcome
-    already passes the scores as ``stats``, and its outcomes need hold no texts."""
+def evaluate(outcomes: list[UnitOutcome]) -> EvalReport:
+    """Counts and corpus BLEU, from the statistics the outcomes carry."""
     if not outcomes:
         raise ValueError("outcomes must be non-empty")
-    if stats is None:
-        stats = [score(o) for o in outcomes]
     return EvalReport.from_counts(
         n_total=len(outcomes),
         n_compiled=sum(1 for o in outcomes if o.compiled),
         n_cf=sum(1 for o in outcomes if o.all_tests_passed),
-        bleu=_pooled_bleu(stats),
-        unit_bleu=tuple(_bleu_from_stats(*s) for s in stats),
+        bleu=_pooled_bleu([o.stats for o in outcomes]),
     )
 
 
@@ -230,17 +227,34 @@ def render_table(report: EvalReport) -> str:
 
 
 def write_report(path, outcomes: list[UnitOutcome], report: EvalReport) -> None:
-    """Line-delimited report: one record per unit, aggregate record last."""
-    if len(report.unit_bleu) != len(outcomes):
-        raise ValueError(f"report scores {len(report.unit_bleu)} units but there are {len(outcomes)} outcomes")
+    """Line-delimited report: one record per unit, with the unit's own BLEU, aggregate record last."""
     units = [
         {
             "type": "unit",
             "unit_id": o.unit_id,
             "compiled": o.compiled,
             "all_tests_passed": o.all_tests_passed,
-            "bleu": score,
+            "bleu": _bleu_from_stats(*o.stats),
         }
-        for o, score in zip(outcomes, report.unit_bleu)
+        for o in outcomes
     ]
     write_jsonl(path, units + [{"type": "aggregate", **report_record(report)}])
+
+
+# A BLEU value as ``report_record`` stores it; NaN and the infinities are not one.
+_BLEU_VALUE = ("a number from 0 to 1", lambda v: type(v) in (int, float) and 0 <= v <= 1)
+
+
+def read_report(path) -> EvalReport:
+    """The report of a ``write_report`` file's last aggregate record; none, or a malformed one, raises ValueError."""
+
+    def aggregate(record: dict) -> EvalReport | None:
+        if record.get("type") != "aggregate":
+            return None
+        n_total, n_compiled, n_cf, bleu = fields(record, n_total=INTEGER, n_compiled=INTEGER, n_cf=INTEGER, bleu=OBJECT)
+        return EvalReport.from_counts(n_total, n_compiled, n_cf, *fields(bleu, value=_BLEU_VALUE))
+
+    reports = [r for r in read_jsonl(path, aggregate) if r is not None]
+    if not reports:
+        raise ValueError(f"no aggregate record in {path}")
+    return reports[-1]

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .jsonl import read_jsonl, string_fields, write_jsonl
+from .jsonl import STRING, STRINGS, fields, read_jsonl, write_jsonl
 
 
 class DuplicateCaseError(ValueError):
@@ -47,12 +47,10 @@ class RepairCase:
     def from_record(cls, record: dict) -> "RepairCase":
         if not isinstance(record, dict):
             raise ValueError("case record must be an object")
-        case_id, info, suggestion, faulty, corrected = string_fields(
-            record, "id", "error_info", "repair_suggestion", "faulty_fragment", "corrected_code"
+        case_id, info, suggestion, faulty, corrected, tags = fields(
+            record, id=STRING, error_info=STRING, repair_suggestion=STRING, faulty_fragment=STRING,
+            corrected_code=STRING, error_tags=STRINGS,
         )
-        tags = record.get("error_tags")
-        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
-            raise ValueError("field 'error_tags' must be a list of strings")
         return cls(case_id, tuple(tags), info, suggestion, faulty, corrected)
 
 
@@ -230,7 +228,7 @@ def _lcs_length(a: list[str] | str, b: list[str] | str) -> int:
 
 
 def _lcs_masks(a: list[str] | str) -> dict[str, int]:
-    """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all that ``_lcs_with`` reads of ``a``."""
+    """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all ``_lcs_with`` and ``levenshtein`` read of ``a``."""
     peq: dict[str, int] = {}
     for i, sym in enumerate(a):
         peq[sym] = peq.get(sym, 0) | (1 << i)
@@ -313,9 +311,7 @@ def levenshtein(a: str, b: str) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
+    peq = _lcs_masks(a)
     full = (1 << len(a)) - 1
     pv, mv = full, 0
     for ch in b:

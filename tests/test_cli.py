@@ -785,6 +785,19 @@ _MALFORMED_INPUTS = {
         2,
         ["report", "--report", "{file}"],
     ),
+    "report-count-a-boolean": (
+        "report.jsonl", json.dumps({**_AGGREGATE, "n_cf": True}) + "\n", 1, ["report", "--report", "{file}"],
+    ),
+    "report-bleu-above-one": (
+        "report.jsonl", json.dumps({**_AGGREGATE, "bleu": {"value": 7}}) + "\n", 1, ["report", "--report", "{file}"],
+    ),
+    "report-bleu-nan": (
+        "report.jsonl", json.dumps({**_AGGREGATE, "bleu": {"value": float("nan")}}) + "\n", 1,
+        ["report", "--report", "{file}"],
+    ),
+    "report-bleu-a-list": (
+        "report.jsonl", json.dumps({**_AGGREGATE, "bleu": [1]}) + "\n", 1, ["report", "--report", "{file}"],
+    ),
     "repo-add-invalid-json": (
         "case.json", "{not json}\n", 1, ["repo", "add", "--repo", "{root}/repo.jsonl", "--file", "{file}"],
     ),

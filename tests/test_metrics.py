@@ -4,8 +4,10 @@ import json
 import math
 import random
 import re
+import tempfile
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,8 +24,10 @@ from j2cj.metrics import (
     csr,
     evaluate,
     percent,
+    read_report,
     render_table,
     report_record,
+    score,
     tokenize_code,
     write_report,
 )
@@ -59,7 +63,7 @@ def _outcomes(n_total: int, n_compiled: int, n_cf: int) -> list[UnitOutcome]:
     for i in range(n_total):
         compiled = i < n_compiled
         passed = i < n_cf
-        outcomes.append(UnitOutcome(f"u{i}", compiled, passed, "x", "x"))
+        outcomes.append(score(f"u{i}", compiled, passed, "x", "x"))
     return outcomes
 
 
@@ -73,7 +77,7 @@ def test_fe_examples():
 
 def test_unit_outcome_invariant():
     with pytest.raises(ValueError):
-        UnitOutcome("u", compiled=False, all_tests_passed=True)
+        score("u", compiled=False, all_tests_passed=True, candidate="x", reference="x")
 
 
 @given(st.integers(0, 500), st.integers(0, 500), st.integers(1, 500))
@@ -252,18 +256,22 @@ def test_corpus_bleu_equals_the_oracle(pairs):
 
 @given(st.lists(st.tuples(_texts, _texts), min_size=1, max_size=6))
 def test_evaluate_scores_equal_the_oracle(texts):
-    outcomes = [UnitOutcome(f"u{i}", True, True, cand, ref) for i, (cand, ref) in enumerate(texts)]
     pairs = [(cand, [ref]) for cand, ref in texts]
-    unit_scores = []
-    for outcome, pair in zip(outcomes, pairs):
+    outcomes, unit_scores = [], []
+    for i, (cand, ref) in enumerate(texts):
         try:
-            unit_scores.append(oracle_corpus_bleu([pair]))
+            unit_scores.append(oracle_corpus_bleu([(cand, [ref])]))
         except ValueError:
-            with pytest.raises(ValueError, match=f"^unit '{outcome.unit_id}': "):
-                evaluate(outcomes)
+            with pytest.raises(ValueError, match=f"^unit 'u{i}': "):
+                score(f"u{i}", True, True, cand, ref)
             return
+        outcomes.append(score(f"u{i}", True, True, cand, ref))
     report = evaluate(outcomes)
-    assert report.unit_bleu == tuple(unit_scores)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.jsonl"
+        write_report(path, outcomes, report)
+        units = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()][:-1]
+    assert [unit["bleu"] for unit in units] == unit_scores
     assert report.bleu == oracle_corpus_bleu(pairs)
 
 
@@ -320,7 +328,7 @@ def test_evaluate_aggregates_counts_and_identity():
 
 
 def test_evaluate_zero_compiled_flags_undefined_cfe():
-    outcomes = [UnitOutcome(f"u{i}", False, False, "x", "x") for i in range(4)]
+    outcomes = [score(f"u{i}", False, False, "x", "x") for i in range(4)]
     report = evaluate(outcomes)
     assert report.cfe == 0
     assert not report.cfe_defined
@@ -353,15 +361,38 @@ def test_write_report_emits_unit_lines_then_aggregate(tmp_path):
 
 
 def test_write_report_reads_the_unit_scores_of_the_report(tmp_path):
-    outcomes = [UnitOutcome("u0", True, True, "a b c d e", "a b c d f"), UnitOutcome("u1", False, False, "x", "y")]
+    outcomes = [score("u0", True, True, "a b c d e", "a b c d f"), score("u1", False, False, "x", "y")]
     report = evaluate(outcomes)
     path = tmp_path / "report.jsonl"
     write_report(path, outcomes, report)
     lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert [record["bleu"] for record in lines[:2]] == [bleu("a b c d e", ["a b c d f"]), 0.0]
-    with pytest.raises(ValueError, match="report scores 0 units"):
-        write_report(tmp_path / "other.jsonl", outcomes, EvalReport.from_counts(2, 1, 1, report.bleu))
-    assert not (tmp_path / "other.jsonl").exists()
+
+
+@given(st.integers(0, 500), st.integers(0, 500), st.integers(1, 500), st.floats(0, 1))
+def test_read_report_reads_what_write_report_wrote(a, b, c, bleu_value):
+    n_cf, n_compiled, n_total = sorted((a, b, c))
+    report = EvalReport.from_counts(n_total, n_compiled, n_cf, bleu_value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.jsonl"
+        write_report(path, [], report)
+        assert read_report(path) == report
+
+
+@pytest.mark.parametrize("aggregate,message", [
+    ({"n_cf": True}, "field 'n_cf' must be an integer"),
+    ({"bleu": [1]}, "field 'bleu' must be an object"),
+    ({"bleu": {"value": 7}}, "field 'value' must be a number from 0 to 1"),
+    ({"bleu": {"value": math.nan}}, "field 'value' must be a number from 0 to 1"),
+    ({"bleu": {"value": -math.inf}}, "field 'value' must be a number from 0 to 1"),
+    ({"bleu": {}}, "missing field 'value'"),
+])
+def test_read_report_names_a_mistyped_aggregate_field(tmp_path, aggregate, message):
+    path = tmp_path / "report.jsonl"
+    record = {"type": "aggregate", "n_total": 3, "n_compiled": 2, "n_cf": 1, "bleu": {"value": 0.5}, **aggregate}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+        read_report(path)
 
 
 def test_eval_report_is_plain_data():

@@ -1,8 +1,9 @@
 """Every public name in ``src/j2cj`` has a caller outside the tests, every
 stored attribute a reader (see the second test), one module the patterns
-that strip compiler locations (the third), one module the process pool (the
-fourth), and every imported module a source: the standard library, ``j2cj``
-or a declared dependency (the fifth).
+that strip compiler locations (the third), one module the messages of row
+field checks (the fourth), one module the process pool (the fifth), and
+every imported module a source: the standard library, ``j2cj`` or a
+declared dependency (the sixth).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -143,6 +144,29 @@ def test_one_module_holds_a_line_column_pattern():
         )
     )
     assert holders == ["repair_repo.py"]
+
+
+def _literal_text(node: ast.AST) -> str | None:
+    """A string constant's text, or an f-string's with ``{}`` for each replacement field."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return None
+
+
+def test_one_module_builds_a_field_message():
+    """Row fields are checked by one checker: exactly one module in ``src/j2cj``
+    has a string or f-string that reads ``field ... must be``."""
+    holders = sorted(
+        path.name
+        for path in (ROOT / "src" / "j2cj").glob("*.py")
+        if any(
+            re.search(r"\bfield\b.* must be\b", _literal_text(node) or "")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert holders == ["jsonl.py"]
 
 
 def _imports(path: Path):
