@@ -76,7 +76,7 @@ def structure_tokens(java: str, retained: frozenset[str] = DEFAULT_RETAINED_CATE
     """``tokenize_structure(summarize(parse(java), retained), default_vocab(retained))``
     from one pass over ``parse_events(java)``. Raises ValueError when the tree
     would hold an ERROR node: an ERROR token, or an ERROR node with or without children."""
-    kinds, _, _, events = parse_events(java)
+    kinds, events = parse_events(java)
     # Internal nodes open with their category; childless (terminal) ones are 1-tuples.
     table = {**default_vocab(retained), "ERROR": None, ("ERROR",): None}
     tokens = [table[event] for event in events if event in table]

@@ -14,7 +14,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -282,15 +282,15 @@ def write_cpt_dataset(records: list[str], path) -> None:
 
 
 def write_syntax_entries(entries: list[SyntaxEntry], path) -> None:
-    write_jsonl(path, [asdict(e) for e in entries])
+    write_jsonl(path, [vars(e) for e in entries])
 
 
 def write_monolingual_dataset(samples: list[MonolingualSample], path) -> None:
-    write_jsonl(path, [asdict(s) for s in samples])
+    write_jsonl(path, [vars(s) for s in samples])
 
 
 def write_parallel_dataset(samples: Iterable[ParallelSample], path) -> int:
-    return write_jsonl(path, (asdict(s) for s in samples))
+    return write_jsonl(path, (vars(s) for s in samples))
 
 
 # --- directory-level orchestration ------------------------------------------------

@@ -5,8 +5,9 @@ It is a tolerant recursive-descent parser: node categories follow the
 tree-sitter-java naming scheme (class_declaration, if_statement, ...), and
 unparseable stretches become ERROR nodes instead of raising, so slightly
 malformed translation inputs still yield usable trees. Structure tokens
-are read from ``parse_events``; ``parse`` builds the concrete syntax tree
-from the same events, on demand. A replacement parser provides both.
+are read from ``parse_events``, which lexes without token offsets; ``parse``
+builds the concrete syntax tree, with byte spans, from the same parser's
+events, on demand. A replacement parser provides both.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ CATEGORIES = frozenset(
 # \s, \w and \d are Python's Unicode classes (str.isspace, str.isalnum or
 # "_", str.isdecimal). '<' and '>' are lexed alone (except in '<=' and '>='),
 # so that List<List<String>> is not read as a shift.
-_TOKEN_RE = re.compile(
-    r"""
+_TOKEN_PATTERN = r"""
     ( \s* (?: (?: //[^\n]* | /\*.*?(?:\*/|\Z) ) \s* )* )
     ( [^\W\d][\w$]* | \$[\w$]*                                     # word
     | 0[xX][0-9a-fA-F_]*[lL]? | 0[bB][01_]*[fFdDlL]?               # number; 1... is 1 ...
@@ -108,23 +108,36 @@ _TOKEN_RE = re.compile(
     | \.\.\. | -> | :: | [=!<>]= | && | \|\| | \+\+ | -- | [-+*/%&|^]=  # operator
     | [{}()\[\];,.@?:=+\-*/%&|^!~<>]
     | . | \Z )                                                     # ERROR; the end of input
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+    """
+_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE | re.DOTALL)
+# The same pattern with the trivia not captured: ``findall`` gives the token texts.
+_TEXT_RE = re.compile(_TOKEN_PATTERN.replace("(", "(?:", 1), re.VERBOSE | re.DOTALL)
 
 
-def _tokenize(source: str) -> tuple[list[str], list[int], list[int]]:
-    """The kinds, start and end offsets of the tokens of ``source``: one
-    ``findall`` of (trivia, token) pairs, the offsets as running sums of
-    their lengths, and the kind of each distinct text told once. A character
-    no rule takes is an ERROR token."""
+def _tokenize(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """The kinds, texts, start and end offsets of the tokens of ``source``:
+    one ``findall`` of (trivia, token) pairs, the offsets as running sums of
+    their lengths. A character no rule takes is an ERROR token."""
     pairs = _TOKEN_RE.findall(source)
     while pairs and not pairs[-1][1]:  # the trivia before the end of input
         pairs.pop()
     offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
     texts = [text for _, text in pairs]
+    return _kinds(texts), texts, offsets[0::2], offsets[1::2]
+
+
+def _lex(source: str) -> tuple[list[str], list[str]]:
+    """``_tokenize(source)``'s kinds and texts, without the offsets."""
+    texts = _TEXT_RE.findall(source)
+    while texts and not texts[-1]:  # the end of input
+        texts.pop()
+    return _kinds(texts), texts
+
+
+def _kinds(texts: list[str]) -> list[str]:
+    """The kind of each token text, told once per distinct text."""
     kind_of = {text: _kind(text) for text in set(texts)}
-    return list(map(kind_of.__getitem__, texts)), offsets[0::2], offsets[1::2]
+    return list(map(kind_of.__getitem__, texts))
 
 
 def _kind(text: str) -> str:
@@ -167,10 +180,10 @@ class _Parser:
     category is known; backtracking truncates the events back to a mark.
     """
 
-    __slots__ = ("source", "kinds", "starts", "ends", "n", "pos", "events")
+    __slots__ = ("kinds", "texts", "n", "pos", "events")
 
-    def __init__(self, source: str, kinds: list[str], starts: list[int], ends: list[int]):
-        self.source, self.kinds, self.starts, self.ends = source, kinds, starts, ends
+    def __init__(self, kinds: list[str], texts: list[str]):
+        self.kinds, self.texts = kinds, texts
         self.n = len(kinds)
         self.pos = 0
         self.events: list = []
@@ -181,7 +194,7 @@ class _Parser:
         return self.kinds[self.pos] if self.pos < self.n else None
 
     def text(self) -> str:
-        return self.source[self.starts[self.pos] : self.ends[self.pos]]
+        return self.texts[self.pos]
 
     def at(self, kind: str, offset: int = 0) -> bool:
         i = self.pos + offset
@@ -257,10 +270,15 @@ class _Parser:
 
     # -- entry point -----------------------------------------------------
 
-    def parse_program(self) -> None:
-        self.events.append("program")
-        self.sequence(set(), self.parse_top_level)
-        self.events.append(None)
+    def parse_program(self) -> list:
+        """The events of the whole token list (see ``parse_events``)."""
+        try:
+            self.events.append("program")
+            self.sequence(set(), self.parse_top_level)
+            self.events.append(None)
+        except RecursionError:
+            self.events = ["program", "ERROR", *range(self.n), None, None]
+        return self.events
 
     def parse_top_level(self) -> int:
         kind = self.peek()
@@ -606,6 +624,14 @@ class _Parser:
 
     def try_parse_local_declaration(self) -> int | None:
         start, mark = self.pos, len(self.events)
+        kinds, n, i = self.kinds, self.n, start + 1
+        if start < n and kinds[start] == "identifier":
+            # A name, after any '.name', not followed by a name, '<' or '[':
+            # no type and name, so no declaration, can start here.
+            while i + 1 < n and kinds[i] == "." and kinds[i + 1] == "identifier":
+                i += 2
+            if i == n or kinds[i] not in ("identifier", "<", "["):
+                return None
         mods = self.parse_modifiers()
         after_mods, after_mark = self.pos, len(self.events)
         ty = self.try_parse_type()
@@ -827,9 +853,9 @@ class _Parser:
         return self.parse_expression({",", "}"}, required=False)
 
 
-def parse_events(source: str) -> tuple[list[str], list[int], list[int], list]:
-    """The tokens of Java source text, as ``(kinds, starts, ends)`` lists of
-    kinds and character offsets, and its parse tree as a list of pre-order events.
+def parse_events(source: str) -> tuple[list[str], list]:
+    """The kinds of the tokens of Java source text, and its parse tree as a
+    list of pre-order events. Token offsets are left to ``parse``.
 
     An event ``str`` opens an internal node of that category and ``None``
     closes the innermost open one. An ``int`` ``i`` is token ``i`` as a
@@ -840,22 +866,18 @@ def parse_events(source: str) -> tuple[list[str], list[int], list[int], list]:
     Never raises or hangs on malformed input: broken stretches become ERROR
     nodes and parsing resumes at the next statement boundary. A source nested
     too deeply to parse recursively (at the default recursion limit, beyond 245
-    blocks, 325 parentheses, 81 anonymous classes in method bodies or 485
+    blocks, 326 parentheses, 81 anonymous classes in method bodies or 486
     ``else if`` arms) becomes a program whose only child is one ERROR node
     holding every token.
     """
-    kinds, starts, ends = _tokenize(source)
-    parser = _Parser(source, kinds, starts, ends)
-    try:
-        parser.parse_program()
-    except RecursionError:
-        parser.events = ["program", "ERROR", *range(len(kinds)), None, None]
-    return kinds, starts, ends, parser.events
+    kinds, texts = _lex(source)
+    return kinds, _Parser(kinds, texts).parse_program()
 
 
 def parse(source: str) -> SyntaxNode:
     """Parse Java source text into a concrete syntax tree (see ``parse_events``)."""
-    kinds, starts, ends, events = parse_events(source)
+    kinds, texts, starts, ends = _tokenize(source)
+    events = _Parser(kinds, texts).parse_program()
     byte_of = _byte_offsets(source)
     stack, category, children, following = [], None, [], 0  # following: the next token's index
     for event in events:

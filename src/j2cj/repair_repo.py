@@ -228,7 +228,7 @@ def _lcs_length(a: list[str] | str, b: list[str] | str) -> int:
 
 
 def _lcs_masks(a: list[str] | str) -> dict[str, int]:
-    """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all ``_lcs_with`` and ``levenshtein`` read of ``a``."""
+    """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all ``_lcs_with`` and ``_levenshtein_with`` read of ``a``."""
     peq: dict[str, int] = {}
     for i, sym in enumerate(a):
         peq[sym] = peq.get(sym, 0) | (1 << i)
@@ -309,10 +309,13 @@ def levenshtein(a: str, b: str) -> int:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    peq = _lcs_masks(a)
-    full = (1 << len(a)) - 1
+    return _levenshtein_with(_lcs_masks(a), len(a), b)
+
+
+def _levenshtein_with(peq: dict[str, int], la: int, b: str) -> int:
+    """``levenshtein(a, b)`` from ``_lcs_masks(a)`` and ``len(a)``, where ``a``
+    is at least as long as ``b``."""
+    full = (1 << la) - 1
     pv, mv = full, 0
     for ch in b:
         eq = peq.get(ch, 0)
@@ -492,7 +495,9 @@ def retrieve(
             s6 = 1.0 - (longest - _lcs_with(fragment_masks, len(qa), cb)) / longest
             if ruled_out(-_total(head + (s5, s6), weights), case_id):
                 continue
-            s6 = _edit_score(qa, cb)
+            # The query's masks serve when its fragment is the longer one.
+            d = _levenshtein_with(fragment_masks, len(qa), cb) if len(qa) > len(cb) else levenshtein(qa, cb)
+            s6 = 1.0 - d / longest
         breakdown = _breakdown(head + (s5, s6), weights)
         bisect.insort(top, (-breakdown.total, case_id, case, breakdown), key=lambda item: item[:2])
         del top[k:]

@@ -24,7 +24,7 @@ class Token:
 
 
 def tokens(source: str) -> list[Token]:
-    kinds, starts, ends = _tokenize(source)
+    kinds, _, starts, ends = _tokenize(source)
     return [Token(kind, source[start:end], start, end) for kind, start, end in zip(kinds, starts, ends)]
 
 

@@ -16,7 +16,8 @@ import javaparse_oracle
 from javaparse_oracle import Token
 
 from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES, default_vocab, structure_tokens, summarize, tokenize_structure
-from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, parse, tree_has_errors
+from j2cj import javaparse
+from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, _lex, _tokenize, parse, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -442,6 +443,32 @@ def test_event_parser_matches_the_oracle_on_the_generated_corpus(generated_java)
         assert_matches_oracle(text)
 
 
+# Statements on both sides of try_parse_local_declaration's early return (a
+# dotted name not followed by a name, '<' or '['), with the category of the
+# statement each one becomes in a method body.
+DECLARATION_EDGES = [
+    ("a.b.c(x);", "expression_statement"),
+    ("a.b = c;", "expression_statement"),
+    ("a.this.x = 1;", "expression_statement"),
+    ("a.b.C<T> x = y;", "local_variable_declaration"),
+    ("a.B[] x;", "local_variable_declaration"),
+    ("a[0] = 1;", "expression_statement"),
+    ("var x = 1;", "local_variable_declaration"),
+    ("x++;", "expression_statement"),
+    ("f = x -> x;", "expression_statement"),
+    ("record R(int a) {}", "expression_statement"),  # a local record is not told apart, in the oracle either
+]
+
+
+@pytest.mark.parametrize("statement,category", DECLARATION_EDGES)
+def test_statements_at_the_declaration_edge_match_the_oracle(statement, category):
+    in_body = f"class A {{ void m() {{ {statement} }} }}"
+    assert_matches_oracle(in_body)
+    assert_matches_oracle(f"class A {{ void m() {{ for ({statement} i < n; i++) {{ }} }} }}")
+    block = next(node for node in parse(in_body).walk() if node.category == "block")
+    assert block.children[1].category == category
+
+
 # Oracle: the hand-written scanner that ``_tokenize`` replaced, kept as it
 # was. ``_tokenize`` must return the same (kind, text, start, end) list,
 # except for the numeric characters that are not letters (next test).
@@ -608,6 +635,33 @@ def test_tokenize_matches_the_hand_written_scanner(lexemes):
     assert _lexed(javaparse_oracle.tokens(source)) == _lexed(_Lexer(source).tokens())
 
 
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(LEXEMES, max_size=40))
+@example([])
+@example(["x", " \n"])
+@example(["x", "// c"])
+@example(["x", "/*"])
+def test_lex_matches_tokenize(lexemes):
+    """``parse_events``' lexer, which keeps no offsets, gives ``_tokenize``'s
+    kinds, and the texts at ``_tokenize``'s offsets."""
+    source = "".join(lexemes)
+    kinds, texts = _lex(source)
+    tokenized, _, starts, ends = _tokenize(source)
+    assert kinds == tokenized
+    assert texts == [source[start:end] for start, end in zip(starts, ends)]
+
+
+def test_structure_tokens_computes_no_token_offsets(monkeypatch):
+    source = "class A { int f(int x) { if (x > 0) { return x; } return -x; } }"
+    expected = tokenize_structure(summarize(parse(source)), default_vocab())
+
+    def offsets(source):
+        raise AssertionError("token offsets computed")
+
+    monkeypatch.setattr(javaparse, "_tokenize", offsets)
+    assert structure_tokens(source) == expected
+
+
 # (source, the scanner's tokens, tokens now): a numeric character that is
 # not a letter (Unicode Nl or No) may start an identifier, as Nl may in
 # JLS 17 §3.8, instead of starting a number or being an ERROR token.
@@ -640,7 +694,7 @@ LINEAR_LEXING = [
 def test_tokenize_runs_in_linear_time(run_isolated, source, expected):
     code = (
         "from j2cj.javaparse import _tokenize\n"
-        "kinds, starts, ends = _tokenize(sys.stdin.read())\n"
+        "kinds, _, starts, ends = _tokenize(sys.stdin.read())\n"
         "print(len(kinds), sorted(set(kinds)), ends[-1])\n"
     )
     result = run_isolated(code, stdin=source, timeout=20)

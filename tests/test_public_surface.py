@@ -94,14 +94,14 @@ def _stored_attributes(tree: ast.Module):
 
 def _read_attributes() -> tuple[set[str], set[str]]:
     """Attribute names read in ``src/`` and ``bench/``, and the classes named
-    in a parameter annotation of a function that calls ``asdict``."""
+    in a parameter annotation of a function that calls ``asdict`` or ``vars``."""
     attributes, whole = set(), set()
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "bench").rglob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 attributes.add(node.attr)
             elif isinstance(node, ast.FunctionDef) and any(
-                isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "asdict"
+                isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id in ("asdict", "vars")
                 for sub in ast.walk(node)
             ):
                 for arg in node.args.args:
@@ -115,7 +115,7 @@ def test_every_stored_attribute_is_read_in_src_or_bench():
     a class in ``src/j2cj`` is read as an attribute (``obj.x`` not assigned
     to) somewhere under ``src/`` or ``bench/``. A dataclass also counts as
     read whole when it appears in a parameter annotation of a function that
-    calls ``asdict``, which writes every field.
+    calls ``asdict`` or ``vars``, either of which writes every field.
 
     Like the public-name check, this goes by name alone: a field is hidden
     by any read of an attribute with its spelling, so a list that is only
