@@ -320,6 +320,7 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
                 deps.repo,
                 cfg.rag_top_k,
                 cfg.weights,
+                floor=cfg.threshold,
             )
             top_score = ranked[0][1].total
 

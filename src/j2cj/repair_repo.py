@@ -98,12 +98,16 @@ class SimilarityBreakdown:
 
 # --- diagnostic normalization ------------------------------------------------
 
-# Compiler locations, removed in this order by ``normalize_diagnostic``.
+# Compiler locations and their replacements, applied in this order by
+# ``normalize_diagnostic``. The file-name and path patterns start only at the
+# start of a run of non-space characters, keeping its leading punctuation,
+# so each run is scanned once: ``\b\S+\.cj\b`` and ``\S*/\S*`` give the
+# same results but rescan the run from every start, quadratic in its length.
 _LOCATION_RES = [
-    re.compile(r"\b0x[0-9a-fA-F]+"),
-    re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I),
-    re.compile(r"\b\S+\.(?:cj|java|class|jar)\b"),
-    re.compile(r"\S*[/\\]\S*"),
+    (re.compile(r"\b0x[0-9a-fA-F]+"), " "),
+    (re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I), " "),
+    (re.compile(r"(?<!\S)([^\w\s]*)\w\S*\.(?:cj|java|class|jar)\b"), r"\1 "),
+    (re.compile(r"(?<!\S)[^\s/\\]*[/\\]\S*"), " "),
 ]
 _WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-z0-9_]+")
@@ -149,8 +153,8 @@ def normalize_diagnostic(text: str) -> str:
     and ``line``/``col`` is followed by a space, so the identifiers
     ``buf0xff`` and ``line2`` stay. It is the repair loop's
     stagnation key and the text ``message_tokens`` splits."""
-    for pattern in _LOCATION_RES:
-        text = pattern.sub(" ", text)
+    for pattern, replacement in _LOCATION_RES:
+        text = pattern.sub(replacement, text)
     return _WS_RE.sub(" ", text.lower()).strip()
 
 
@@ -184,12 +188,12 @@ def fragment_skeleton(code: str) -> list[str]:
 # --- similarity dimensions ----------------------------------------------------
 
 class _Features:
-    """What the six dimensions read from one side of a comparison, derived
-    once per query and once per stored case."""
+    """What dimensions 1-3 read from one side of a comparison, derived once
+    per query and once per stored case."""
 
-    __slots__ = ("tags", "token_counts", "token_norm", "tokens", "skeleton")
+    __slots__ = ("tags", "token_counts", "token_norm", "tokens")
 
-    def __init__(self, error_info: str, tags: tuple[str, ...], fragment: str):
+    def __init__(self, error_info: str, tags: tuple[str, ...]):
         self.tags = set(tags) if tags else set(extract_error_tags(error_info))
         counts: dict[str, int] = {}
         for t in message_tokens(error_info):
@@ -197,7 +201,6 @@ class _Features:
         self.token_counts = counts
         self.token_norm = sum(v * v for v in counts.values()) ** 0.5
         self.tokens = set(counts)
-        self.skeleton = fragment_skeleton(fragment)
 
 
 def _jaccard(a: set, b: set) -> float:
@@ -332,16 +335,18 @@ def _levenshtein_with(peq: dict[str, int], la: int, b: str) -> int:
     return len(b) + pv.bit_count() - mv.bit_count()
 
 
-def _structure_scores(q: _Features, c: _Features, q_masks: dict[str, int]) -> tuple[float, float, float, float]:
-    """Dimensions 1-4: tags, keywords, term-frequency cosine, skeleton LCS;
-    ``q_masks`` is ``_lcs_masks(q.skeleton)``."""
-    if not q.skeleton and not c.skeleton:
-        s4 = 1.0
-    elif not q.skeleton or not c.skeleton:
-        s4 = 0.0
-    else:
-        s4 = _lcs_with(q_masks, len(q.skeleton), c.skeleton) / max(len(q.skeleton), len(c.skeleton))
-    return _jaccard(q.tags, c.tags), _jaccard(q.tokens, c.tokens), _cosine(q, c), s4
+def _message_scores(q: _Features, c: _Features) -> tuple[float, float, float]:
+    """Dimensions 1-3: tags, keywords, term-frequency cosine."""
+    return _jaccard(q.tags, c.tags), _jaccard(q.tokens, c.tokens), _cosine(q, c)
+
+
+def _skeleton_score(qs: list[str], q_masks: dict[str, int], cs: list[str]) -> float:
+    """Dimension 4, the skeleton LCS; ``q_masks`` is ``_lcs_masks(qs)``."""
+    if not qs and not cs:
+        return 1.0
+    if not qs or not cs:
+        return 0.0
+    return _lcs_with(q_masks, len(qs), cs) / max(len(qs), len(cs))
 
 
 def _fragment_bounds(la: int, lb: int) -> tuple[float, float]:
@@ -387,11 +392,11 @@ def _breakdown(raw: tuple[float, ...], w: SimilarityWeights) -> SimilarityBreakd
 
 def similarity(q: ErrorQuery, c: RepairCase, w: SimilarityWeights) -> SimilarityBreakdown:
     """Weighted six-dimension similarity between a query and a stored case."""
-    probe = _Features(q.error_info, q.error_tags, q.faulty_fragment)
-    head = _structure_scores(
-        probe, _Features(c.error_info, c.error_tags, c.faulty_fragment), _lcs_masks(probe.skeleton)
-    )
     qa, cb = q.faulty_fragment, c.faulty_fragment
+    qs = fragment_skeleton(qa)
+    head = _message_scores(_Features(q.error_info, q.error_tags), _Features(c.error_info, c.error_tags)) + (
+        _skeleton_score(qs, _lcs_masks(qs), fragment_skeleton(cb)),
+    )
     s5, s6 = _fragment_bounds(len(qa), len(cb))
     if qa and cb:
         s5, s6 = _substring_score(qa, cb, _SuffixAutomaton(qa)), _edit_score(qa, cb)
@@ -406,6 +411,7 @@ class Repository:
     def __init__(self, cases: list[RepairCase] | None = None):
         self._cases: dict[str, RepairCase] = {}
         self._features: dict[str, _Features] = {}
+        self._skeletons: dict[str, list[str]] = {}
         for case in cases or []:
             self.add_case(case)
 
@@ -415,15 +421,21 @@ class Repository:
         self._cases[case.id] = case
 
     def _features_of(self, case: RepairCase) -> _Features:
-        """The case's similarity features, derived on the first retrieval
-        that reads them. Ids are unique and cases frozen, so an entry never
-        goes stale; each process fills its own copy of the cache."""
+        """The case's message features, derived on the first retrieval that
+        reads them. Ids are unique and cases frozen, so an entry never goes
+        stale; each process fills its own copy of the cache."""
         features = self._features.get(case.id)
         if features is None:
-            features = self._features[case.id] = _Features(
-                case.error_info, case.error_tags, case.faulty_fragment
-            )
+            features = self._features[case.id] = _Features(case.error_info, case.error_tags)
         return features
+
+    def _skeleton_of(self, case: RepairCase) -> list[str]:
+        """The case's fragment skeleton, cached like ``_features_of`` but
+        derived only when a retrieval scores the case."""
+        skeleton = self._skeletons.get(case.id)
+        if skeleton is None:
+            skeleton = self._skeletons[case.id] = fragment_skeleton(case.faulty_fragment)
+        return skeleton
 
     def cases(self) -> list[RepairCase]:
         return list(self._cases.values())
@@ -447,18 +459,23 @@ def retrieve(
     repo: Repository,
     k: int,
     w: SimilarityWeights | None = None,
+    floor: float = 0.0,
 ) -> list[tuple[RepairCase, SimilarityBreakdown]]:
     """Top-k cases by weighted similarity, ties broken by case id.
 
-    Equal to scoring every case with ``similarity`` and sorting, but only
-    cases that can still enter the top k pay for dimensions 5-6. Each case
-    gets a bound total from its exact dimensions 1-4 and the length bounds
-    of 5-6. Cases are scored in descending bound order until a bound falls
-    below the k-th total or ties it with a larger id. A case skips the edit
-    distance when its exact dimension 5 rules it out, or when it is ruled
-    out by ``d >= max(la, lb) - LCS``: an alignment matches at most the
-    longest common subsequence. The scores are non-negative, so a bound
-    total needs no clamp to stay at or above the clamped true total.
+    Equal to scoring every case with ``similarity`` and sorting whenever the
+    best total reaches ``floor``, but only cases that can still enter the
+    top k pay for dimensions 4-6. Each case gets a bound total from its
+    exact dimensions 1-3, 1.0 for dimension 4 and the length bounds of 5-6.
+    Cases are scored in descending bound order until a bound falls below
+    the k-th total or ties it with a larger id, or until the best total so
+    far and the bound are both below ``floor``: then no case reaches the
+    floor, and the cases scored so far are returned. A case skips the
+    automaton when its exact dimension 4 rules it out, and the edit
+    distance when its exact dimension 5 does, or when it is ruled out by
+    ``d >= max(la, lb) - LCS``: an alignment matches at most the longest
+    common subsequence. The scores are non-negative, so a bound total needs
+    no clamp to stay at or above the clamped true total.
     """
     cases = repo.cases()
     if not cases:
@@ -466,15 +483,16 @@ def retrieve(
     if k <= 0:
         raise ValueError("k must be positive")
     weights = w or SimilarityWeights.uniform()
-    probe = _Features(q.error_info, q.error_tags, q.faulty_fragment)
+    probe = _Features(q.error_info, q.error_tags)
     qa = q.faulty_fragment
-    skeleton_masks, fragment_masks = _lcs_masks(probe.skeleton), _lcs_masks(qa)
+    qs = fragment_skeleton(qa)
+    skeleton_masks, fragment_masks = _lcs_masks(qs), _lcs_masks(qa)
 
     pending = []
     for case in cases:
-        head = _structure_scores(probe, repo._features_of(case), skeleton_masks)
+        head = _message_scores(probe, repo._features_of(case))
         bounds = _fragment_bounds(len(qa), len(case.faulty_fragment))
-        pending.append((-_total(head + bounds, weights), case.id, case, head, bounds))
+        pending.append((-_total(head + (1.0,) + bounds, weights), case.id, case, head, bounds))
     pending.sort(key=lambda item: item[:2])
 
     top: list[tuple[float, str, RepairCase, SimilarityBreakdown]] = []
@@ -484,8 +502,11 @@ def retrieve(
 
     automaton = _SuffixAutomaton(qa)
     for neg_bound, case_id, case, head, (s5, s6) in pending:
-        if ruled_out(neg_bound, case_id):
+        if ruled_out(neg_bound, case_id) or (top and -top[0][0] < floor and -neg_bound < floor):
             break
+        head += (_skeleton_score(qs, skeleton_masks, repo._skeleton_of(case)),)
+        if ruled_out(-_total(head + (s5, s6), weights), case_id):
+            continue
         cb = case.faulty_fragment
         if qa and cb:
             s5 = _substring_score(qa, cb, automaton)

@@ -301,14 +301,17 @@ def test_criterion_8_threshold_gating():
             )
         top_scores = [retrieve(q, repo, 1, UNIFORM)[0][1].total for q in queries]
         counts = []
-        for tau in (0.0, 0.25, 0.5, 0.75, 1.0):
-            routed = sum(
-                1
-                for score in top_scores
-                if select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, score, tau)
-                is Branch.RAG_REPAIR
-            )
-            counts.append(routed)
+        # The engine retrieves with the threshold as its floor; at every
+        # threshold, including each query's own top total, that routes as
+        # the exact top total does.
+        for tau in sorted({0.0, 0.25, 0.5, 0.75, 1.0, *top_scores}):
+            branches = [select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, score, tau) for score in top_scores]
+            for k in (1, 3):
+                floored = [retrieve(q, repo, k, UNIFORM, floor=tau)[0][1].total for q in queries]
+                assert [
+                    select_branch(CompileStatus.FAIL, TestResult.NOT_RUN, score, tau) for score in floored
+                ] == branches, (tau, k)
+            counts.append(branches.count(Branch.RAG_REPAIR))
         assert counts[0] == len(queries)  # every failure routes to RAG at tau=0
         assert counts == sorted(counts, reverse=True), counts
 

@@ -2,7 +2,9 @@
 against exhaustive scans; repository persistence."""
 
 import json
+import math
 import random
+import re
 import time
 from dataclasses import fields
 
@@ -28,7 +30,9 @@ from j2cj.repair_repo import (
     similarity,
     _lcs_length,
     _lcs_with,
+    _substring_score,
     _SuffixAutomaton,
+    _WS_RE,
 )
 
 UNIFORM = SimilarityWeights.uniform()
@@ -328,6 +332,51 @@ def test_one_normalizer_ignores_where_an_error_is(head, tail, kinds, data):
     assert len(signatures) == 1
 
 
+# The normalizer's patterns as first written: quadratic in a long run of
+# non-space characters, kept as the oracle of the linear ones.
+_QUADRATIC_LOCATION_RES = [
+    re.compile(r"\b0x[0-9a-fA-F]+"),
+    re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I),
+    re.compile(r"\b\S+\.(?:cj|java|class|jar)\b"),
+    re.compile(r"\S*[/\\]\S*"),
+]
+
+
+def normalize_quadratic(text: str) -> str:
+    for pattern in _QUADRATIC_LOCATION_RES:
+        text = pattern.sub(" ", text)
+    return _WS_RE.sub(" ", text.lower()).strip()
+
+
+_DIAGNOSTIC_PIECES = [
+    "a", "Z", "_", "7", "é", "漢", "😀", ".", "..", "/", "\\", "-", "'", ":", "(", " ", "\n", "\t",
+    ".cj", ".java", ".class", ".jar", ".cjx", "main.cj", "0x1f", "line 3", "12:4",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_DIAGNOSTIC_PIECES), max_size=16))
+def test_the_normalizer_matches_its_quadratic_patterns(pieces):
+    text = "".join(pieces)
+    assert normalize_diagnostic(text) == normalize_quadratic(text)
+
+
+def test_normalize_diagnostic_runs_in_linear_time(run_isolated):
+    code = (
+        "import json\n"
+        "from j2cj.repair_repo import normalize_diagnostic\n"
+        "for text in json.loads(sys.stdin.read()):\n"
+        "    print(len(normalize_diagnostic(text)))\n"
+    )
+    # One long run of non-space characters, as a diagnostic quoting a long
+    # candidate line has: the file-name pattern once started at every word
+    # boundary in it and the path pattern at every character.
+    texts = ["a." * 100_000, "a" * 200_000, "a." * 100_000 + "/", "x" + ".cj" * 60_000 + "!"]
+    result = run_isolated(code, stdin=json.dumps(texts), timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["200000", "200000", "0", "1"]  # a path goes whole; a file name keeps "!"
+
+
 def test_fragment_skeleton_runs_in_linear_time(run_isolated):
     code = (
         "import json\n"
@@ -448,6 +497,9 @@ def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
 
 @pytest.mark.parametrize("kind", ["small", "kilobyte", "nested", "reordered", "same-message"])
 def test_retrieve_equals_exhaustive_sort(kind):
+    """Without a floor, and with any floor the best total reaches, retrieval
+    is the exact top k. Below a floor it returns scored cases that all fall
+    below it, so the repair threshold routes a failure the same way."""
     rng = random.Random(kind)
     cases = equivalence_repository(rng, kind)
     repo = Repository(cases)
@@ -462,8 +514,18 @@ def test_retrieve_equals_exhaustive_sort(kind):
     for query in queries:
         for w in (UNIFORM, SimilarityWeights((1, 1, 1, 1, 0, 0)), SimilarityWeights((0, 0, 0, 1, 1, 1))):
             expected = exhaustive_top_k(query, repo, len(cases), w)
+            scored = {case.id: breakdown for case, breakdown in expected}
+            best = expected[0][1].total
+            floors = {0.25, 0.5, 0.75, 1.0, best, math.nextafter(best, -1), math.nextafter(best, 2)}
             for k in range(1, len(cases) + 3):
-                assert retrieve(query, repo, k, w) == expected[:k]
+                assert retrieve(query, repo, k, w) == expected[:k]  # floor 0
+                for floor in floors:
+                    ranked = retrieve(query, repo, k, w, floor=floor)
+                    if best >= floor:
+                        assert ranked == expected[:k], (k, floor)
+                    else:
+                        assert 0 < len(ranked) <= k, (k, floor)
+                        assert all(b.total < floor and b == scored[c.id] for c, b in ranked), (k, floor)
 
 
 def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
@@ -487,6 +549,36 @@ def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
     assert ranked[0][0] is target
     assert ranked[0][1].total == pytest.approx(1.0, abs=1e-12)
     assert 0 < len(calls) < len(repo)
+
+
+def test_retrieve_below_its_floor_scores_one_case(monkeypatch):
+    # No case shares a tag or a word with the query, and the query's
+    # fragment is half as long as theirs: every bound total is 1/3 under
+    # uniform weights, below a floor of 0.5. The first case scored settles
+    # the query; no other case pays for its skeleton or the automaton.
+    rng = random.Random(5)
+    cases = [
+        RepairCase(
+            f"case-{i:03d}", (rng.choice(["E1", "E2"]),), " ".join(rng.choices(_WORDS, k=6)), "fix",
+            code_fragment(rng, 1024), "fixed",
+        )
+        for i in range(217)
+    ]
+    repo = Repository(cases)
+    query = ErrorQuery("omicron sigma tau", code_fragment(rng, 512), ("E9",))
+    fragments = {case.faulty_fragment for case in cases}
+    skeletons, substrings = [], []
+    monkeypatch.setattr(
+        "j2cj.repair_repo.fragment_skeleton",
+        lambda code: code in fragments and skeletons.append(code) or fragment_skeleton(code),
+    )
+    monkeypatch.setattr(
+        "j2cj.repair_repo._substring_score",
+        lambda qa, cb, automaton: substrings.append(cb) or _substring_score(qa, cb, automaton),
+    )
+    ranked = retrieve(query, repo, 3, UNIFORM, floor=0.5)
+    assert len(ranked) == 1 and ranked[0][1].total < 0.5
+    assert len(skeletons) <= 1 and len(substrings) <= 1
 
 
 def test_retrieve_prunes_edit_distance_on_the_lcs_bound(monkeypatch):
