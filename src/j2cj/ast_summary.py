@@ -76,14 +76,14 @@ def structure_tokens(java: str, retained: frozenset[str] = DEFAULT_RETAINED_CATE
     """``tokenize_structure(summarize(parse(java), retained), default_vocab(retained))``
     from one pass over ``parse_events(java)``. Raises ValueError when the tree
     would hold an ERROR node: an ERROR token, or an ERROR node with or without children."""
+    if not retained:
+        raise ValueError("retained category set must be non-empty")
     kinds, events = parse_events(java)
     # Internal nodes open with their category; childless (terminal) ones are 1-tuples.
     table = {**default_vocab(retained), "ERROR": None, ("ERROR",): None}
     tokens = [table[event] for event in events if event in table]
     if None in tokens or "ERROR" in kinds:
         raise ValueError("java source does not parse cleanly")
-    if not retained:
-        raise ValueError("retained category set must be non-empty")
     return tokens
 
 

@@ -5,9 +5,8 @@ It is a tolerant recursive-descent parser: node categories follow the
 tree-sitter-java naming scheme (class_declaration, if_statement, ...), and
 unparseable stretches become ERROR nodes instead of raising, so slightly
 malformed translation inputs still yield usable trees. Structure tokens
-are read from ``parse_events``, which lexes without token offsets; ``parse``
-builds the concrete syntax tree, with byte spans, from the same parser's
-events, on demand. A replacement parser provides both.
+are read from ``parse_events``; ``parse`` builds the concrete syntax tree
+from the same events, on demand. A replacement parser provides both.
 """
 
 from __future__ import annotations
@@ -15,21 +14,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, chain
 
 
 @dataclass(slots=True)
 class SyntaxNode:
-    """One node of the concrete parse tree.
-
-    ``span`` is a half-open (start, end) pair of byte offsets into the
-    UTF-8 encoding of the source. Terminal nodes have no children.
-    """
+    """One node of the concrete parse tree. Terminal nodes have no children."""
 
     category: str
     children: list["SyntaxNode"] = field(default_factory=list)
     is_terminal: bool = False
-    span: tuple[int, int] = (0, 0)
 
     def walk(self):
         """Yield this node and all descendants in DFS pre-order."""
@@ -87,18 +80,19 @@ CATEGORIES = frozenset(
 )
 
 
-# One match per token: the trivia before it (whitespace and comments), then
-# the token; the trivia at the end of input comes with an empty token. The
-# last alternative takes any character, as an ERROR token, so the engine never
-# backtracks into the trivia. The kinds of token start with different
-# characters, so the order of the alternatives matters only within a kind
-# (0x before a decimal, a text block before a string, longer operators first)
-# and for '.': a digit after it makes a number, tried before the operator.
-# \s, \w and \d are Python's Unicode classes (str.isspace, str.isalnum or
-# "_", str.isdecimal). '<' and '>' are lexed alone (except in '<=' and '>='),
-# so that List<List<String>> is not read as a shift.
-_TOKEN_PATTERN = r"""
-    ( \s* (?: (?: //[^\n]* | /\*.*?(?:\*/|\Z) ) \s* )* )
+# One match per token: the trivia before it (whitespace and comments), not
+# captured, then the token, so ``findall`` gives the token texts; the trivia at
+# the end of input comes with an empty token. The last alternative takes any
+# character, as an ERROR token, so the engine never backtracks into the trivia.
+# The kinds of token start with different characters, so the order of the
+# alternatives matters only within a kind (0x before a decimal, a text block
+# before a string, longer operators first) and for '.': a digit after it makes
+# a number, tried before the operator. \s, \w and \d are Python's Unicode
+# classes (str.isspace, str.isalnum or "_", str.isdecimal). '<' and '>' are
+# lexed alone (except in '<=' and '>='), so that List<List<String>> is not
+# read as a shift.
+_TEXT_RE = re.compile(r"""
+    (?: \s* (?: (?: //[^\n]* | /\*.*?(?:\*/|\Z) ) \s* )* )
     ( [^\W\d][\w$]* | \$[\w$]*                                     # word
     | 0[xX][0-9a-fA-F_]*[lL]? | 0[bB][01_]*[fFdDlL]?               # number; 1... is 1 ...
     | (?:\d[\d_]*(?:\.(?!\.\.)[\d_]*)? | \.\d[\d_]*) (?:[eE][+-]?\d+)? [fFdDlL]?
@@ -108,26 +102,12 @@ _TOKEN_PATTERN = r"""
     | \.\.\. | -> | :: | [=!<>]= | && | \|\| | \+\+ | -- | [-+*/%&|^]=  # operator
     | [{}()\[\];,.@?:=+\-*/%&|^!~<>]
     | . | \Z )                                                     # ERROR; the end of input
-    """
-_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE | re.DOTALL)
-# The same pattern with the trivia not captured: ``findall`` gives the token texts.
-_TEXT_RE = re.compile(_TOKEN_PATTERN.replace("(", "(?:", 1), re.VERBOSE | re.DOTALL)
-
-
-def _tokenize(source: str) -> tuple[list[str], list[str], list[int], list[int]]:
-    """The kinds, texts, start and end offsets of the tokens of ``source``:
-    one ``findall`` of (trivia, token) pairs, the offsets as running sums of
-    their lengths. A character no rule takes is an ERROR token."""
-    pairs = _TOKEN_RE.findall(source)
-    while pairs and not pairs[-1][1]:  # the trivia before the end of input
-        pairs.pop()
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs))))
-    texts = [text for _, text in pairs]
-    return _kinds(texts), texts, offsets[0::2], offsets[1::2]
+    """, re.VERBOSE | re.DOTALL)
 
 
 def _lex(source: str) -> tuple[list[str], list[str]]:
-    """``_tokenize(source)``'s kinds and texts, without the offsets."""
+    """The kinds and texts of the tokens of ``source``. A character no rule
+    takes is an ERROR token."""
     texts = _TEXT_RE.findall(source)
     while texts and not texts[-1]:  # the end of input
         texts.pop()
@@ -157,18 +137,6 @@ def _kind(text: str) -> str:
     if first.isalnum() or first in "_$":
         return text if text in KEYWORDS else "identifier"
     return text if len(text) > 1 or text in "{}()[];,.@?:=+-*/%&|^!~<>" else "ERROR"
-
-
-def _byte_offsets(source: str) -> list[int]:
-    """Prefix table mapping char index -> byte offset (UTF-8)."""
-    if source.isascii():
-        return list(range(len(source) + 1))
-    offsets = [0]
-    total = 0
-    for ch in source:
-        total += len(ch.encode("utf-8"))
-        offsets.append(total)
-    return offsets
 
 
 class _Parser:
@@ -855,7 +823,7 @@ class _Parser:
 
 def parse_events(source: str) -> tuple[list[str], list]:
     """The kinds of the tokens of Java source text, and its parse tree as a
-    list of pre-order events. Token offsets are left to ``parse``.
+    list of pre-order events.
 
     An event ``str`` opens an internal node of that category and ``None``
     closes the innermost open one. An ``int`` ``i`` is token ``i`` as a
@@ -876,27 +844,20 @@ def parse_events(source: str) -> tuple[list[str], list]:
 
 def parse(source: str) -> SyntaxNode:
     """Parse Java source text into a concrete syntax tree (see ``parse_events``)."""
-    kinds, texts, starts, ends = _tokenize(source)
-    events = _Parser(kinds, texts).parse_program()
-    byte_of = _byte_offsets(source)
-    stack, category, children, following = [], None, [], 0  # following: the next token's index
+    kinds, events = parse_events(source)
+    stack, category, children = [], None, []
     for event in events:
         if event.__class__ is int:
-            i = event if event >= 0 else ~event
-            span = (byte_of[starts[i]], byte_of[ends[i]])
-            children.append(SyntaxNode(kinds[i] if event >= 0 else "type_identifier", [], True, span))
-            following = i + 1
+            children.append(SyntaxNode(kinds[event] if event >= 0 else "type_identifier", [], True))
         elif event.__class__ is str:
             stack.append((category, children))
             category, children = event, []
         elif event is None:
-            span = (children[0].span[0], children[-1].span[1]) if children else (0, 0)
-            node = SyntaxNode(category, children, False, span)
+            node = SyntaxNode(category, children)
             category, children = stack.pop()
             children.append(node)
         else:
-            at = byte_of[starts[following]] if following < len(kinds) else byte_of[-1]
-            children.append(SyntaxNode(event[0], [], True, (at, at)))
+            children.append(SyntaxNode(event[0], [], True))
     return children[0]
 
 

@@ -222,14 +222,6 @@ def _cosine(a: _Features, b: _Features) -> float:
     return dot / (a.token_norm * b.token_norm)
 
 
-def _lcs_length(a: list[str] | str, b: list[str] | str) -> int:
-    """Longest common subsequence length by the bit-parallel algorithm of
-    Allison and Dix (IPL 1986) in Hyyrö's form (2004): after each symbol of
-    ``b``, the zero bits of ``v`` at positions 0..i count the LCS of
-    ``a[:i + 1]`` with the part of ``b`` read so far."""
-    return _lcs_with(_lcs_masks(a), len(a), b)
-
-
 def _lcs_masks(a: list[str] | str) -> dict[str, int]:
     """Bit i of ``masks[sym]`` is set where ``a[i] == sym``: all ``_lcs_with`` and ``_levenshtein_with`` read of ``a``."""
     peq: dict[str, int] = {}
@@ -239,7 +231,11 @@ def _lcs_masks(a: list[str] | str) -> dict[str, int]:
 
 
 def _lcs_with(peq: dict[str, int], la: int, b: list[str] | str) -> int:
-    """``_lcs_length(a, b)`` from ``_lcs_masks(a)`` and ``len(a)``."""
+    """The longest common subsequence length of ``a`` and ``b``, from
+    ``_lcs_masks(a)`` and ``len(a)``, by the bit-parallel algorithm of Allison
+    and Dix (IPL 1986) in Hyyrö's form (2004): after each symbol of ``b``, the
+    zero bits of ``v`` at positions 0..i count the LCS of ``a[:i + 1]`` with the
+    part of ``b`` read so far."""
     full = (1 << la) - 1
     v = full
     for sym in b:
@@ -316,8 +312,8 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def _levenshtein_with(peq: dict[str, int], la: int, b: str) -> int:
-    """``levenshtein(a, b)`` from ``_lcs_masks(a)`` and ``len(a)``, where ``a``
-    is at least as long as ``b``."""
+    """``levenshtein(a, b)`` from ``_lcs_masks(a)`` and ``len(a)``, exact in
+    either length order: the order only sets how many times the loop runs."""
     full = (1 << la) - 1
     pv, mv = full, 0
     for ch in b:

@@ -1,5 +1,6 @@
 """The recursive-descent parser that built ``SyntaxNode`` trees directly,
-before ``j2cj.javaparse`` parsed into a flat event stream, kept as it was.
+before ``j2cj.javaparse`` parsed into a flat event stream, kept as it was
+but for the byte spans, which ``SyntaxNode`` no longer has.
 
 It is the oracle for the event parser: ``parse`` here must return the same
 tree as ``j2cj.javaparse.parse`` for every source. It reads ``Token``
@@ -12,28 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from j2cj.javaparse import MODIFIER_KEYWORDS, PRIMITIVE_TYPES, SyntaxNode, _byte_offsets, _tokenize
+from j2cj.javaparse import MODIFIER_KEYWORDS, PRIMITIVE_TYPES, SyntaxNode, _lex
 
 
 @dataclass
 class Token:
     kind: str
     text: str
-    start: int  # char offset
-    end: int
 
 
 def tokens(source: str) -> list[Token]:
-    kinds, _, starts, ends = _tokenize(source)
-    return [Token(kind, source[start:end], start, end) for kind, start, end in zip(kinds, starts, ends)]
+    return list(map(Token, *_lex(source)))
 
 
 class _Parser:
     """Recursive descent with index-based backtracking."""
 
-    def __init__(self, tokens: list[Token], byte_of: list[int]):
+    def __init__(self, tokens: list[Token]):
         self.toks = tokens
-        self.byte_of = byte_of
         self.pos = 0
         self.n = len(tokens)
 
@@ -57,7 +54,7 @@ class _Parser:
     def take(self) -> SyntaxNode:
         tok = self.toks[self.pos]
         self.pos += 1
-        return SyntaxNode(tok.kind, [], True, (self.byte_of[tok.start], self.byte_of[tok.end]))
+        return SyntaxNode(tok.kind, [], True)
 
     def take_if(self, kind: str) -> SyntaxNode | None:
         return self.take() if self.at(kind) else None
@@ -77,12 +74,7 @@ class _Parser:
 
     def node(self, category: str, children: list[SyntaxNode | None]) -> SyntaxNode:
         children = [c for c in children if c is not None]
-        if children:
-            span = (children[0].span[0], children[-1].span[1])
-        else:
-            at = self.byte_of[self.toks[self.pos].start] if self.pos < self.n else self.byte_of[-1]
-            span = (at, at)
-        return SyntaxNode(category, children, not children, span)
+        return SyntaxNode(category, children, not children)
 
     def error_until(self, sync: set[str], consume_sync: bool = True) -> SyntaxNode:
         """Consume tokens into an ERROR node until a sync token or EOF."""
@@ -112,9 +104,7 @@ class _Parser:
     # -- entry point -----------------------------------------------------
 
     def parse_program(self) -> SyntaxNode:
-        children = self.sequence([], set(), self.parse_top_level)
-        span = (children[0].span[0], children[-1].span[1]) if children else (0, 0)
-        return SyntaxNode("program", children, False, span)
+        return SyntaxNode("program", self.sequence([], set(), self.parse_top_level))
 
     def parse_top_level(self) -> SyntaxNode:
         kind = self.peek().kind
@@ -761,11 +751,9 @@ def parse(source: str) -> SyntaxNode:
     source nested too deeply to parse recursively becomes a program whose
     only child is one ERROR node holding every token.
     """
-    byte_of = _byte_offsets(source)
-    parser = _Parser(tokens(source), byte_of)
+    parser = _Parser(tokens(source))
     try:
         return parser.parse_program()
     except RecursionError:
         parser.pos = 0
-        error = parser.error_until(set())
-        return SyntaxNode("program", [error], False, error.span)
+        return SyntaxNode("program", [parser.error_until(set())])

@@ -16,6 +16,7 @@ from j2cj.ast_summary import (
     MarkerCollisionError,
     default_vocab,
     render_structured_prompt,
+    structure_tokens,
     summarize,
     tokenize_structure,
 )
@@ -128,6 +129,9 @@ def test_golden_summaries(source, expected):
 def test_empty_retained_set_is_rejected():
     with pytest.raises(ValueError):
         summarize(parse("class A {}"), frozenset())
+    # The retained set is checked first, even for a source that does not parse cleanly.
+    with pytest.raises(ValueError, match="^retained category set must be non-empty$"):
+        structure_tokens("int x = ;", frozenset())
 
 
 def test_vacuous_retention_yields_empty_summary():

@@ -1,4 +1,4 @@
-"""Parser-level behavior: tree shape, spans, error tolerance."""
+"""Parser-level behavior: tree shape, token order, error tolerance."""
 
 import hashlib
 import importlib.util
@@ -16,8 +16,7 @@ import javaparse_oracle
 from javaparse_oracle import Token
 
 from j2cj.ast_summary import DEFAULT_RETAINED_CATEGORIES, default_vocab, structure_tokens, summarize, tokenize_structure
-from j2cj import javaparse
-from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, _lex, _tokenize, parse, tree_has_errors
+from j2cj.javaparse import CATEGORIES, KEYWORDS, SyntaxNode, _lex, parse, parse_events, tree_has_errors
 
 
 def kinds(node: SyntaxNode) -> list[str]:
@@ -49,28 +48,6 @@ def test_terminal_nodes_have_no_children():
     for node in root.walk():
         if node.is_terminal:
             assert node.children == []
-
-
-def test_child_spans_are_ordered_and_contained():
-    source = "class A { void m() { int total = 1 + 2; } }"
-    root = parse(source)
-    for node in root.walk():
-        lo, hi = node.span
-        assert lo <= hi
-        previous_end = lo
-        for child in node.children:
-            assert child.span[0] >= previous_end
-            assert child.span[1] <= hi
-            previous_end = child.span[1]
-
-
-def test_spans_are_byte_offsets():
-    source = 'class A { String s = "héllo"; }'
-    root = parse(source)
-    data = source.encode("utf-8")
-    leaves = [n for n in root.walk() if n.is_terminal]
-    string_leaf = next(n for n in leaves if n.category == "string_literal")
-    assert data[string_leaf.span[0] : string_leaf.span[1]].decode("utf-8") == '"héllo"'
 
 
 def test_comments_and_strings_do_not_confuse_structure():
@@ -210,68 +187,71 @@ def test_interface_enum_record_annotations():
         assert expected in categories, expected
 
 
-# Pre-order (category, is_terminal, span) digests recorded before the parser
-# was restructured; a refactor of javaparse must leave every one unchanged.
+# Pre-order (category, is_terminal, child count) digests. Each token lands in
+# the tree exactly once, in order (test_every_token_lands_in_the_tree_once), so
+# the leaves fix which token each one is. Recorded from the trees of the parser
+# as it was when byte spans were dropped from them; a refactor of javaparse
+# must leave every one unchanged.
 PINNED_TREES = [
     ('package a.b; import java.util.*; import static java.lang.Math.max;',
-     "d19110eb9f51c43d0f255fa46f8e639c8158ed3deebc3842466b7d54489657d0"),
+     "cfd3fdf373bd73207b2162ed2147bd4377aca49526be7322532b6b91101407d8"),
     ('record Point(int x, int y) implements Shape { Point(int x) { this(x, 0); } int sum() { return x + y; } static Point of() { return new Point(0, 0); } }',
-     "69c88afbaf544dd89ee81a94c3956048234d3ccc52f303f5a11a24f7d7f5d4f8"),
+     "29e659779030af936ec5e7056f86e0b29a4494961112831cd971ecbdd72f5ece"),
     ('record Empty();',
-     "83fdcd96879132d9e71bf403566399e3f79f6ba8c37b138a466c2d411772f9db"),
+     "c40d8ab708843e2349ea7adaa7b37126a1e2360d8e1d081d6db9a57e00dd24e5"),
     ('enum Op implements F { PLUS("+") { int apply(int a, int b) { return a + b; } }, MINUS("-"), TIMES; private final String s; Op(String s) { this.s = s; } Op() { this(""); } }',
-     "15fc1787c94c271f01ac61ba34e83b5f384b5d9a1f4c7d8ab4a87d2f7ed007b6"),
+     "044a4cb2470cbff312252b2a3e128369c061c10b62d0819abff9fffb5336123d"),
     ('enum E { A, B, }',
-     "3f58b861ab6cb31d8bc61df6423df7407b3a7d10b1be19ebab96f13e2346b101"),
+     "84d8ff0fd32c2a49d82b67eda9c7f3989e07dc0956a021cca9684ac87276c309"),
     ('@interface Marker { int value() default 1; String[] names(); }',
-     "1455cab751e1179d7d90f3ac649cc839f2e2939d8ff22ff3a6e4c6404370a3ef"),
+     "14c4981b1f20fc0e5faa6eaf44ffa336340d155792483b737b4f3bd21037f305"),
     ('@Deprecated @SuppressWarnings("unchecked") public final class A<T extends Comparable<T>> extends B<T> implements C, D<List<T>> { }',
-     "46872f667ed22d95696078141190fe7cc19b331c71594ea98686a1ed07e0dae2"),
+     "1acb3f993bd6fefff0f66138bea7e0cdf34f225586978a897268538f838f9d16"),
     ('class G { static <T, R> List<R> map(List<? extends T> xs, Function<? super T, ? extends R> f) { return null; } public <K> K id(K k) { return k; } }',
-     "952c0317c360439d2ace839338f0bfa763eb432cfabd5a8c62495a41e07faf74"),
+     "4be54c817b4217d8e2bef11500366995518e433f9ad57103ae8c183ea17d4cfb"),
     ('class L { Runnable r = () -> { run(); }; F f = x -> x * 2; G g = (int a, long b) -> a + b; H h = (p, q) -> { return p; }; I i = String::valueOf; }',
-     "1cb96604247cac41008e293ef36d09f55730b2ad521639bc1e368fe235028888"),
+     "ecaf6d14cca95ec994430a30797e504975f49b2a4d372334e5695e22ad0e0c85"),
     ('class S { int f(int d) { return switch (d) { case 1, 2 -> 10; case 3 -> { yield 30; } default -> throw new X(); }; } }',
-     "00345a03aca3539a4775bc562471d157c073aff0996ac133037c310d1c80d123"),
+     "91ddde90da84a0f087dcc59f3b16afd1c6deb4fefe8a02aab43c38c28f397bcb"),
     ('class S { void g(int d) { switch (d) { case 1: a(); case 2: { b(); break; } default: c(); } } }',
-     "82795d0c432697932319326dddae7f6650773857dc45cb01852faf16f8bcb889"),
+     "a48c3d64d9ac2d7e4f8b27d99ec1b54cbbc49fdccbec4f6dff543c2056616c25"),
     ('class T { void t() throws IOException, E { try (var in = open(); Reader r = new Reader(in)) { read(in); } catch (IOException | RuntimeException e) { log(e); } finally { close(); } } }',
-     "3e4570ca656b8c7873655618ebfdf256bda8ba0d6ead487caad6bd8235aaed4f"),
+     "f8b4a3f2ab66e9f021a597434c938f85a10fc8cb8ec91a19cfa34f40f6d68418"),
     ('class T { void t() { try { a(); } catch (E e) { } try { } finally { } } }',
-     "de007f4db75b03e8feb1040059e62612c3270e04d9cc8c5dab3306c3c3704cad"),
+     "bcdf8f938f478dda365cc6135cafef7815c042f0d46654b705b65ed642370368"),
     ('class Arr { int[] a = new int[]{1, 2, 3}; int[][] b = new int[3][4]; int[][] c = {{1}, {2, 3}, {}}; String[] s = new String[n + 1]; Object o = new int[2][]{}; }',
-     "a1f21d2ce3bda857542c89cf8831253b835e69528fd91b4d286ec9a1977d823b"),
+     "d0607646f1121b8b740c6ac32534a8b8f4e85c4b182db7c89584b5f659bce4ce"),
     ('class F { void f(int[] xs, List<String> ys) { for (int x : xs) sum += x; for (final String y : ys) { } for (int i = 0, j = 1; i < n; i++, j--) { } for (;;) { break; } } }',
-     "7cc97ade1db877249d2ca7c6dd817a42decbd9712c82782e65c5f23ac60052bb"),
+     "e8632ad88aabcd0aa8fbbb8a0cac9d6746fe877e58bd156e58c2cabcb4fb83d5"),
     ('class M { void m() { outer: for (;;) { inner: while (true) { continue outer; } } assert x > 0 : "bad"; assert y; synchronized (lock) { n++; } do { n--; } while (n > 0); } }',
-     "b7301605a4952e312686463cfe391f93ffa11fd2212cf569ae62dcd0baebbd9b"),
+     "e7a90503ad6247a71572a904c135c2a5b8b779ac5761c4c3a36e4880d4aead38"),
     ('class D { int legacy()[] { return null; } int a[], b[][] = {{1}}; void f(String args[], int... rest) { } void r(D this, final int n) { int c[] = new int[1]; } }',
-     "cbe83b7a5e9e7fb2cf69840bd6db59f22eb8bb27b748a36ace789dd67d4f7f31"),
+     "c71b6154dbee8b8f09ba8334f432d291906a63c0d5ca223d35035e5ffe13adf6"),
     ('public interface Shape permits Circle, Square { default double area() { return 0; } static Shape unit() { return null; } } abstract class Base<T> extends Object implements Shape permits Leaf { }',
-     "b045671a073f051a19f9740172a2f345ae0878352fab48186f4782e8d97744b8"),
+     "ecfcef42c75709f9fc66e846763dab8275423cbac353852790dfeb201058778a"),
     ('class Anon { Object o = new Runnable() { @Override public void run() { } }; static { init(); } { inst(); } Anon() { super(); } }',
-     "0535246ca2025e666c4bd5b9c8054444c65d1a32cf38e485125810633e21ebc5"),
+     "8387543807ad3abbd8715bde440ff77eab2435ca75a9eeea9d0527825021c75e"),
     ('class Lit { String t = """\n  text block\n  """; char c = \'\\\'\'; long h = 0xFF_FFL; double d = 1.5e-3; float f = .5f; int b = 0b1010; String u = "héllo 世界"; }',
-     "8e4430609ef38db6b662e3fe83c1fe4282e719367a37578680a0e7f500517da8"),
+     "09e8d4a74c1751058b3276d36135993773eb1daf26888825c2d99175b32d8aba"),
     ('class Ops { boolean f(Object o) { return o instanceof String s && s.length() >= 2 || !(a != b) ? x << 2 >> 1 : y >>> 3; } void g() { a += 1; b -= 2; c *= 3; d /= 4; e %= 5; f &= 6; g |= 7; h ^= 8; i++; --j; } }',
-     "9fe2064034bdde8630a2060d1ac00129e94689957170b290acb8110d2af60a92"),
+     "9b91cadae5d1904313f9eeaa9c4dbef2f00db5b7f68ce2d593f6ce8bd86a317b"),
     ('class Loc { void f() { class Inner { } interface J { } enum K { X } final int z = 1, w; var v = List.of(1, 2); Map<String, List<Integer>> m = new HashMap<>(); } }',
-     "d1978d0739769b1296cf35f746ba2f4445de9c25f9029028c467aa16e6a0711c"),
+     "ad37c0add29fa63bfc3b71e0ba675a03b26e03ee18b4fb0f20775937d40e1b2b"),
     ('class Gen { List<List<String>> a; Map.Entry<K, V> e; java.util.List<?> q; boolean lt = a < b && c > d; }',
-     "fff798538a4a4acb018bf996155e58bad06ee3a7d7901db4725c06f00a389e7c"),
+     "279c35c66d6310f27e563344b6c443fc162976e6147dd9017e1d5bd5228ffe49"),
     ('class Bad { void f( { int x = ; } int ok() { return 1; } } public static ; int = 3;',
-     "6cd1019d61cf933dd6b7d7762744afca845503d41f62ba3b0bcb1e9c48144754"),
+     "b4af457c55bba296cc69ea58807e3a6b765635672c455647850fe4d6b6fbb7b2"),
     ('class Err { int f() { return g(1, , 2) + h[; } void k() { x = y ? : z; } } } } @ # “',
-     "babb1706ed6e1251d076932ff39e5866f24ce2bc8b46bab08e72b973f2681746"),
+     "a1a0e76bbf6bfdb6f79dc1564e756c5d7f2154e1d5210bf766c3764268932cf7"),
     ('// comment only\n/* block */ class C { /* inner { */ void m() { } // trailing }\n }',
-     "a489f04094187355cf97bc871bcf322972583e369c9128d241f8d1f4acf542eb"),
+     "2bd3cb0df4e7e4013ffaabed27ca074a2f963e52453684489c4595be3d113bca"),
     ('int x = 1; foo(); if (a) b(); else if (c) { d(); } else e(); while (x) x--; return; throw e;',
-     "35df966194103f26bd9106c509aa7c821d254da5086198c67c1d104691f443c1"),
+     "1b29acc270f915bc34e6961a9753b0a1ab559f8f1e9ba05d4efdda1b2a1b8435"),
 ]
 
 
 def tree_digest(root: SyntaxNode) -> str:
-    dump = "\n".join(f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]}" for n in root.walk())
+    dump = "\n".join(f"{n.category} {int(n.is_terminal)} {len(n.children)}" for n in root.walk())
     return hashlib.sha256(dump.encode("utf-8")).hexdigest()
 
 
@@ -289,10 +269,11 @@ def _load_make_synthetic():
     return module
 
 
-# sha256 over the pre-order (category, is_terminal, span, child count) dump of
+# sha256 over the pre-order (category, is_terminal, child count) dump of
 # every Java file the benchmark generator writes for translate-mix and
-# corpus-build at small size, seeds 1-10 (recorded before any parser change).
-GENERATED_CORPUS_DIGEST = "1291eb81f28e1e0e9b9cb940296bcfa3fe6a2344935b0639105482c2e1cdadec"
+# corpus-build at small size, seeds 1-10 (recorded, like PINNED_TREES, from
+# the trees of the parser as it was when byte spans were dropped).
+GENERATED_CORPUS_DIGEST = "fddad8b32373ad1f65519189e05a6c222a8ca6a0e1f10ff1ae4f0c1e4a696373"
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +297,7 @@ def test_generated_corpus_trees_are_pinned(generated_java):
     for label, text in generated_java:
         digest.update(f"# {label}\n".encode("utf-8"))
         for n in parse(text).walk():
-            line = f"{n.category} {int(n.is_terminal)} {n.span[0]} {n.span[1]} {len(n.children)}\n"
+            line = f"{n.category} {int(n.is_terminal)} {len(n.children)}\n"
             digest.update(line.encode("utf-8"))
     assert len(generated_java) == 180
     assert digest.hexdigest() == GENERATED_CORPUS_DIGEST
@@ -364,7 +345,6 @@ def test_nesting_too_deep_becomes_one_error_node():
     assert error.category == "ERROR"
     assert len(error.children) == 1208
     assert all(leaf.is_terminal for leaf in error.children)
-    assert root.span == error.span == (0, len(source))
     assert tree_has_errors(root)
 
 
@@ -379,21 +359,19 @@ SOUP_LEXEMES = sorted(KEYWORDS) + [
 @settings(max_examples=300, deadline=1000)
 @given(st.lists(st.sampled_from(SOUP_LEXEMES), max_size=60))
 def test_every_token_lands_in_the_tree_once(lexemes):
-    source, expected = "", []
-    for lexeme in lexemes:
-        expected.append((len(source), len(source) + len(lexeme)))
-        source += lexeme + " "
+    source = "".join(lexeme + " " for lexeme in lexemes)
+    assert _lex(source)[1] == lexemes
     # The deadline only judges calls that return; the alarm ends one that
     # never would before its memory grows far.
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(2)
     try:
-        root = parse(source)
+        kinds, events = parse_events(source)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    spans = [n.span for n in root.walk() if n.is_terminal and n.span[0] < n.span[1]]
-    assert spans == expected
+    tokens = [event if event >= 0 else ~event for event in events if event.__class__ is int]
+    assert tokens == list(range(len(kinds)))
 
 
 def _timeout(signum, frame):
@@ -469,9 +447,10 @@ def test_statements_at_the_declaration_edge_match_the_oracle(statement, category
     assert block.children[1].category == category
 
 
-# Oracle: the hand-written scanner that ``_tokenize`` replaced, kept as it
-# was. ``_tokenize`` must return the same (kind, text, start, end) list,
-# except for the numeric characters that are not letters (next test).
+# Oracle: the hand-written scanner that the regular-expression lexer replaced,
+# kept as it was but for the token offsets. ``_lex`` must return the same
+# (kind, text) list, except for the numeric characters that are not letters
+# (test below).
 # '<' and '>' are always lexed alone (except '<=' / '>=') so that nested
 # generics like List<List<String>> are not glued into shift operators.
 # Alternatives are tried in order, so multi-character operators win.
@@ -525,7 +504,7 @@ class _Lexer:
                 self.pos += 1
             text = src[start : self.pos]
             kind = text if text in KEYWORDS else "identifier"
-            return Token(kind, text, start, self.pos)
+            return Token(kind, text)
 
         if ch.isdigit() or (ch == "." and start + 1 < self.n and src[start + 1].isdigit()):
             return self._number(start)
@@ -540,11 +519,11 @@ class _Lexer:
         op = _OP_RE.match(src, start)
         if op is not None:
             self.pos = op.end()
-            return Token(op.group(), op.group(), start, self.pos)
+            return Token(op.group(), op.group())
 
         # Unknown byte: emit as a one-char ERROR terminal so parsing continues.
         self.pos = start + 1
-        return Token("ERROR", ch, start, self.pos)
+        return Token("ERROR", ch)
 
     def _number(self, start: int) -> Token:
         src, n = self.src, self.n
@@ -583,13 +562,13 @@ class _Lexer:
         elif i < n and src[i] in "lL":
             i += 1
         self.pos = i
-        return Token(kind, src[start:i], start, i)
+        return Token(kind, src[start:i])
 
     def _text_block(self, start: int) -> Token:
         close = self.src.find('"""', start + 3)
         end = self.n if close < 0 else close + 3
         self.pos = end
-        return Token("text_block", self.src[start:end], start, end)
+        return Token("text_block", self.src[start:end])
 
     def _quoted(self, start: int, quote: str, kind: str) -> Token:
         i = start + 1
@@ -603,11 +582,7 @@ class _Lexer:
             else:
                 i += 1
         self.pos = min(i, n)
-        return Token(kind, src[start : self.pos], start, self.pos)
-
-
-def _lexed(tokens: list[Token]) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.text, t.start, t.end) for t in tokens]
+        return Token(kind, src[start : self.pos])
 
 
 # Lexemes glued together without separators, so numbers, quotes, comments
@@ -632,34 +607,7 @@ LEXEMES = st.sampled_from(LEX_EDGES) | st.sampled_from(SOUP_LEXEMES) | st.charac
 @example(["/*", "*", "/"])
 def test_tokenize_matches_the_hand_written_scanner(lexemes):
     source = "".join(lexemes)
-    assert _lexed(javaparse_oracle.tokens(source)) == _lexed(_Lexer(source).tokens())
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.lists(LEXEMES, max_size=40))
-@example([])
-@example(["x", " \n"])
-@example(["x", "// c"])
-@example(["x", "/*"])
-def test_lex_matches_tokenize(lexemes):
-    """``parse_events``' lexer, which keeps no offsets, gives ``_tokenize``'s
-    kinds, and the texts at ``_tokenize``'s offsets."""
-    source = "".join(lexemes)
-    kinds, texts = _lex(source)
-    tokenized, _, starts, ends = _tokenize(source)
-    assert kinds == tokenized
-    assert texts == [source[start:end] for start, end in zip(starts, ends)]
-
-
-def test_structure_tokens_computes_no_token_offsets(monkeypatch):
-    source = "class A { int f(int x) { if (x > 0) { return x; } return -x; } }"
-    expected = tokenize_structure(summarize(parse(source)), default_vocab())
-
-    def offsets(source):
-        raise AssertionError("token offsets computed")
-
-    monkeypatch.setattr(javaparse, "_tokenize", offsets)
-    assert structure_tokens(source) == expected
+    assert list(zip(*_lex(source))) == [(t.kind, t.text) for t in _Lexer(source).tokens()]
 
 
 # (source, the scanner's tokens, tokens now): a numeric character that is
@@ -682,20 +630,20 @@ def test_numeric_characters_that_are_not_letters_start_identifiers(source, befor
 
 # Inputs on which a lexer that fails at a position and searches again from
 # the next one takes minutes (each failure scans to the end of input), with
-# (token count, kinds, end of the last token) as lexed in linear time.
+# (token count, kinds, the last token's text) as lexed in linear time.
 LINEAR_LEXING = [
-    ("x" + " " * 200_000, "1 ['identifier'] 1"),
-    ("/*" * 50_000, "16666 ['*'] 99996"),  # the comment /*/*/, then the token *, repeated
-    ('"' * 100_000, "16667 ['text_block'] 100000"),
+    ("x" + " " * 200_000, "1 ['identifier'] 'x'"),
+    ("/*" * 50_000, "16666 ['*'] '*'"),  # the comment /*/*/, then the token *, repeated
+    ('"' * 100_000, "16667 ['text_block'] '\"\"\"\"'"),
 ]
 
 
 @pytest.mark.parametrize("source,expected", LINEAR_LEXING, ids=["trailing-whitespace", "comment-opens", "quotes"])
 def test_tokenize_runs_in_linear_time(run_isolated, source, expected):
     code = (
-        "from j2cj.javaparse import _tokenize\n"
-        "kinds, _, starts, ends = _tokenize(sys.stdin.read())\n"
-        "print(len(kinds), sorted(set(kinds)), ends[-1])\n"
+        "from j2cj.javaparse import _lex\n"
+        "kinds, texts = _lex(sys.stdin.read())\n"
+        "print(len(kinds), sorted(set(kinds)), repr(texts[-1]))\n"
     )
     result = run_isolated(code, stdin=source, timeout=20)
     assert result.returncode == 0, result.stderr

@@ -1,9 +1,10 @@
 """Every public name in ``src/j2cj`` has a caller outside the tests, every
 stored attribute a reader (see the second test), one module the patterns
 that strip compiler locations (the third), one module the messages of row
-field checks (the fourth), one module the process pool (the fifth), and
-every imported module a source: the standard library, ``j2cj`` or a
-declared dependency (the sixth).
+field checks (the fourth), one module the process pool (the fifth), one
+regular expression the Java lexer (the sixth), and every imported module a
+source: the standard library, ``j2cj`` or a declared dependency (the
+seventh).
 
 A public name is a top-level function, class or constant, or a method,
 whose name does not start with an underscore. It counts as used when some
@@ -187,6 +188,18 @@ def test_one_module_holds_the_process_pool():
         if any(f"{module}.".startswith(("multiprocessing.", "concurrent.futures.")) for _, module in _imports(path))
     )
     assert holders == ["pool.py"]
+
+
+def test_the_java_lexer_has_one_regular_expression():
+    """The parser's trees and its events come from one lexer: ``javaparse.py``
+    makes exactly one call into ``re``, and that call compiles."""
+    calls = [
+        node.func.attr
+        for node in ast.walk(ast.parse((ROOT / "src" / "j2cj" / "javaparse.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+    ]
+    assert calls == ["compile"]
 
 
 def _distribution_key(name: str) -> str:

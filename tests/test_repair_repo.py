@@ -28,8 +28,9 @@ from j2cj.repair_repo import (
     normalize_diagnostic,
     retrieve,
     similarity,
-    _lcs_length,
+    _lcs_masks,
     _lcs_with,
+    _levenshtein_with,
     _substring_score,
     _SuffixAutomaton,
     _WS_RE,
@@ -220,6 +221,14 @@ def test_levenshtein_matches_brute_force_small_and_vectorized():
         assert levenshtein(a, b) == lev_brute(a, b)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text("ab漢😀", max_size=40), st.text("ab漢😀", max_size=40))
+def test_levenshtein_with_is_exact_in_either_length_order(a, b):
+    expected = lev_brute(a, b)
+    assert _levenshtein_with(_lcs_masks(a), len(a), b) == expected
+    assert _levenshtein_with(_lcs_masks(b), len(b), a) == expected
+
+
 def test_suffix_automaton_matches_brute_force():
     for a, b in string_pairs(12, long_pairs=3):
         assert _SuffixAutomaton(a).longest_common_substring(b) == substring_brute(a, b)
@@ -248,7 +257,7 @@ _BOUND_PAIRS = st.one_of(
 def test_lcs_bounds_edit_distance_from_below(pair):
     # retrieve's LCS tier: an alignment matches at most LCS characters.
     a, b = pair
-    lcs = _lcs_length(a, b)
+    lcs = _lcs_with(_lcs_masks(a), len(a), b)
     assert lcs == lcs_brute(a, b)
     assert max(len(a), len(b)) - lcs <= levenshtein(a, b)
 
@@ -259,7 +268,7 @@ def test_bit_parallel_lcs_matches_brute_force():
     for size in [(0, 40)] * 300 + [(100, 300)] * 5:
         a = [rng.choice(symbols) for _ in range(rng.randint(*size))]
         b = [rng.choice(symbols[: rng.randint(1, 6)]) for _ in range(rng.randint(*size))]
-        assert _lcs_length(a, b) == lcs_brute(a, b)
+        assert _lcs_with(_lcs_masks(a), len(a), b) == lcs_brute(a, b)
 
 
 def test_tag_extraction_table():
