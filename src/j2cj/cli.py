@@ -106,12 +106,12 @@ def cmd_summarize_ast(args) -> int:
 
 def _load_tests(path) -> list[TestCase]:
     records = read_json(path)
-    if not isinstance(records, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("input"), str) and isinstance(r.get("expected_output"), str)
-        for r in records
-    ):
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
         raise ValueError(f"{path}: expected a list of {{input, expected_output}} string objects")
-    return [TestCase(r["input"], r["expected_output"]) for r in records]
+    try:
+        return [TestCase(*fields(r, input=STRING, expected_output=STRING)) for r in records]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _build_deps(config: PipelineConfig) -> EngineDeps:
@@ -296,6 +296,8 @@ def cmd_repo_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     refs_dir = Path(args.refs) if args.refs else None
+    if refs_dir is not None and not refs_dir.is_dir():
+        return _fail(f"refs directory does not exist: {refs_dir}")
     unscorable = []  # a unit's texts are scored as its row is read, and not kept
 
     def outcome(record: dict) -> metrics.UnitOutcome | None:

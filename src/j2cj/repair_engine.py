@@ -5,7 +5,8 @@ success) and either accepts it, stops on a stagnating error signature or an
 exhausted iteration budget, or produces the next candidate through one of
 three repair branches: retrieval-augmented repair when a sufficiently
 similar stored case exists, two-step self-analysis repair on compile errors
-otherwise, and two-step self-analysis on test failures.
+otherwise, and two-step self-analysis on test failures. ``_REPAIRS`` holds
+each branch's prompts, and ``repair_step`` runs any of them.
 """
 
 from __future__ import annotations
@@ -219,52 +220,29 @@ def format_cases(cases: list[RepairCase]) -> str:
     return "\n\n".join(blocks)
 
 
-# Each two-step branch: its guidance template, its apply template and the
-# slot that carries its evidence (compile errors or failed tests).
-_TWO_STEP = {
-    Branch.SELF_ANALYSIS: (REPAIR_GUIDANCE_COMPILE_TEMPLATE, REPAIR_APPLY_COMPILE_TEMPLATE, "errors"),
-    Branch.TEST_REPAIR: (REPAIR_GUIDANCE_TEST_TEMPLATE, REPAIR_APPLY_TEST_TEMPLATE, "failures"),
+# Each repair branch: the template that asks for guidance (None: RAG repair
+# asks for code at once), the template that asks for code, and the name an
+# empty code reply is reported under.
+_REPAIRS = {
+    Branch.RAG_REPAIR: (None, RAG_REPAIR_TEMPLATE, "rag repair"),
+    Branch.SELF_ANALYSIS: (REPAIR_GUIDANCE_COMPILE_TEMPLATE, REPAIR_APPLY_COMPILE_TEMPLATE, "self-analysis repair"),
+    Branch.TEST_REPAIR: (REPAIR_GUIDANCE_TEST_TEMPLATE, REPAIR_APPLY_TEST_TEMPLATE, "self-analysis repair"),
 }
 
 
-def self_analysis_repair(
-    java_source: str,
-    candidate: str,
-    errors_text: str,
-    llm,
-    branch: Branch = Branch.SELF_ANALYSIS,
-) -> tuple[str, str, list[dict]]:
-    """Two-step repair: generate guidance, then code conditioned on it.
-
-    ``branch`` is SELF_ANALYSIS (compile errors) or TEST_REPAIR (failed tests).
-    Returns (guidance, new_candidate, exchanges).
-    """
-    if not errors_text.strip():
-        raise ValueError("at least one error must be present")
-    guidance_template, apply_template, slot = _TWO_STEP[branch]
-    slots = {"java": java_source, "candidate": candidate, slot: errors_text}
-    guidance_prompt = guidance_template.render(slots)
-    guidance = llm.complete(guidance_prompt)
-    new_candidate, applied = _code_reply(
-        apply_template.render({**slots, "guidance": guidance}), llm, "self-analysis repair"
-    )
-    return guidance, new_candidate, [{"prompt": guidance_prompt, "reply": guidance}, applied]
-
-
-def rag_repair(
-    candidate: str,
-    diagnostics: str,
-    retrieved: list[RepairCase],
-    llm,
-) -> tuple[str, list[dict]]:
-    """Single-completion repair guided by retrieved cases, in rank order."""
-    if not retrieved:
-        raise ValueError("rag repair requires at least one retrieved case")
-    prompt = RAG_REPAIR_TEMPLATE.render(
-        {"errors": diagnostics, "cases": format_cases(retrieved), "candidate": candidate}
-    )
-    new_candidate, exchange = _code_reply(prompt, llm, "rag repair")
-    return new_candidate, [exchange]
+def repair_step(branch: Branch, slots: dict[str, str], llm) -> IterationRecord:
+    """The next candidate from ``branch``'s prompts over ``slots``; a branch with a
+    guidance template first asks for guidance, and its code prompt carries it."""
+    guidance_template, code_template, what = _REPAIRS[branch]
+    guidance = None
+    exchanges = []
+    if guidance_template is not None:
+        prompt = guidance_template.render(slots)
+        guidance = llm.complete(prompt)
+        exchanges.append({"prompt": prompt, "reply": guidance})
+        slots = {**slots, "guidance": guidance}
+    candidate, exchange = _code_reply(code_template.render(slots), llm, what)
+    return IterationRecord(candidate=candidate, branch=branch, guidance=guidance, exchanges=[*exchanges, exchange])
 
 
 def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) -> TranslationUnit:
@@ -328,23 +306,15 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
         if branch is None:
             unit.status = UnitStatus.ACCEPTED
             return unit
-        guidance = None
         if branch is Branch.RAG_REPAIR:
-            candidate, exchanges = rag_repair(rec.candidate, diagnostics, [case for case, _ in ranked], deps.llm)
+            cases = format_cases([case for case, _ in ranked])
+            slots = {"errors": diagnostics, "cases": cases, "candidate": rec.candidate}
+        elif branch is Branch.SELF_ANALYSIS:
+            slots = {"java": unit.java_source, "candidate": rec.candidate, "errors": diagnostics}
         else:
-            evidence = diagnostics if branch is Branch.SELF_ANALYSIS else format_failures(rec.failed_tests)
-            guidance, candidate, exchanges = self_analysis_repair(
-                unit.java_source, rec.candidate, evidence, deps.llm, branch
-            )
-
-        unit.candidates.append(
-            IterationRecord(
-                candidate=candidate,
-                branch=branch,
-                guidance=guidance,
-                exchanges=exchanges,
-            )
-        )
+            failures = format_failures(rec.failed_tests)
+            slots = {"java": unit.java_source, "candidate": rec.candidate, "failures": failures}
+        unit.candidates.append(repair_step(branch, slots, deps.llm))
 
 
 def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:

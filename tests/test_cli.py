@@ -472,6 +472,17 @@ def test_evaluate_missing_reference_names_unit(tmp_path, capsys):
     assert "ghost" in capsys.readouterr().err
 
 
+def test_evaluate_missing_refs_dir_fails_first(tmp_path, capsys):
+    outcomes_path = tmp_path / "outcomes.jsonl"
+    outcomes_path.write_text(
+        json.dumps({"unit_id": "u1", "compiled": True, "all_tests_passed": True, "candidate": "x"}) + "\n",
+        encoding="utf-8",
+    )
+    refs = tmp_path / "refz"
+    assert main(["evaluate", "--outcomes", str(outcomes_path), "--refs", str(refs)]) == 1
+    assert capsys.readouterr().err == f"error: refs directory does not exist: {refs}\n"
+
+
 @pytest.mark.parametrize("field,text", [("candidate", ""), ("candidate", "   "), ("reference", " \n\t ")])
 def test_evaluate_untokenizable_pair_names_unit(tmp_path, capsys, field, text):
     records = [
@@ -734,8 +745,14 @@ def test_bad_tests_file_errors_only_its_own_unit(pipeline, capsys):
     tmp_path, config_path = pipeline
     (tmp_path / "bench" / "unit0.java").write_text(JAVA, encoding="utf-8")
     tests_file = tmp_path / "bench" / "unit0.tests.json"
-    # Not a list of records; a list nested deeper than the interpreter's stack.
-    for text, reason in [('{"input": "1\\n"}', "expected a list"), ("[" * 200_000 + "]" * 200_000, "invalid JSON")]:
+    # Not a list of records; a record without a field or with one of the wrong
+    # kind; a list nested deeper than the interpreter's stack.
+    for text, reason in [
+        ('{"input": "1\\n"}', "expected a list"),
+        ('[{"input": "1\\n"}]', "missing field 'expected_output'"),
+        ('[{"input": 1, "expected_output": "2\\n"}]', "field 'input' must be a string"),
+        ("[" * 200_000 + "]" * 200_000, "invalid JSON"),
+    ]:
         tests_file.write_text(text, encoding="utf-8")
         code = main(["translate", "--config", str(config_path)])
         captured = capsys.readouterr()

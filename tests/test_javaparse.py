@@ -255,7 +255,7 @@ def tree_digest(root: SyntaxNode) -> str:
     return hashlib.sha256(dump.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("source,digest", PINNED_TREES)
+@pytest.mark.parametrize("source,digest", PINNED_TREES, ids=[source for source, _ in PINNED_TREES])
 def test_tree_digests_are_pinned(source, digest):
     assert tree_digest(parse(source)) == digest
 

@@ -33,7 +33,7 @@ from j2cj.repair_engine import (
     format_cases,
     harvest_cases,
     normalize_output,
-    rag_repair,
+    repair_step,
     run_repair_loop,
     select_branch,
     translate,
@@ -383,15 +383,32 @@ def test_timeout_counts_as_test_failure():
     assert unit.candidates[0].failed_tests[0]["actual"] == "<timeout>"
 
 
-def test_empty_repair_reply_raises_and_does_not_advance():
+@pytest.mark.parametrize("branch", ["rag_repair", "self_analysis", "test_repair"])
+def test_empty_repair_reply_raises_and_does_not_advance(branch):
     unit = unit_with("c0")
-    deps = EngineDeps(
-        llm=ScriptedLLM(["guidance", "   "]),
-        compiler=TableCompiler({"c0": (False, "error: x")}),
-        runner=PassRunner(unit.test_suite),
-    )
-    with pytest.raises(EmptyCodeError):
+    if branch == "rag_repair":  # a repository case above the threshold; one prompt, no guidance
+        deps = EngineDeps(
+            llm=ScriptedLLM(["   "]),
+            compiler=TableCompiler({"c0": (False, "error: x")}),
+            runner=PassRunner(unit.test_suite),
+            repo=Repository([high_similarity_case("error: x", "c0")]),
+        )
+    elif branch == "self_analysis":
+        deps = EngineDeps(
+            llm=ScriptedLLM(["guidance", "   "]),
+            compiler=TableCompiler({"c0": (False, "error: x")}),
+            runner=PassRunner(unit.test_suite),
+        )
+    else:
+        deps = EngineDeps(
+            llm=ScriptedLLM(["guidance", "   "]),
+            compiler=TableCompiler({"c0": (True, "")}),
+            runner=TableRunner({("c0", "1\n"): "3\n"}),
+        )
+    what = "rag repair" if branch == "rag_repair" else "self-analysis repair"
+    with pytest.raises(EmptyCodeError, match=f"^{what} yielded no code$"):
         run_repair_loop(unit, RepairConfig(max_iterations=5), deps)
+    assert deps.llm.replies == []
     assert len(unit.candidates) == 1
     assert unit.status is UnitStatus.PENDING
 
@@ -453,7 +470,7 @@ def test_adversarial_random_mocks_always_terminate_within_budget():
             assert unit.candidates[-1].error_signature == unit.candidates[-2].error_signature
 
 
-# --- rag_repair and harvesting ---------------------------------------------------------
+# --- repair_step and harvesting ---------------------------------------------------------
 
 def test_rag_repair_embeds_cases_in_rank_order():
     cases = [
@@ -461,19 +478,14 @@ def test_rag_repair_embeds_cases_in_rank_order():
         for i in range(3)
     ]
     llm = ScriptedLLM(["```\nfixed\n```"])
-    candidate, exchanges = rag_repair("broken", "error: boom", cases, llm)
-    assert candidate == "fixed"
-    prompt = exchanges[0]["prompt"]
+    slots = {"errors": "error: boom", "cases": format_cases(cases), "candidate": "broken"}
+    record = repair_step(Branch.RAG_REPAIR, slots, llm)
+    assert (record.candidate, record.branch, record.guidance) == ("fixed", Branch.RAG_REPAIR, None)
+    (exchange,) = record.exchanges
+    prompt = exchange["prompt"]
     positions = [prompt.index(f"suggestion {i}") for i in range(3)]
     assert positions == sorted(positions)
-    assert prompt == RAG_REPAIR_TEMPLATE.render(
-        {"errors": "error: boom", "cases": format_cases(cases), "candidate": "broken"}
-    )
-
-
-def test_rag_repair_requires_cases():
-    with pytest.raises(ValueError):
-        rag_repair("x", "error", [], ScriptedLLM([]))
+    assert prompt == RAG_REPAIR_TEMPLATE.render(slots)
 
 
 def test_harvest_only_self_analysis_compile_fixes():
