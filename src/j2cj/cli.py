@@ -114,11 +114,17 @@ def _load_tests(path) -> list[TestCase]:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _build_deps(config: PipelineConfig) -> EngineDeps:
-    """Adapters and the repair repository (when its file exists) for one run."""
+def _stamp(path) -> tuple | None:
+    """The size, mtime and inode of the file at ``path``, None when there is none."""
+    with suppress(FileNotFoundError):
+        stat = path.stat()
+        return stat.st_size, stat.st_mtime_ns, stat.st_ino
+    return None
+
+
+def _build_deps(config: PipelineConfig, repo: Repository | None) -> EngineDeps:
+    """Adapters for one run, beside its repair repository."""
     llm, compiler, runner = build_llm(config), build_compiler(config), build_runner(config)
-    repo_path = config.path("repository")
-    repo = Repository.load(repo_path) if repo_path is not None and repo_path.exists() else None
     return EngineDeps(llm=llm, compiler=compiler, runner=runner, repo=repo)
 
 
@@ -175,9 +181,9 @@ def run_unit(java_file: Path, *, config: PipelineConfig, deps: EngineDeps, redac
     return UnitResult(unit_id, unit.status.value, record, cases, exchanges)
 
 
-def _unit_runner(config: PipelineConfig, redact: bool, harvest: bool):
-    """``run_unit`` bound to adapters built for the process that runs it."""
-    return partial(run_unit, config=config, deps=_build_deps(config), redact=redact, harvest=harvest)
+def _unit_runner(config: PipelineConfig, repo: Repository | None, redact: bool, harvest: bool):
+    """``run_unit`` bound to the run's repository and to adapters built for the process that runs it."""
+    return partial(run_unit, config=config, deps=_build_deps(config, repo), redact=redact, harvest=harvest)
 
 
 def cmd_translate(args) -> int:
@@ -186,8 +192,8 @@ def cmd_translate(args) -> int:
     if not benchmark.is_dir():
         return _fail(f"benchmark directory does not exist: {benchmark}")
     reports_dir = config.path("reports")
-    repo_path = config.required_path("repository") if args.harvest else None
-    if repo_path is not None and not repo_path.parent.is_dir():
+    repo_path = config.required_path("repository") if args.harvest else config.path("repository")
+    if args.harvest and not repo_path.parent.is_dir():
         return _fail(f"repository directory does not exist: {repo_path.parent}")
 
     # Unit order is stem order, which is not always path order ("a-b.java" < "a.java").
@@ -199,7 +205,9 @@ def cmd_translate(args) -> int:
     cases: list[RepairCase] = []
     recorded: list[tuple[str, str]] = []  # in unit order
     outcomes = None  # opened at the first result, so that adapters that fail to build leave no reports/
-    results = ordered_map(_unit_runner, (config, args.redact, args.harvest), java_files, config.jobs)
+    stamp = _stamp(repo_path) if repo_path else None  # one read: the units retrieve from it, the harvest adds to it
+    repo = Repository.load(repo_path) if stamp else None
+    results = ordered_map(_unit_runner, (config, repo, args.redact, args.harvest), java_files, config.jobs)
     with ExitStack() as stack:  # the recording is saved first, so an error of this file cannot lose it
         try:
             for result in results:
@@ -221,7 +229,8 @@ def cmd_translate(args) -> int:
             save_recording(config, recorded)
 
     if args.harvest:
-        repo = Repository.load(repo_path) if repo_path.exists() else Repository()
+        if repo is None or _stamp(repo_path) != stamp:  # none read, or another writer's cases to keep
+            repo = Repository.load(repo_path) if repo_path.exists() else Repository()
         before = len(repo)
         for case in cases:
             with suppress(DuplicateCaseError):
@@ -248,7 +257,8 @@ def cmd_repair(args) -> int:
         candidates=[IterationRecord(candidate=read_text(args.candidate), branch=Branch.INITIAL)],
         unit_id=Path(args.candidate).stem,
     )
-    deps = _build_deps(config)
+    repo_path = config.path("repository")
+    deps = _build_deps(config, Repository.load(repo_path) if repo_path is not None and repo_path.exists() else None)
     try:
         unit = run_repair_loop(unit, config.repair, deps)
     except (ToolchainError, RepairEngineError, CompletionError) as exc:

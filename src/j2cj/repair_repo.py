@@ -103,11 +103,13 @@ class SimilarityBreakdown:
 # start of a run of non-space characters, keeping its leading punctuation,
 # so each run is scanned once: ``\b\S+\.cj\b`` and ``\S*/\S*`` give the
 # same results but rescan the run from every start, quadratic in its length.
+# A text without any of a pattern's literals, one of which every match
+# contains, skips it; the ``N:M`` pattern's empty literal makes it always run.
 _LOCATION_RES = [
-    (re.compile(r"\b0x[0-9a-fA-F]+"), " "),
-    (re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I), " "),
-    (re.compile(r"(?<!\S)([^\w\s]*)\w\S*\.(?:cj|java|class|jar)\b"), r"\1 "),
-    (re.compile(r"(?<!\S)[^\s/\\]*[/\\]\S*"), " "),
+    (re.compile(r"\b0x[0-9a-fA-F]+"), " ", ("0x",)),
+    (re.compile(r"\b\d+:\d+\b|\b(?:line|col(?:umn)?)\s+\d+\b", re.I), " ", ("",)),
+    (re.compile(r"(?<!\S)([^\w\s]*)\w\S*\.(?:cj|java|class|jar)\b"), r"\1 ", (".",)),
+    (re.compile(r"(?<!\S)[^\s/\\]*[/\\]\S*"), " ", ("/", "\\")),
 ]
 _WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-z0-9_]+")
@@ -153,8 +155,9 @@ def normalize_diagnostic(text: str) -> str:
     and ``line``/``col`` is followed by a space, so the identifiers
     ``buf0xff`` and ``line2`` stay. It is the repair loop's
     stagnation key and the text ``message_tokens`` splits."""
-    for pattern, replacement in _LOCATION_RES:
-        text = pattern.sub(replacement, text)
+    for pattern, replacement, literals in _LOCATION_RES:
+        if any(map(text.__contains__, literals)):
+            text = pattern.sub(replacement, text)
     return _WS_RE.sub(" ", text.lower()).strip()
 
 
@@ -191,7 +194,7 @@ class _Features:
     """What dimensions 1-3 read from one side of a comparison, derived once
     per query and once per stored case."""
 
-    __slots__ = ("tags", "token_counts", "token_norm", "tokens")
+    __slots__ = ("tags", "token_counts", "token_squares", "token_norm", "tokens")
 
     def __init__(self, error_info: str, tags: tuple[str, ...]):
         self.tags = set(tags) if tags else set(extract_error_tags(error_info))
@@ -199,7 +202,8 @@ class _Features:
         for t in message_tokens(error_info):
             counts[t] = counts.get(t, 0) + 1
         self.token_counts = counts
-        self.token_norm = sum(v * v for v in counts.values()) ** 0.5
+        self.token_squares = sum(v * v for v in counts.values())
+        self.token_norm = self.token_squares ** 0.5
         self.tokens = set(counts)
 
 
@@ -406,7 +410,7 @@ class Repository:
 
     def __init__(self, cases: list[RepairCase] | None = None):
         self._cases: dict[str, RepairCase] = {}
-        self._features: dict[str, _Features] = {}
+        self._index = None
         self._skeletons: dict[str, list[str]] = {}
         for case in cases or []:
             self.add_case(case)
@@ -415,19 +419,28 @@ class Repository:
         if case.id in self._cases:
             raise DuplicateCaseError(f"duplicate case id {case.id!r}")
         self._cases[case.id] = case
+        self._index = None
 
-    def _features_of(self, case: RepairCase) -> _Features:
-        """The case's message features, derived on the first retrieval that
-        reads them. Ids are unique and cases frozen, so an entry never goes
-        stale; each process fills its own copy of the cache."""
-        features = self._features.get(case.id)
-        if features is None:
-            features = self._features[case.id] = _Features(case.error_info, case.error_tags)
-        return features
+    def _index_of(self) -> tuple:
+        """``retrieve``'s inverted index, built on the first retrieval after
+        a change: the cases; each tag's case positions; each token's
+        (position, count) pairs; and each case's tag and token counts, sum
+        of squared counts, norm and fragment length."""
+        if self._index is None:
+            cases, tags, tokens, stats = self.cases(), {}, {}, []
+            for i, case in enumerate(cases):
+                f = _Features(case.error_info, case.error_tags)
+                for tag in f.tags:
+                    tags.setdefault(tag, []).append(i)
+                for token, n in f.token_counts.items():
+                    tokens.setdefault(token, []).append((i, n))
+                stats.append((len(f.tags), len(f.tokens), f.token_squares, f.token_norm, len(case.faulty_fragment)))
+            self._index = cases, tags, tokens, stats
+        return self._index
 
     def _skeleton_of(self, case: RepairCase) -> list[str]:
-        """The case's fragment skeleton, cached like ``_features_of`` but
-        derived only when a retrieval scores the case."""
+        """The case's fragment skeleton, kept from the first retrieval that
+        scores the case: ids are unique and cases frozen."""
         skeleton = self._skeletons.get(case.id)
         if skeleton is None:
             skeleton = self._skeletons[case.id] = fragment_skeleton(case.faulty_fragment)
@@ -463,6 +476,9 @@ def retrieve(
     best total reaches ``floor``, but only cases that can still enter the
     top k pay for dimensions 4-6. Each case gets a bound total from its
     exact dimensions 1-3, 1.0 for dimension 4 and the length bounds of 5-6.
+    Dimensions 1-3 follow ``_jaccard``'s and ``_cosine``'s rules and
+    divisions on the shared tags, shared tokens and dot product that one
+    walk over the repository's inverted index gives each case.
     Cases are scored in descending bound order until a bound falls below
     the k-th total or ties it with a larger id, or until the best total so
     far and the bound are both below ``floor``: then no case reaches the
@@ -473,8 +489,7 @@ def retrieve(
     common subsequence. The scores are non-negative, so a bound total needs
     no clamp to stay at or above the clamped true total.
     """
-    cases = repo.cases()
-    if not cases:
+    if not len(repo):
         raise ValueError("repository is empty")
     if k <= 0:
         raise ValueError("k must be positive")
@@ -484,10 +499,24 @@ def retrieve(
     qs = fragment_skeleton(qa)
     skeleton_masks, fragment_masks = _lcs_masks(qs), _lcs_masks(qa)
 
+    cases, tag_postings, token_postings, stats = repo._index_of()
+    shared_tags, shared_tokens, dots = ([0] * len(cases) for _ in range(3))
+    for tag in probe.tags:
+        for i in tag_postings.get(tag, ()):
+            shared_tags[i] += 1
+    for token, n in probe.token_counts.items():
+        for i, m in token_postings.get(token, ()):
+            shared_tokens[i] += 1
+            dots[i] += n * m
+    qt, qw, qsq = len(probe.tags), len(probe.tokens), probe.token_squares
     pending = []
-    for case in cases:
-        head = _message_scores(probe, repo._features_of(case))
-        bounds = _fragment_bounds(len(qa), len(case.faulty_fragment))
+    for case, st, sw, dot, (ct, cw, csq, norm, lb) in zip(cases, shared_tags, shared_tokens, dots, stats):
+        if qw and cw:
+            s3 = 1.0 if sw == qw == cw and dot == qsq == csq else dot / (probe.token_norm * norm)
+        else:
+            s3 = 0.0 if qw or cw else 1.0
+        head = (st / (qt + ct - st) if qt or ct else 1.0, sw / (qw + cw - sw) if qw or cw else 1.0, s3)
+        bounds = _fragment_bounds(len(qa), lb)
         pending.append((-_total(head + (1.0,) + bounds, weights), case.id, case, head, bounds))
     pending.sort(key=lambda item: item[:2])
 

@@ -17,7 +17,7 @@ from support import completion, transcript_of
 
 from j2cj.adapters import MockCompiler, MockRunner
 from j2cj.ast_summary import default_vocab, render_structured_prompt, summarize, tokenize_structure
-from j2cj.cli import _overrides, _unit_runner, build_parser, main
+from j2cj.cli import _overrides, _unit_runner, build_parser, main, run_unit
 from j2cj.config import _SETTINGS, load_config
 from j2cj.javaparse import parse
 from j2cj.jsonl import read_jsonl
@@ -136,19 +136,54 @@ def test_translate_harvest_appends_to_repository(pipeline, capsys):
     assert case.repair_suggestion == GUIDANCE
 
 
+def test_translate_harvest_reads_the_repository_once(pipeline, monkeypatch, capsys):
+    """The units retrieve from the repository that the harvest then adds to and saves."""
+    tmp_path, config_path = pipeline
+    Repository([RepairCase(**_CASE)]).save(tmp_path / "repo.jsonl")
+    paths = []
+    load = Repository.load
+    monkeypatch.setattr(Repository, "load", staticmethod(lambda path: paths.append(path) or load(path)))
+    assert main(["translate", "--config", str(config_path), "--harvest", "--jobs", "1"]) == 0
+    assert paths == [tmp_path / "repo.jsonl"]
+    cases = load(tmp_path / "repo.jsonl").cases()
+    assert len(cases) == 2 and cases[0].id == "c1" and cases[1].error_info == DIAG
+
+
+def test_translate_harvest_keeps_a_case_written_during_the_run(pipeline, monkeypatch, capsys):
+    """Another writer appends to the repository while the units run: the
+    harvest reads the file again, so its case stays and the harvest follows."""
+    tmp_path, config_path = pipeline
+    repo_path = tmp_path / "repo.jsonl"
+    Repository([RepairCase(**_CASE)]).save(repo_path)
+
+    def run_beside_a_writer(*args, **kwargs):
+        with repo_path.open("a", encoding="utf-8") as f:
+            f.write(json.dumps({**_CASE, "id": "c2"}) + "\n")
+        return run_unit(*args, **kwargs)
+
+    monkeypatch.setattr("j2cj.cli.run_unit", run_beside_a_writer)
+    assert main(["translate", "--config", str(config_path), "--harvest", "--jobs", "1"]) == 0
+    cases = Repository.load(repo_path).cases()
+    assert [case.id for case in cases[:2]] == ["c1", "c2"]
+    assert len(cases) == 3 and cases[2].error_info == DIAG
+
+
 def test_a_unit_task_and_its_result_survive_pickle(pipeline):
     """What the pool sends, once per worker (the config a worker builds its
-    adapters from) and with each unit, and the result that comes back,
-    harvested cases and recorded exchanges included."""
+    adapters from and the run's repository) and with each unit, and the
+    result that comes back, harvested cases and recorded exchanges included."""
     tmp_path, config_path = pipeline
     config = load_config(config_path)
-    initargs = (_unit_runner, (config, True, True))
-    assert pickle.loads(pickle.dumps(initargs)) == initargs
+    Repository([RepairCase(**_CASE)]).save(tmp_path / "repo.jsonl")
+    repo = Repository.load(tmp_path / "repo.jsonl")
+    start, (config_copy, repo_copy, *flags) = pickle.loads(pickle.dumps((_unit_runner, (config, repo, True, True))))
+    assert (start, config_copy, flags) == (_unit_runner, config, [True, True])
+    assert repo_copy.cases() == repo.cases()
     java_file = tmp_path / "bench" / "unit1.java"
     assert pickle.loads(pickle.dumps((_run_task, [java_file]))) == (_run_task, [java_file])
 
     (tmp_path / "traces").mkdir()
-    result = _unit_runner(config, True, True)(java_file)
+    result = _unit_runner(config, repo, True, True)(java_file)
     assert result.status == "accepted" and len(result.cases) == 1
     result = replace(result, exchanges=[("prompt", "reply"), ("prompt 2", "reply 2")])
     assert pickle.loads(pickle.dumps(result)) == result

@@ -3,6 +3,7 @@ against exhaustive scans; repository persistence."""
 
 import json
 import math
+import pickle
 import random
 import re
 import time
@@ -359,7 +360,7 @@ def normalize_quadratic(text: str) -> str:
 
 _DIAGNOSTIC_PIECES = [
     "a", "Z", "_", "7", "é", "漢", "😀", ".", "..", "/", "\\", "-", "'", ":", "(", " ", "\n", "\t",
-    ".cj", ".java", ".class", ".jar", ".cjx", "main.cj", "0x1f", "line 3", "12:4",
+    ".cj", ".java", ".class", ".jar", ".cjx", "main.cj", "0x1f", "0X1F", "0", "x", "line 3", "12:4",
 ]
 
 
@@ -469,6 +470,17 @@ def exhaustive_top_k(query, repo, k, w):
     return sorted(scored, key=lambda pair: (-pair[1].total, pair[0].id))[:k]
 
 
+# The words of each kind's messages, where they are drawn one by one.
+_VOCABULARIES = {
+    "nested": _WORDS[:4],
+    # No word of the query "type mismatch here" and none that a tag rule reads.
+    "disjoint": [w for w in _WORDS if w not in ("type", "mismatch", "undefined")],
+    "no-words": ["the", "of", "at", "to", "42", "7"],  # stop words and numbers: no tokens
+}
+# Kinds that differ in their messages, with small fragments.
+_MESSAGE_KINDS = ("disjoint", "no-words", "anagram")
+
+
 def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
     """Cases whose fragments and messages repeat, so ties must break by id;
     a few have empty fragments. Ids are not in insertion order. "nested"
@@ -476,35 +488,44 @@ def equivalence_repository(rng: random.Random, kind: str) -> list[RepairCase]:
     fragment dimensions are attained. "reordered" fragments put the same
     lines in another order under one message, so their lengths and
     dimensions 1-3 are equal and the LCS bound on dimension 6 tells them
-    apart; "same-message" cases all carry one message."""
+    apart; "same-message" cases all carry one message. "disjoint" cases
+    share no word and no tag with the query tagged "E2", and some have no
+    tag at all; "no-words" messages have no tokens. "anagram" messages put
+    one message's words in another order, with one of them repeated or not:
+    equal token counts, or the same tokens with other counts."""
     base = code_fragment(rng, 1500)
-    message = " ".join(rng.sample(_WORDS, 5)) if kind in ("reordered", "same-message") else None
+    message = " ".join(rng.sample(_WORDS, 5)) if kind in ("reordered", "same-message", "anagram") else None
     cases = []
     for i in rng.sample(range(100), 30 if kind == "small" else 10):
         if cases and rng.random() < 0.3:
             source = rng.choice(cases)
             error, faulty = source.error_info, source.faulty_fragment
         else:
-            error = message or " ".join(
-                rng.choice(_WORDS[:4] if kind == "nested" else _WORDS) for _ in range(rng.randint(3, 6))
-            )
+            if kind == "anagram":
+                words = message.split()
+                error = " ".join(rng.sample(words, len(words)) + rng.sample(words, rng.randint(0, 1)))
+            else:
+                error = message or " ".join(
+                    rng.choice(_VOCABULARIES.get(kind, _WORDS)) for _ in range(rng.randint(3, 6))
+                )
             if kind == "reordered":
                 lines = base.split("\n")
                 faulty = "\n".join(rng.sample(lines, len(lines)))
             elif rng.random() < 0.15:
                 faulty = ""
-            elif kind == "small":
+            elif kind in ("small", *_MESSAGE_KINDS):
                 faulty = rng.choice(_FRAGS)
             elif kind == "nested":
                 faulty = base[: rng.randint(200, 1500)]
             else:
                 faulty = code_fragment(rng, rng.randint(200, 1500))
-        tags = () if message else tuple(rng.sample(["E1", "E2", "E3"], rng.randint(0, 2)))
+        labels = ["E1", "E3"] if kind == "disjoint" else ["E1", "E2", "E3"]
+        tags = () if message else tuple(rng.sample(labels, rng.randint(0, 2)))
         cases.append(RepairCase(f"case-{i:02d}", tags, error, "fix", faulty, faulty + " // fixed"))
     return cases
 
 
-@pytest.mark.parametrize("kind", ["small", "kilobyte", "nested", "reordered", "same-message"])
+@pytest.mark.parametrize("kind", ["small", "kilobyte", "nested", "reordered", "same-message", *_MESSAGE_KINDS])
 def test_retrieve_equals_exhaustive_sort(kind):
     """Without a floor, and with any floor the best total reaches, retrieval
     is the exact top k. Below a floor it returns scored cases that all fall
@@ -535,6 +556,21 @@ def test_retrieve_equals_exhaustive_sort(kind):
                     else:
                         assert 0 < len(ranked) <= k, (k, floor)
                         assert all(b.total < floor and b == scored[c.id] for c, b in ranked), (k, floor)
+
+
+def test_retrieval_follows_the_cases_added_after_it():
+    """``add_case`` after a retrieval: the next retrieval ranks the new case
+    too, and a repository whose index is built pickles."""
+    rng = random.Random("added")
+    *cases, added = equivalence_repository(rng, "kilobyte")
+    repo = Repository(cases)
+    query = query_from_case(added)
+    assert retrieve(query, repo, 3, UNIFORM) == exhaustive_top_k(query, repo, 3, UNIFORM)
+    repo.add_case(added)
+    expected = exhaustive_top_k(query, repo, 3, UNIFORM)
+    assert added in [case for case, _ in expected]
+    assert retrieve(query, repo, 3, UNIFORM) == expected
+    assert retrieve(query, pickle.loads(pickle.dumps(repo)), 3, UNIFORM) == expected
 
 
 def test_retrieve_prunes_edit_distance_to_fewer_than_every_case(monkeypatch):
