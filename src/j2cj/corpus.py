@@ -226,7 +226,8 @@ _SENTENCE_END = ".!?"
 
 def one_sentence(text: str) -> str:
     """First sentence of the text: cut at the first terminator outside
-    quotes that ends a word (decimal points survive)."""
+    quotes that ends a word (decimal points survive). A ``'`` after a letter
+    or digit is an apostrophe ("user's", "Don't") and opens no quote."""
     text = text.strip()
     quote: str | None = None
     for i, ch in enumerate(text):
@@ -234,7 +235,7 @@ def one_sentence(text: str) -> str:
             if ch == quote:
                 quote = None
             continue
-        if ch in "\"'":
+        if ch in "\"'" and (ch == '"' or i == 0 or not text[i - 1].isalnum()):
             quote = ch
         elif ch in _SENTENCE_END:
             at_end = i + 1 >= len(text)

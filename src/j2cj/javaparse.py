@@ -465,19 +465,24 @@ class _Parser:
         return base
 
     def _named_type(self) -> int | None:
-        node = self.take(~self.pos)  # ~i: token i as a type_identifier
+        mark = self.take(~self.pos)  # ~i: token i as a type_identifier
+        opens = []  # each wrapper's category, innermost first; all open at ``mark``
         while True:
             if self.at("<"):
                 if self._angle_group("type_arguments") is None:
                     return None
-                node = self.node("generic_type", node)
+                opens.append("generic_type")
+                self.events.append(None)
             if self.at(".") and self.at("identifier", 1):
                 self.take()
                 self.take(~self.pos)
-                node = self.node("scoped_type_identifier", node)
+                opens.append("scoped_type_identifier")
+                self.events.append(None)
             else:
                 break
-        return node
+        if opens:  # one insertion for the whole chain keeps a long dotted name linear
+            self.events[mark:mark] = reversed(opens)
+        return mark
 
     def _angle_group(self, category: str) -> int | None:
         """Balanced <...> holding only type-ish tokens; None on mismatch."""

@@ -389,12 +389,12 @@ class HttpBackend:
         raise CompletionError(f"endpoint unreachable after {HTTP_MAX_ATTEMPTS} attempts: {last_error}")
 
 
-_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
-
-
 def extract_code_block(reply: str) -> str:
-    """Content of the first fenced code block, else the trimmed reply."""
-    m = _FENCE_RE.search(reply)
-    if m:
-        return m.group(1).rstrip("\n")
+    """Content of the first fenced code block, else the trimmed reply. The block
+    opens at the first ``` and its line's end, and closes at the next ```."""
+    fence = reply.find("```")
+    body = reply.find("\n", fence + 3) + 1 if fence >= 0 else 0
+    end = reply.find("```", body) if body else -1
+    if end >= 0:
+        return reply[body:end].rstrip("\n")
     return reply.strip()

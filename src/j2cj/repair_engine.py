@@ -49,18 +49,18 @@ class EmptyCodeError(RepairEngineError):
     """A repair or translation completion yielded no code."""
 
 
-class CompileStatus(enum.Enum):
+class CompileStatus(str, enum.Enum):
     SUCCESS = "success"
     FAIL = "fail"
 
 
-class TestResult(enum.Enum):
+class TestResult(str, enum.Enum):
     PASS = "pass"
     FAIL = "fail"
     NOT_RUN = "not_run"
 
 
-class Branch(enum.Enum):
+class Branch(str, enum.Enum):
     INITIAL = "initial"
     RAG_REPAIR = "rag_repair"
     SELF_ANALYSIS = "self_analysis"
@@ -82,10 +82,10 @@ class TestCase:
 
 @dataclass
 class IterationRecord:
-    """Evaluation of one candidate plus how the candidate was produced."""
+    """Evaluation of one candidate plus how it was produced; its fields, in order, are a trace entry's."""
 
-    candidate: str
     branch: Branch
+    candidate: str
     compile_status: CompileStatus | None = None
     diagnostics: str = ""
     test_result: TestResult = TestResult.NOT_RUN
@@ -170,11 +170,7 @@ def translate(
     tokens = structure_tokens(java_source, retained)
     prompt = render_structured_prompt(tokens, java_source, TRANSLATE_INSTRUCTION)
     candidate, exchange = _code_reply(prompt, llm, "translation completion")
-    return IterationRecord(
-        candidate=candidate,
-        branch=Branch.INITIAL,
-        exchanges=[exchange],
-    )
+    return IterationRecord(Branch.INITIAL, candidate, exchanges=[exchange])
 
 
 def select_branch(
@@ -197,27 +193,23 @@ def select_branch(
 
 
 def format_failures(failed_tests: list[dict]) -> str:
-    lines = []
-    for f in failed_tests:
-        lines.append(
-            f"- input={json.dumps(f['input'], ensure_ascii=False)} "
-            f"expected={json.dumps(f['expected'], ensure_ascii=False)} "
-            f"actual={json.dumps(f['actual'], ensure_ascii=False)}"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"- input={json.dumps(f['input'], ensure_ascii=False)} "
+        f"expected={json.dumps(f['expected'], ensure_ascii=False)} "
+        f"actual={json.dumps(f['actual'], ensure_ascii=False)}"
+        for f in failed_tests
+    )
 
 
 def format_cases(cases: list[RepairCase]) -> str:
-    blocks = []
-    for rank, case in enumerate(cases, 1):
-        blocks.append(
-            f"Case {rank}:\n"
-            f"Error: {case.error_info}\n"
-            f"Suggestion: {case.repair_suggestion}\n"
-            f"Faulty fragment:\n{case.faulty_fragment}\n"
-            f"Corrected code:\n{case.corrected_code}"
-        )
-    return "\n\n".join(blocks)
+    return "\n\n".join(
+        f"Case {rank}:\n"
+        f"Error: {case.error_info}\n"
+        f"Suggestion: {case.repair_suggestion}\n"
+        f"Faulty fragment:\n{case.faulty_fragment}\n"
+        f"Corrected code:\n{case.corrected_code}"
+        for rank, case in enumerate(cases, 1)
+    )
 
 
 # Each repair branch: the template that asks for guidance (None: RAG repair
@@ -230,19 +222,24 @@ _REPAIRS = {
 }
 
 
-def repair_step(branch: Branch, slots: dict[str, str], llm) -> IterationRecord:
-    """The next candidate from ``branch``'s prompts over ``slots``; a branch with a
-    guidance template first asks for guidance, and its code prompt carries it."""
+def _render(template, inputs: dict[str, str]) -> str:
+    """``template`` over the ``inputs`` it names; a slot that ``inputs`` lack raises TemplateError."""
+    return template.render({slot: inputs[slot] for slot in template.required_slots & inputs.keys()})
+
+
+def repair_step(branch: Branch, inputs: dict[str, str], llm) -> IterationRecord:
+    """The next candidate from ``branch``'s prompts, each over the ``inputs`` its template names;
+    a branch with a guidance template first asks for guidance, and its code prompt carries it."""
     guidance_template, code_template, what = _REPAIRS[branch]
     guidance = None
     exchanges = []
     if guidance_template is not None:
-        prompt = guidance_template.render(slots)
+        prompt = _render(guidance_template, inputs)
         guidance = llm.complete(prompt)
         exchanges.append({"prompt": prompt, "reply": guidance})
-        slots = {**slots, "guidance": guidance}
-    candidate, exchange = _code_reply(code_template.render(slots), llm, what)
-    return IterationRecord(candidate=candidate, branch=branch, guidance=guidance, exchanges=[*exchanges, exchange])
+        inputs = {**inputs, "guidance": guidance}
+    candidate, exchange = _code_reply(_render(code_template, inputs), llm, what)
+    return IterationRecord(branch, candidate, guidance=guidance, exchanges=[*exchanges, exchange])
 
 
 def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) -> TranslationUnit:
@@ -291,30 +288,22 @@ def run_repair_loop(unit: TranslationUnit, cfg: RepairConfig, deps: EngineDeps) 
 
         diagnostics = rec.diagnostics if rec.diagnostics.strip() else "<no diagnostics>"
         ranked = []
-        top_score = None
-        if rec.compile_status is CompileStatus.FAIL and deps.repo is not None and len(deps.repo) > 0:
-            ranked = retrieve(
-                ErrorQuery(diagnostics, rec.candidate),
-                deps.repo,
-                cfg.rag_top_k,
-                cfg.weights,
-                floor=cfg.threshold,
-            )
-            top_score = ranked[0][1].total
-
+        if rec.compile_status is CompileStatus.FAIL and deps.repo:
+            query = ErrorQuery(diagnostics, rec.candidate)
+            ranked = retrieve(query, deps.repo, cfg.rag_top_k, cfg.weights, floor=cfg.threshold)
+        top_score = ranked[0][1].total if ranked else None
         branch = select_branch(rec.compile_status, rec.test_result, top_score, cfg.threshold)
         if branch is None:
             unit.status = UnitStatus.ACCEPTED
             return unit
-        if branch is Branch.RAG_REPAIR:
-            cases = format_cases([case for case, _ in ranked])
-            slots = {"errors": diagnostics, "cases": cases, "candidate": rec.candidate}
-        elif branch is Branch.SELF_ANALYSIS:
-            slots = {"java": unit.java_source, "candidate": rec.candidate, "errors": diagnostics}
-        else:
-            failures = format_failures(rec.failed_tests)
-            slots = {"java": unit.java_source, "candidate": rec.candidate, "failures": failures}
-        unit.candidates.append(repair_step(branch, slots, deps.llm))
+        inputs = {
+            "java": unit.java_source,
+            "candidate": rec.candidate,
+            "errors": diagnostics,
+            "cases": format_cases([case for case, _ in ranked]),
+            "failures": format_failures(rec.failed_tests),
+        }
+        unit.candidates.append(repair_step(branch, inputs, deps.llm))
 
 
 def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
@@ -347,23 +336,13 @@ def harvest_cases(unit: TranslationUnit) -> list[RepairCase]:
 # --- trace serialization ------------------------------------------------------
 
 def record_to_dict(rec: IterationRecord, redact: bool = False) -> dict:
-    exchanges = [
-        {"prompt_digest": text_digest(e["prompt"]), "reply_digest": text_digest(e["reply"])}
-        if redact
-        else {"prompt": e["prompt"], "reply": e["reply"]}
-        for e in rec.exchanges
-    ]
-    return {
-        "branch": rec.branch.value,
-        "candidate": rec.candidate,
-        "compile_status": rec.compile_status.value if rec.compile_status else None,
-        "diagnostics": rec.diagnostics,
-        "test_result": rec.test_result.value,
-        "failed_tests": rec.failed_tests,
-        "guidance": rec.guidance,
-        "error_signature": rec.error_signature,
-        "exchanges": exchanges,
-    }
+    """The record's fields in declaration order; ``redact`` digests each exchange."""
+    trace = dict(vars(rec))
+    if redact:
+        trace["exchanges"] = [
+            {"prompt_digest": text_digest(e["prompt"]), "reply_digest": text_digest(e["reply"])} for e in rec.exchanges
+        ]
+    return trace
 
 
 def unit_to_trace(unit: TranslationUnit, redact: bool = False) -> dict:

@@ -312,6 +312,9 @@ def test_one_sentence_rules():
     assert one_sentence('Prints "a. b" to stdout. Extra.') == 'Prints "a. b" to stdout.'
     assert one_sentence("Returns 3.14 as pi. More.") == "Returns 3.14 as pi."
     assert one_sentence("Does it work? Yes.") == "Does it work?"
+    assert one_sentence("Returns the user's name. Then exits.") == "Returns the user's name."
+    assert one_sentence("Don't panic. Really.") == "Don't panic."
+    assert one_sentence("Prints 'a. b' then exits. More.") == "Prints 'a. b' then exits."
 
 
 def test_monolingual_sample_invariants():

@@ -648,3 +648,25 @@ def test_tokenize_runs_in_linear_time(run_isolated, source, expected):
     result = run_isolated(code, stdin=source, timeout=20)
     assert result.returncode == 0, result.stderr
     assert result.stdout == expected + "\n"
+
+
+# A declaration whose type is a long dotted name, with (scoped type
+# identifiers, generic types, ERROR nodes) in its tree. Each wrapper of the
+# name once inserted its open event at the name's first event, moving every
+# event after it: quadratic in the length of the name.
+LINEAR_TYPES = [
+    ("class A { void f() { " + "a." * 300_000 + "b c; } }", "300000 0 0"),
+    ("class A { " + "a<b>." * 125_000 + "c d; }", "125000 125000 0"),
+]
+
+
+@pytest.mark.parametrize("source,expected", LINEAR_TYPES, ids=["dotted-local", "generic-dotted-field"])
+def test_long_dotted_type_parses_in_linear_time(run_isolated, source, expected):
+    code = (
+        "from j2cj.javaparse import parse_events\n"
+        "_, events = parse_events(sys.stdin.read())\n"
+        "print(*(events.count(c) for c in ('scoped_type_identifier', 'generic_type', 'ERROR')))\n"
+    )
+    result = run_isolated(code, stdin=source, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == expected + "\n"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import socket
 import ssl
 import subprocess
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from support import DROP, completion, transcript_of
 
@@ -323,6 +324,38 @@ def test_extract_code_block_variants():
     assert extract_code_block("prose first\n```cangjie\nlet x = 1\n```\nmore prose") == "let x = 1"
     assert extract_code_block("  no fence at all  ") == "no fence at all"
     assert extract_code_block("```\nfirst\n```\n```\nsecond\n```") == "first"
+
+
+# The fence pattern as first written: quadratic in a reply with a fence
+# that never closes, kept as the oracle of the linear search.
+_QUADRATIC_FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
+
+
+def extract_code_block_quadratic(reply: str) -> str:
+    m = _QUADRATIC_FENCE_RE.search(reply)
+    return m.group(1).rstrip("\n") if m else reply.strip()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pieces=st.lists(st.sampled_from(["`", "```", "\n", "a", " "]), max_size=24))
+def test_extract_code_block_matches_its_quadratic_pattern(pieces):
+    reply = "".join(pieces)
+    assert extract_code_block(reply) == extract_code_block_quadratic(reply)
+
+
+def test_extract_code_block_runs_in_linear_time(run_isolated):
+    code = (
+        "import json\n"
+        "from j2cj.llm import extract_code_block\n"
+        "for reply in json.loads(sys.stdin.read()):\n"
+        "    print(len(extract_code_block(reply)))\n"
+    )
+    # The pattern once tried every backtick as an opening fence, and scanned
+    # to the end of the reply from each.
+    replies = ["`" * 400_000, "`" * 400_000 + "\n", "```\n" + "``a" * 200_000]
+    result = run_isolated(code, stdin=json.dumps(replies), timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["400000", "400000", "600004"]
 
 
 def test_replay_pipeline_does_not_import_the_http_client():

@@ -12,8 +12,13 @@ from j2cj.adapters import CompileOutcome, RunOutcome, ToolchainError
 from j2cj.ast_summary import default_vocab, summarize, tokenize_structure
 from j2cj.corpus import annotate_snippet, reconstruct_chapter
 from j2cj.javaparse import parse
+from j2cj.jsonl import text_digest
 from j2cj.llm import (
     RAG_REPAIR_TEMPLATE,
+    REPAIR_APPLY_COMPILE_TEMPLATE,
+    REPAIR_APPLY_TEST_TEMPLATE,
+    REPAIR_GUIDANCE_COMPILE_TEMPLATE,
+    REPAIR_GUIDANCE_TEST_TEMPLATE,
     TRANSLATE_INSTRUCTION,
     DecodingConfig,
     MockBackend,
@@ -488,6 +493,40 @@ def test_rag_repair_embeds_cases_in_rank_order():
     assert prompt == RAG_REPAIR_TEMPLATE.render(slots)
 
 
+REPAIR_INPUTS = {
+    "java": "class A { }",
+    "candidate": "main() { broken }",
+    "errors": "error: undefined symbol 'x'",
+    "cases": "Case 1:\nError: e\nSuggestion: s\nFaulty fragment:\nf\nCorrected code:\nc",
+    "failures": '- input="1" expected="2" actual="3"',
+}
+
+
+def _explicit_prompts(branch: Branch, guidance: str) -> list[str]:
+    """``branch``'s prompts, each rendered with exactly the slots it takes, spelled out."""
+    java, candidate, errors, cases, failures = REPAIR_INPUTS.values()
+    if branch is Branch.RAG_REPAIR:
+        return [RAG_REPAIR_TEMPLATE.render({"errors": errors, "cases": cases, "candidate": candidate})]
+    if branch is Branch.SELF_ANALYSIS:
+        slots = {"java": java, "candidate": candidate, "errors": errors}
+        guidance_template, code_template = REPAIR_GUIDANCE_COMPILE_TEMPLATE, REPAIR_APPLY_COMPILE_TEMPLATE
+    else:
+        slots = {"java": java, "candidate": candidate, "failures": failures}
+        guidance_template, code_template = REPAIR_GUIDANCE_TEST_TEMPLATE, REPAIR_APPLY_TEST_TEMPLATE
+    return [guidance_template.render(slots), code_template.render({**slots, "guidance": guidance})]
+
+
+@pytest.mark.parametrize("branch", [Branch.RAG_REPAIR, Branch.SELF_ANALYSIS, Branch.TEST_REPAIR])
+def test_repair_step_takes_one_inputs_dict_for_every_branch(branch):
+    """Every branch gets all five inputs; each of its templates renders only the ones it names."""
+    replies = ["```\nfixed\n```"] if branch is Branch.RAG_REPAIR else ["the advice", "```\nfixed\n```"]
+    llm = ScriptedLLM(replies)
+    record = repair_step(branch, dict(REPAIR_INPUTS), llm)
+    assert llm.prompts == _explicit_prompts(branch, "the advice")
+    assert [e["prompt"] for e in record.exchanges] == llm.prompts
+    assert (record.branch, record.candidate) == (branch, "fixed")
+
+
 def test_harvest_only_self_analysis_compile_fixes():
     unit = unit_with("c0", unit_id="unitA")
     diagnostics_a = "error: undefined symbol frob"
@@ -547,6 +586,8 @@ def test_harvest_requires_accepted_unit():
 
 def test_trace_serialization_is_stable_and_redactable():
     unit = unit_with("good", unit_id="t")
+    exchange = {"prompt": "the prompt", "reply": "the reply"}
+    unit.candidates[0].exchanges.append(exchange)
     deps = EngineDeps(
         llm=ScriptedLLM([]),
         compiler=TableCompiler({"good": (True, "")}),
@@ -557,4 +598,6 @@ def test_trace_serialization_is_stable_and_redactable():
     assert trace["status"] == "accepted"
     assert trace["iterations"][0]["k"] == 0
     redacted = unit_to_trace(unit, redact=True)
-    assert "prompt" not in str(redacted["iterations"][0]["exchanges"])
+    digests = {"prompt_digest": text_digest("the prompt"), "reply_digest": text_digest("the reply")}
+    assert redacted["iterations"][0]["exchanges"] == [digests]
+    assert unit.candidates[0].exchanges == [exchange]  # redaction leaves the record as it was

@@ -297,7 +297,7 @@ def test_the_normalizer_keeps_identifiers_that_look_like_locations():
     assert message_tokens("undefined symbol buf0xff at line 12 col 3 (0x1f)") == ["undefined", "symbol", "buf0xff"]
 
     def signature(text):
-        return _record_signature(IterationRecord("", Branch.INITIAL, CompileStatus.FAIL, text))
+        return _record_signature(IterationRecord(Branch.INITIAL, "", CompileStatus.FAIL, text))
 
     moved = [signature(f"error: undefined symbol '{name}'") for name in ("line2", "col7", "buf0xff", "buf0x1f")]
     assert len(set(moved)) == 4
@@ -337,7 +337,7 @@ def test_one_normalizer_ignores_where_an_error_is(head, tail, kinds, data):
     assert normalize_diagnostic(a) == normalize_diagnostic(b)
     assert message_tokens(a) == message_tokens(b) == message_tokens(" ".join(head + tail))
     signatures = {
-        _record_signature(IterationRecord("", Branch.INITIAL, CompileStatus.FAIL, text)) for text in (a, b)
+        _record_signature(IterationRecord(Branch.INITIAL, "", CompileStatus.FAIL, text)) for text in (a, b)
     }
     assert len(signatures) == 1
 
